@@ -20,14 +20,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spaces import DiscreteDistribution
+from .spaces import DiscreteDistribution, _check_same_space
 
 _EQ_TOL = 1e-12
-
-
-def _check_same_space(mu: DiscreteDistribution, nu: DiscreteDistribution):
-    if mu.space is not nu.space and not mu.space.same_as(nu.space):
-        raise ValueError("distributions live on different spaces")
 
 
 def _fsum(values) -> float:

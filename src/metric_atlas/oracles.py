@@ -76,6 +76,25 @@ def prokhorov_exhaustive(mu: DiscreteDistribution, nu: DiscreteDistribution,
     return value
 
 
+def ball_growth_exhaustive(nu: DiscreteDistribution, eps: float) -> float:
+    """max of nu(B^eps) - nu(B) over every closed ball B and ball complement.
+
+    Each ball space.ball(c, r), for every center and every radius in
+    {0} U distances, and its complement is built as a point set, fattened
+    point by point and weighed with exactly rounded sums.
+    """
+    space = nu.space
+    if space.n > 12:
+        raise ValueError("ball_growth_exhaustive: n > 12")
+    everything = frozenset(range(space.n))
+    family = set()
+    for c in range(space.n):
+        for r in [0.0] + space.distinct_distances.tolist():
+            ball = space.ball(c, r)
+            family.update((ball, everything - ball))
+    return max(nu.mass(space.fatten(b, eps)) - nu.mass(b) for b in family)
+
+
 def levy_grid_oracle(F: RealAtomicDistribution, G: RealAtomicDistribution,
                      mesh: float = 1e-4) -> tuple[float, float]:
     """Bracket [lo, hi] around the Levy distance, hi - lo <= mesh.

@@ -179,6 +179,11 @@ class DiscreteDistribution:
         return cls(space, p)
 
 
+def _check_same_space(mu: DiscreteDistribution, nu: DiscreteDistribution) -> None:
+    if mu.space is not nu.space and not mu.space.same_as(nu.space):
+        raise ValueError("distributions live on different spaces")
+
+
 @dataclass(frozen=True, eq=False)
 class RealAtomicDistribution:
     """Weighted atoms on the real line; the CDF is a right-continuous step."""
@@ -319,12 +324,6 @@ def product_space(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> FiniteMetricS
     if n > PRODUCT_SIZE_LIMIT:
         raise ValueError(f"product space would have {n} points (limit {PRODUCT_SIZE_LIMIT})")
     d = (s1.d[:, None, :, None] + s2.d[None, :, None, :]).reshape(n, n)
-    if n > TRIANGLE_CHECK_LIMIT:
-        # sum of two validated metrics; the O(n^3) re-check is skipped above the limit
-        space = object.__new__(FiniteMetricSpace)
-        object.__setattr__(space, "d", _frozen(d))
-        object.__setattr__(space, "labels", None)
-        return space
     return FiniteMetricSpace(d)
 
 

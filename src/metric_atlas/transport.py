@@ -16,15 +16,10 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .spaces import (Coupling, DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, SmoothRealCdf, _frozen)
+from .spaces import (Coupling, DiscreteDistribution, RealAtomicDistribution,
+                     SmoothRealCdf, _check_same_space, _frozen)
 
 _FLOW_EPS = 1e-12
-
-
-def _check_same_space(mu, nu):
-    if mu.space is not nu.space and not mu.space.same_as(nu.space):
-        raise ValueError("distributions live on different spaces")
 
 
 # ---------------------------------------------------------------------------
@@ -443,33 +438,57 @@ class BallGrowthModulus:
         return float(self.values[max(k, 0)])
 
 
-def _ball_family(space: FiniteMetricSpace) -> np.ndarray:
-    """Boolean matrix whose rows are all closed balls and their complements."""
-    radii = np.concatenate(([0.0], space.distinct_distances))
-    balls = (space.d[:, None, :] <= radii[None, :, None]).reshape(-1, space.n)
-    fam = np.concatenate([balls, ~balls])
-    return np.unique(fam, axis=0)
+# Centers are processed in blocks of at most this many (center, point, point)
+# cells: small spaces take one vectorized pass, large ones keep O(n^2) memory.
+_BLOCK_CELLS = 1 << 15
 
 
-def ball_growth_at(nu: DiscreteDistribution, eps: float,
-                   family: np.ndarray | None = None) -> float:
+def _ball_distances(d: np.ndarray):
+    """Distances from closed balls and their complements to every point.
+
+    The closed balls around a center are the prefixes of its stable distance
+    order that end on a tie-group boundary, and their complements are the
+    matching suffixes; running minima over the sorted rows give each set's
+    distance to every point. Yields one matrix per block of centers, a row
+    per set. The whole space and the empty set, whose growth is 0, are left
+    out. `d` may be the distance matrix or any matrix with the same order,
+    such as its ranks.
+    """
+    n = d.shape[0]
+    step = max(1, _BLOCK_CELLS // (n * n))
+    for c0 in range(0, n, step):
+        block = d[c0:c0 + step]
+        order = np.argsort(block, axis=1, kind="stable")
+        rows = d[order]  # rows[c, j]: distances from the j-th nearest point of c
+        ends = np.diff(np.sort(block, axis=1), axis=1) > 0  # last of a tie group
+        balls = np.minimum.accumulate(rows, axis=1)[:, :-1][ends]
+        complements = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, :-1][ends[:, ::-1]]
+        yield np.concatenate([balls, complements])
+
+
+def ball_growth_at(nu: DiscreteDistribution, eps: float) -> float:
     """max over balls and ball complements of nu(B^eps) - nu(B)."""
-    space = nu.space
-    if family is None:
-        family = _ball_family(space)
-    famf = family.astype(float)
-    within = (space.d <= eps).astype(float)
-    fattened = (famf @ within) > 0.0
-    growth = fattened.astype(float) @ nu.p - famf @ nu.p
-    return max(0.0, float(np.max(growth)))
+    best = 0.0
+    for dist in _ball_distances(nu.space.d):
+        # the points at distance 0 from a set are its members
+        growth = ((dist > 0.0) & (dist <= eps)) @ nu.p
+        best = max(best, float(np.max(growth, initial=0.0)))
+    return best
 
 
 def tightest_ball_growth(nu: DiscreteDistribution) -> BallGrowthModulus:
     """The smallest modulus satisfying nu(B^eps) <= nu(B) + phi(eps) for all
     balls B and complements of balls, evaluated at every distance."""
-    space = nu.space
-    family = _ball_family(space)
-    breakpoints = np.concatenate(([0.0], space.distinct_distances))
-    values = np.array([ball_growth_at(nu, float(e), family) for e in breakpoints])
+    breakpoints = np.concatenate(([0.0], nu.space.distinct_distances))
+    k = breakpoints.size
+    # every distance is a breakpoint, so its rank locates it exactly
+    rank = np.searchsorted(breakpoints, nu.space.d)
+    values = np.zeros(k)
+    for dist in _ball_distances(rank):
+        m = dist.shape[0]
+        cells = (dist + k * np.arange(m)[:, None]).ravel()
+        # mass[b, j] = nu(B_b fattened by breakpoints[j])
+        mass = np.bincount(cells, np.tile(nu.p, m), m * k).reshape(m, k).cumsum(axis=1)
+        values = np.maximum(values, np.max(mass - mass[:, :1], axis=0, initial=0.0))
     values = np.maximum.accumulate(values)  # guard fp wiggle; true phi is monotone
     return BallGrowthModulus(breakpoints, values)

@@ -229,15 +229,20 @@ def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
 
 def standardized_binomial(n: int) -> RealAtomicDistribution:
     """Binomial(n, 1/2) standardized to mean 0 and variance 1; weights via
-    log-gamma, renormalized by their exact float sum."""
+    log-gamma, renormalized by their exact float sum.
+
+    Tail weights that underflow to 0 (from n = 1075 on) are dropped with
+    their atoms; for smaller n every atom is kept.
+    """
     if n < 1:
         raise ValueError("need at least one trial")
     k = np.arange(n + 1)
     logw = (math.lgamma(n + 1) - np.array([math.lgamma(i + 1) for i in k])
             - np.array([math.lgamma(n - i + 1) for i in k]) - n * math.log(2.0))
     w = np.exp(logw)
-    w = w / math.fsum(w.tolist())
-    x = (2.0 * k - n) / math.sqrt(n)
+    keep = w > 0.0
+    w = w[keep] / math.fsum(w[keep].tolist())
+    x = (2.0 * k[keep] - n) / math.sqrt(n)
     return RealAtomicDistribution(x, w)
 
 

@@ -1,14 +1,12 @@
 import math
 
 import numpy as np
-import pytest
 
 from metric_atlas.bounds import (CertificationReport, EdgeResult, MetricContext,
                                  certification_campaign, certify, edge_catalog,
-                                 evaluate_edges, finite_context, max_workers,
-                                 random_instance, real_atomic_context,
-                                 reports_from_json, reports_to_csv,
-                                 reports_to_json)
+                                 evaluate_edges, finite_context, random_instance,
+                                 real_atomic_context, reports_from_json,
+                                 reports_to_csv, reports_to_json)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution)
 from metric_atlas.transport import tightest_ball_growth
@@ -33,7 +31,7 @@ class TestCatalog:
         _, mu, _, unif = z10_measures()
         ctx = MetricContext("probe", "finite", {}, nu_dominates_mu=True,
                             d_min=0.5, diam=3.0, density_bound=1.0,
-                            phi=tightest_ball_growth(unif))
+                            phi=tightest_ball_growth(unif).at)
         grid = np.linspace(0.0, 6.0, 200)
         for edge in edge_catalog():
             vals = [edge.transform(float(x), ctx) for x in grid]
@@ -214,15 +212,15 @@ class TestRandomInstances:
         assert all(r.passed for r in reports)
         assert all(len(r.results) == 19 for r in reports)
 
-    def test_worker_cap_env(self, monkeypatch):
-        monkeypatch.setenv("METRIC_ATLAS_THREADS", "2")
-        assert max_workers() == 2
-        reports = certification_campaign(trials=12, seed=2)
-        assert [r.instance_id for r in reports] == \
-            [r.instance_id for r in certification_campaign(trials=12, seed=2)]
-        monkeypatch.setenv("METRIC_ATLAS_THREADS", "zebra")
-        with pytest.raises(ValueError, match="METRIC_ATLAS_THREADS"):
-            max_workers()
+    def test_phi_matches_tightest_modulus_on_campaign_instances(self):
+        # the context evaluates phi once, where the D<=P+phi(P) edge reads it;
+        # that point value must equal the full modulus read at the same point
+        kinds, sparsities = ("euclidean", "cycle", "random-metric"), (0.0, 0.3)
+        for i in range(60):
+            inst = random_instance(0, i, (4, 10), kinds[i % 3], sparsities[(i // 3) % 2])
+            ctx = finite_context(inst.space, inst.mu, inst.nu)
+            x = ctx.values["prokhorov"] + 1e-12
+            assert abs(ctx.phi(x) - tightest_ball_growth(inst.nu).at(x)) <= 1e-12
 
 
 class TestSerialization:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from metric_atlas.oracles import (cdg_disc_window_oracle, levy_grid_oracle,
-                                  mixed_discrepancy_scan_oracle,
+from metric_atlas.oracles import (ball_growth_exhaustive, cdg_disc_window_oracle,
+                                  levy_grid_oracle, mixed_discrepancy_scan_oracle,
                                   prokhorov_exhaustive, product_walk_direct,
                                   tv_exhaustive, tv_subset_oracle)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
@@ -38,6 +38,8 @@ def test_size_guards():
         tv_subset_oracle(u, u)
     with pytest.raises(ValueError):
         prokhorov_exhaustive(u, u)
+    with pytest.raises(ValueError):
+        ball_growth_exhaustive(u, 1.0)
     with pytest.raises(ValueError):
         cdg_disc_window_oracle(np.full(5000, 1 / 5000))
 

@@ -183,6 +183,13 @@ class TestProducts:
         # d((0,0),(2,1)) = 2 + 1
         assert s.d[0 * 3 + 0, 2 * 3 + 1] == 3.0
 
+    def test_product_above_triangle_check_limit(self):
+        s = product_space(FiniteMetricSpace.cycle(23), FiniteMetricSpace.cycle(23))
+        assert isinstance(s, FiniteMetricSpace) and s.n == 529
+        assert np.array_equal(s.d, s.d.T)
+        assert np.all(np.diag(s.d) == 0.0)
+        assert s.d[0 * 23 + 0, 11 * 23 + 12] == 11.0 + 11.0
+
     def test_size_guard(self):
         big = FiniteMetricSpace.cycle(1001)
         mu = DiscreteDistribution.uniform(big)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_atlas.bounds import embed_atomic_pair
+from metric_atlas.bounds import embed_atomic_pair, random_instance
 from metric_atlas.divergences import total_variation
-from metric_atlas.oracles import (levy_grid_oracle, mixed_discrepancy_scan_oracle,
+from metric_atlas.oracles import (ball_growth_exhaustive, levy_grid_oracle,
+                                  mixed_discrepancy_scan_oracle,
                                   prokhorov_exhaustive)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, gaussian_cdf)
@@ -317,6 +318,23 @@ class TestBallGrowth:
         s = FiniteMetricSpace.cycle(10)
         nu = DiscreteDistribution.point_mass(s, 0)
         assert abs(ball_growth_at(nu, 5.0) - 1.0) < 1e-15
+
+    def test_matches_exhaustive_oracle(self):
+        # n = 1 and 2, cycles (heavy distance ties), zero-mass coordinates
+        # (odd i) and point masses, at every breakpoint of the modulus
+        kinds = ("euclidean", "random-metric", "cycle")
+        cases = []
+        for i in range(30):
+            n = 1 + i % 10
+            inst = random_instance(31, i, (n, n), kinds[i % 3], 0.3 if i % 2 else 0.0)
+            cases += [inst.nu, DiscreteDistribution.point_mass(inst.space, n // 2)]
+        assert any(np.any(nu.p == 0.0) and nu.p.max() < 1.0 for nu in cases)
+        for nu in cases:
+            phi = tightest_ball_growth(nu)
+            for eps, val in zip(phi.breakpoints.tolist(), phi.values.tolist()):
+                want = ball_growth_exhaustive(nu, eps)
+                assert abs(ball_growth_at(nu, eps) - want) <= 1e-12
+                assert abs(val - want) <= 1e-12
 
     def test_modulus_step_structure(self):
         s = FiniteMetricSpace.cycle(10)

@@ -6,7 +6,7 @@ import pytest
 
 from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContext
 from metric_atlas.oracles import cdg_disc_window_oracle, product_walk_direct
-from metric_atlas.spaces import gaussian_cdf
+from metric_atlas.spaces import MASS_TOL, gaussian_cdf
 from metric_atlas.transport import discrepancy_finite, wasserstein_finite, prokhorov
 from metric_atlas.walks import (CdgWalk, ProductWalkParams, binomial_normal_demo,
                                 cdg_discrepancy, cdg_trace, crossing_time,
@@ -186,6 +186,24 @@ class TestBinomialNormal:
             b = standardized_binomial(n)
             assert abs(math.fsum(b.weights.tolist()) - 1.0) < 1e-12
             assert b.m == n + 1
+
+    def test_every_atom_kept_bit_for_bit_up_to_1074(self):
+        # reference: the weights before underflowed tails were dropped
+        for n in (1, 16, 1000, 1074):
+            k = np.arange(n + 1)
+            logw = (math.lgamma(n + 1) - np.array([math.lgamma(i + 1) for i in k])
+                    - np.array([math.lgamma(n - i + 1) for i in k]) - n * math.log(2.0))
+            w = np.exp(logw)
+            b = standardized_binomial(n)
+            assert np.array_equal(b.weights, w / math.fsum(w.tolist()))
+            assert np.array_equal(b.positions, (2.0 * k - n) / math.sqrt(n))
+
+    def test_underflowed_tails_dropped_from_1075(self):
+        for n in (1075, 2000, 5000):
+            b = standardized_binomial(n)
+            assert b.m < n + 1
+            assert abs(math.fsum(b.weights.tolist()) - 1.0) <= MASS_TOL
+        assert binomial_normal_demo(2000)["disc"] < binomial_normal_demo(1000)["disc"]
 
     def test_tv_is_exactly_one(self):
         for n in (16, 1000):
