@@ -151,6 +151,8 @@ class DiscreteDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 1 or p.shape[0] != self.space.n:
             raise ValueError("distribution.p: length must match the space")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("distribution.p: non-finite entry")
         if np.any(p < 0.0):
             raise ValueError("distribution.p: negative mass")
         total = math.fsum(p.tolist())
@@ -196,6 +198,10 @@ class RealAtomicDistribution:
         ws = np.asarray(self.weights, dtype=float)
         if xs.ndim != 1 or xs.shape != ws.shape or xs.size == 0:
             raise ValueError("atoms: positions and weights must be matching 1-D arrays")
+        if not np.all(np.isfinite(xs)):
+            raise ValueError("atoms.positions: non-finite entry")
+        if not np.all(np.isfinite(ws)):
+            raise ValueError("atoms.weights: non-finite entry")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("atoms: positions must be strictly increasing")
         if np.any(ws <= 0):
@@ -230,6 +236,8 @@ class RealAtomicDistribution:
         """Build from (position, weight) pairs; merges duplicates, drops zeros."""
         acc: dict[float, float] = {}
         for x, w in pairs:
+            if not float(w) >= 0.0:  # before merging, which could hide it
+                raise ValueError(f"atoms.weights: weight {w!r} is negative or NaN")
             acc[float(x)] = acc.get(float(x), 0.0) + float(w)
         xs = sorted(x for x, w in acc.items() if w > 0)
         return cls(np.array(xs), np.array([acc[x] for x in xs]))
@@ -298,6 +306,8 @@ class Coupling:
         J = np.asarray(self.J, dtype=float)
         if J.shape != (self.row_marginal.space.n, self.col_marginal.space.n):
             raise ValueError("coupling.J: shape does not match the marginals")
+        if not np.all(np.isfinite(J)):
+            raise ValueError("coupling.J: non-finite entry")
         if np.any(J < 0.0):
             raise ValueError("coupling.J: negative entry")
         if np.max(np.abs(J.sum(axis=1) - self.row_marginal.p)) > MARGINAL_TOL:

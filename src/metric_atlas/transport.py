@@ -3,16 +3,17 @@ Wasserstein, plus the ball-growth modulus used to bound discrepancy by
 Prokhorov.
 
 Exact algorithms throughout: discrepancy enumerates the finitely many closed
-balls, Prokhorov runs a coupling max-flow over the distinct distances
-(Strassen's equivalence), Wasserstein solves the transportation problem by
-successive shortest paths and returns the optimal coupling as a witness.
+balls. One transport core, successive shortest paths on dense arrays, serves
+Prokhorov and Wasserstein. Wasserstein is its optimum under the metric, with
+the optimal coupling as a witness; Prokhorov binary-searches the distinct
+distances delta, where by Strassen's equivalence its slack is the optimum
+under the 0/1 cost 1{d > delta}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -201,81 +202,103 @@ def smooth_pair_levy(F: SmoothRealCdf, G: SmoothRealCdf,
 
 
 # ---------------------------------------------------------------------------
-# Prokhorov via coupling max-flow
+# Transport core: successive shortest paths on dense arrays
 # ---------------------------------------------------------------------------
 
-def _max_flow(cap: list[list[float]], s: int, t: int) -> float:
-    """Highest-label push-relabel on a dense capacity matrix.
+def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
+               flow: np.ndarray, stop_cost: float = math.inf) -> np.ndarray:
+    """Min-cost transportation plan by successive shortest paths.
 
-    Residual capacities below _FLOW_EPS count as saturated. The operation
-    cap is defensive only; the algorithm terminates for these instances.
+    The residual graph is bipartite: a forward arc i -> j of cost
+    cost[i, j] for every pair, and a backward arc j -> i of cost -cost[i, j]
+    wherever flow[i, j] > _FLOW_EPS. Row and column potentials keep every
+    reduced cost non-negative, so each search is a Dijkstra from the rows
+    with remaining supply. It settles every node at the current minimum
+    distance at once: a block of rows relaxes all columns with one
+    min-reduction, a block of columns relaxes rows through its backward
+    arcs. The search ends at the first settled column with remaining demand,
+    at distance D; adding min(dist, D) to the potentials keeps the reduced
+    costs non-negative without finishing it.
+
+    Augmentation starts from `flow`, which must be optimal for its value
+    under zero potentials (a flow on arcs of cost zero, when no cost is
+    negative), and stops once supply or demand is exhausted, or at the first
+    shortest path whose cost reaches `stop_cost`.
     """
-    n = len(cap)
-    res = [row[:] for row in cap]
-    height = [0] * n
-    excess = [0.0] * n
-    height[s] = n
-    for v in range(n):
-        c = res[s][v]
-        if v != s and c > _FLOW_EPS:
-            res[s][v] = 0.0
-            res[v][s] += c
-            excess[v] += c
-            excess[s] -= c
+    n, m = cost.shape
+    flow = flow.copy()
+    rem_s = supply - flow.sum(axis=1)
+    rem_d = demand - flow.sum(axis=0)
+    # one vector per node quantity: rows 0..n-1, then columns n..n+m-1
+    pot = np.zeros(n + m)
+    dist = np.empty(n + m)
+    open_ = np.empty(n + m)  # dist of the unsettled nodes, inf once settled
+    par = np.full(n + m, -1)  # a row's column via a backward arc, a column's row
+    needs = np.zeros(n + m, dtype=bool)
+    pot_r, pot_c = pot[:n], pot[n:]
+    dist_r, dist_c = dist[:n], dist[n:]
+    open_r, open_c = open_[:n], open_[n:]
+    par_r, par_c = par[:n], par[n:]
+    rows_n, cols_m = np.arange(n), np.arange(m)
 
-    limit = 64 * n * n * n + 10_000
-    ops = 0
-    active = sorted((v for v in range(n) if v not in (s, t) and excess[v] > _FLOW_EPS),
-                    key=lambda v: height[v])
-    while active:
-        ops += 1
-        if ops > limit:
-            raise RuntimeError("max-flow failed to converge")
-        v = active.pop()  # highest label last after sort; maintained below
-        pushed = False
-        for u in range(n):
-            if res[v][u] > _FLOW_EPS and height[v] == height[u] + 1:
-                amt = min(excess[v], res[v][u])
-                res[v][u] -= amt
-                res[u][v] += amt
-                excess[v] -= amt
-                excess[u] += amt
-                if u not in (s, t) and excess[u] > _FLOW_EPS and u not in active:
-                    active.append(u)
-                if excess[v] <= _FLOW_EPS:
-                    pushed = True
-                    break
-        if not pushed and excess[v] > _FLOW_EPS:
-            min_h = min((height[u] for u in range(n) if res[v][u] > _FLOW_EPS),
-                        default=None)
-            if min_h is None:
-                excess[v] = 0.0  # stranded excess cannot reach the sink
-            else:
-                height[v] = min_h + 1
-                active.append(v)
-        active.sort(key=lambda w: height[w])
-    return excess[t]
+    for _ in range(16 * (n + m) + 100):
+        is_src = rem_s > _FLOW_EPS
+        np.greater(rem_d, _FLOW_EPS, out=needs[n:])
+        if not (is_src.any() and needs.any()):
+            return flow
+        dist.fill(math.inf)
+        dist_r[is_src] = 0.0
+        open_[:] = dist
+        while True:
+            cur = open_.min()
+            if cur == math.inf:
+                raise RuntimeError("transportation network is disconnected")
+            block = (open_ == cur).nonzero()[0]
+            hit = needs[block]
+            if hit.any():
+                j = int(block[hit.argmax()]) - n
+                break
+            open_[block] = math.inf
+            split = int(block.searchsorted(n))
+            if split:  # rows relax every column through forward arcs
+                rows = block[:split]
+                rc = cost[rows] + (pot_r[rows, None] - pot_c)
+                k = rc.argmin(axis=0)
+                nd = cur + np.maximum(rc[k, cols_m], 0.0)
+                better = nd < dist_c
+                dist_c[better] = open_c[better] = nd[better]
+                par_c[better] = rows[k[better]]
+            if split < block.size:  # columns relax rows through backward arcs
+                cols = block[split:] - n
+                rc = np.where(flow[:, cols] > _FLOW_EPS,
+                              pot_c[cols] - cost[:, cols] - pot_r[:, None], math.inf)
+                k = rc.argmin(axis=1)
+                nd = cur + np.maximum(rc[rows_n, k], 0.0)
+                better = nd < dist_r
+                dist_r[better] = open_r[better] = nd[better]
+                par_r[better] = cols[k[better]]
+        pot += np.minimum(dist, cur)
+
+        # walk back to the source: forward arcs fi -> [j] + bj, backward
+        # arcs bj -> fi[:-1], each undoing flow on its pair
+        fi, bj = [int(par_c[j])], []
+        while par_r[fi[-1]] >= 0:
+            bj.append(int(par_r[fi[-1]]))
+            fi.append(int(par_c[bj[-1]]))
+        i = fi[-1]
+        if pot_c[j] - pot_r[i] >= stop_cost:  # the path's cost under `cost`
+            return flow
+        amt = min(rem_s[i], rem_d[j], flow[fi[:-1], bj].min(initial=math.inf))
+        flow[fi, [j] + bj] += amt
+        flow[fi[:-1], bj] -= amt
+        rem_s[i] -= amt
+        rem_d[j] -= amt
+    raise RuntimeError("transportation solver failed to converge")
 
 
-def _coupled_mass_within(mu: DiscreteDistribution, nu: DiscreteDistribution,
-                         delta: float) -> float:
-    """Largest joint mass a coupling can place on pairs with d <= delta."""
-    n = mu.space.n
-    d = mu.space.d
-    size = 2 * n + 2
-    s, t = 2 * n, 2 * n + 1
-    cap = [[0.0] * size for _ in range(size)]
-    for i in range(n):
-        cap[s][i] = float(mu.p[i])
-        cap[n + i][t] = float(nu.p[i])
-    for i in range(n):
-        row = cap[i]
-        di = d[i]
-        for j in range(n):
-            if di[j] <= delta:
-                row[n + j] = 2.0
-    return _max_flow(cap, s, t)
-
+# ---------------------------------------------------------------------------
+# Prokhorov
+# ---------------------------------------------------------------------------
 
 def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     """Prokhorov distance, exactly, via Strassen's coupling equivalence.
@@ -285,19 +308,33 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     on the distinct distances d_1 < ... < d_K. Interval k contains a feasible
     eps iff u(d_k) < d_{k+1}, validity is monotone in k, and the first valid
     interval yields the infimum max(d_k, u(d_k)).
+
+    u(delta) is the optimal transportation cost under the 0/1 cost
+    1{d > delta}. Shortest paths there cost 0 until the zero-cost arcs carry
+    all they can, then exactly 1, since a direct arc costs at most 1; so the
+    solver stops at the first path of cost 1 and u(delta) is the supply left
+    unshipped. Each probe of the binary search starts from the flow of the
+    largest delta known infeasible, or from the mass the two measures share
+    on each point: either uses only arcs with d <= the new delta, so it costs
+    0 there and is optimal for its value.
     """
     _check_same_space(mu, nu)
     if mu.space.n == 1:
         return 0.0
+    d = mu.space.d
     deltas = np.concatenate(([0.0], mu.space.distinct_distances))
     K = deltas.size - 1
 
-    cache: dict[int, float] = {}
+    cache: dict[int, tuple[float, np.ndarray]] = {}  # k -> (u(d_k), its flow)
+    warm = np.diag(np.minimum(mu.p, nu.p))  # shared mass stays put
 
     def u(k: int) -> float:
         if k not in cache:
-            cache[k] = max(0.0, 1.0 - _coupled_mass_within(mu, nu, float(deltas[k])))
-        return cache[k]
+            flow = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
+                              flow=warm, stop_cost=1.0)
+            unshipped = float(np.sum(mu.p - flow.sum(axis=1)))
+            cache[k] = (max(0.0, unshipped), flow)
+        return cache[k][0]
 
     def valid(k: int) -> bool:
         nxt = float(deltas[k + 1]) if k < K else math.inf
@@ -310,6 +347,7 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
             hi = mid
         else:
             lo = mid + 1
+            warm = cache[mid][1]
     return max(float(deltas[lo]), u(lo))
 
 
@@ -317,90 +355,15 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
 # Wasserstein
 # ---------------------------------------------------------------------------
 
-def _min_cost_transport(cost: np.ndarray, supply: np.ndarray,
-                        demand: np.ndarray) -> np.ndarray:
-    """Successive shortest paths with potentials on the bipartite
-    transportation graph; exact optimum for non-negative costs."""
-    n, m = cost.shape
-    flow = np.zeros((n, m))
-    rem_s = supply.astype(float).copy()
-    rem_d = demand.astype(float).copy()
-    pot = np.zeros(n + m)
-    total = n + m
-
-    for _ in range(16 * (n + m) + 100):
-        sources = np.nonzero(rem_s > _FLOW_EPS)[0]
-        if sources.size == 0:
-            break
-        dist = np.full(total, math.inf)
-        parent = np.full(total, -1, dtype=int)
-        heap = []
-        for i in sources:
-            dist[i] = 0.0
-            heappush(heap, (0.0, int(i)))
-        while heap:
-            du, v = heappop(heap)
-            if du > dist[v] + 1e-15:
-                continue
-            if v < n:
-                for j in range(m):
-                    rc = cost[v, j] + pot[v] - pot[n + j]
-                    if rc < 0.0:
-                        rc = 0.0
-                    nd = du + rc
-                    if nd < dist[n + j] - 1e-15:
-                        dist[n + j] = nd
-                        parent[n + j] = v
-                        heappush(heap, (nd, n + j))
-            else:
-                j = v - n
-                for i in range(n):
-                    if flow[i, j] > _FLOW_EPS:
-                        rc = -cost[i, j] + pot[v] - pot[i]
-                        if rc < 0.0:
-                            rc = 0.0
-                        nd = du + rc
-                        if nd < dist[i] - 1e-15:
-                            dist[i] = nd
-                            parent[i] = v
-                            heappush(heap, (nd, i))
-        targets = np.nonzero(rem_d > _FLOW_EPS)[0]
-        j_star = int(targets[np.argmin(dist[n + targets])])
-        if math.isinf(dist[n + j_star]):
-            raise RuntimeError("transportation network is disconnected")
-
-        # bottleneck along the augmenting path
-        path = []
-        v = n + j_star
-        while parent[v] != -1:
-            path.append((parent[v], v))
-            v = parent[v]
-        amt = min(rem_s[v], rem_d[j_star])
-        for a, b in path:
-            if a >= n:  # residual arc: capacity is the flow it undoes
-                amt = min(amt, flow[b, a - n])
-        for a, b in path:
-            if a < n:
-                flow[a, b - n] += amt
-            else:
-                flow[b, a - n] -= amt
-        rem_s[v] -= amt
-        rem_d[j_star] -= amt
-        finite = np.isfinite(dist)
-        pot[finite] += dist[finite]
-    else:
-        raise RuntimeError("transportation solver failed to converge")
-
-    return flow
-
-
 def wasserstein_finite(mu: DiscreteDistribution,
                        nu: DiscreteDistribution) -> tuple[float, Coupling]:
     """Optimal transportation cost under the space's metric, with the
-    optimal coupling as a witness; the value is the coupling's exact cost."""
+    optimal coupling as a witness; the value is the coupling's exact cost.
+
+    The solver starts from the mass the two measures share on each point,
+    left in place: it costs 0, so it is optimal for its value."""
     _check_same_space(mu, nu)
-    J = _min_cost_transport(mu.space.d, mu.p, nu.p)
-    J = np.maximum(J, 0.0)
+    J = _transport(mu.space.d, mu.p, nu.p, flow=np.diag(np.minimum(mu.p, nu.p)))
     coupling = Coupling(J, mu, nu)
     return coupling.expected_cost(mu.space.d), coupling
 

@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import metric_atlas
+
+SRC = str(Path(metric_atlas.__file__).resolve().parents[1])
+
+
+def test_runtime_imports_no_scipy():
+    # the runtime is numpy-only; scipy is a test-side cross-check
+    code = ("import importlib, pkgutil, sys, metric_atlas\n"
+            "names = [m.name for m in pkgutil.iter_modules(metric_atlas.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('metric_atlas.' + name)\n"
+            "assert {'cli', 'oracles', 'transport'} <= set(names), names\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr

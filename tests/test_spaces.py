@@ -116,6 +116,26 @@ class TestDistributions:
         assert d.cdf_left(1.0) == 0.25
         assert d.cdf(1.0) == 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(ValueError, match=r"distribution\.p: non-finite"):
+            DiscreteDistribution(FiniteMetricSpace.cycle(4),
+                                 np.array([bad, 0.5, 0.25, 0.25]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_atom_position(self, bad):
+        with pytest.raises(ValueError, match=r"atoms\.positions: non-finite"):
+            RealAtomicDistribution(np.array([0.0, bad]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_atom_weight(self, bad):
+        with pytest.raises(ValueError, match=r"atoms\.weights: non-finite"):
+            RealAtomicDistribution(np.array([0.0, 1.0]), np.array([bad, 1.0]))
+        # the JSON path merges pairs first; it used to drop a NaN weight
+        with pytest.raises(ValueError, match=r"atoms\.weights"):
+            distribution_from_json({"atoms": [{"x": 0.0, "w": bad},
+                                              {"x": 1.0, "w": 1.0}]})
+
     def test_from_pairs_merges_duplicates(self):
         d = RealAtomicDistribution.from_pairs([(1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
         assert d.positions.tolist() == [0.0, 1.0]
@@ -154,6 +174,15 @@ class TestCoupling:
         J[0, 0] += 5e-10
         with pytest.raises(ValueError, match="marginal"):
             Coupling(J, mu, nu)
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # NaN compares False against every sign and marginal check
+        s = FiniteMetricSpace.cycle(4)
+        u = DiscreteDistribution.uniform(s)
+        with pytest.raises(ValueError, match=r"coupling\.J: non-finite"):
+            Coupling(np.full((4, 4), bad), u, u)
 
 
 class TestProducts:
@@ -217,6 +246,14 @@ class TestJson:
         d = distribution_from_json({"atoms": [{"x": 0.0, "w": 0.5},
                                               {"x": 1.5, "w": 0.5}]})
         assert isinstance(d, RealAtomicDistribution)
+
+    @pytest.mark.parametrize("atoms", [
+        [(0.0, -0.5), (1.0, 1.0)],               # used to be dropped
+        [(0.0, 0.75), (1.0, -0.25), (1.0, 0.5)],  # used to be merged away
+    ])
+    def test_negative_atom_weight_rejected(self, atoms):
+        with pytest.raises(ValueError, match=r"atoms\.weights: .* negative"):
+            distribution_from_json({"atoms": [{"x": x, "w": w} for x, w in atoms]})
 
     def test_missing_fields_named(self):
         with pytest.raises(ValueError, match="distribution.space"):

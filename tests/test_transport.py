@@ -262,6 +262,133 @@ class TestWasserstein:
             assert coupling.expected_cost(s.d) == wass
 
 
+def _lp_transport_cost(cost, a, b):
+    """Optimal transportation cost from scipy's HiGHS LP, independent of
+    the library's solver. scipy is a test-only dependency, imported here so
+    that the rest of the module runs without it."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+    n, m = cost.shape
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def _random_metric(rng, n):
+    w = rng.uniform(0.5, 2.0, size=(n, n))
+    w = np.minimum(w, w.T)
+    np.fill_diagonal(w, 0.0)
+    for k in range(n):
+        w = np.minimum(w, w[:, [k]] + w[[k], :])
+    return FiniteMetricSpace(w)
+
+
+def _pair(space, mu_p, nu_p):
+    return DiscreteDistribution(space, mu_p), DiscreteDistribution(space, nu_p)
+
+
+def _dirichlet_pair(space, rng):
+    n = space.n
+    return _pair(space, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)))
+
+
+def _zero_mass_pair(space, rng):
+    # coordinates empty under both measures, and under each one alone
+    n = space.n
+    both = np.arange(n) % 4 == 0
+    mu_p = np.where(both | (np.arange(n) % 4 == 1), 0.0, rng.random(n))
+    nu_p = np.where(both | (np.arange(n) % 4 == 2), 0.0, rng.random(n))
+    return _pair(space, mu_p / mu_p.sum(), nu_p / nu_p.sum())
+
+
+def _disjoint_pair(space, rng):
+    half = space.n // 2
+    mu_p, nu_p = np.zeros(space.n), np.zeros(space.n)
+    mu_p[:half] = rng.dirichlet(np.ones(half))
+    nu_p[half:] = rng.dirichlet(np.ones(space.n - half))
+    return _pair(space, mu_p, nu_p)
+
+
+LP_CASES = {
+    "cycle-40-ties": lambda rng: _dirichlet_pair(FiniteMetricSpace.cycle(40), rng),
+    "zero-mass-40": lambda rng: _zero_mass_pair(
+        FiniteMetricSpace.euclidean(rng.normal(size=(40, 2))), rng),
+    "disjoint-40": lambda rng: _disjoint_pair(_random_metric(rng, 40), rng),
+    "euclidean-160": lambda rng: _dirichlet_pair(
+        FiniteMetricSpace.euclidean(rng.normal(size=(160, 2))), rng),
+    "cycle-120": lambda rng: _dirichlet_pair(FiniteMetricSpace.cycle(120), rng),
+    "random-metric-100": lambda rng: _dirichlet_pair(_random_metric(rng, 100), rng),
+}
+
+
+class TestTransportAgainstLP:
+    """Cross-checks beyond the oracles' n <= 12, against scipy's HiGHS LP."""
+
+    @pytest.mark.parametrize("case", sorted(LP_CASES))
+    def test_matches_lp(self, case, rng):
+        mu, nu = LP_CASES[case](rng)
+        d = mu.space.d
+        w, coupling = wasserstein_finite(mu, nu)
+        assert abs(w - _lp_transport_cost(d, mu.p, nu.p)) <= 1e-10
+        assert coupling.expected_cost(d) == w
+
+        # P = max(d_k, u(d_k)) at the first k with u(d_k) < d_{k+1}, where
+        # u(delta) is the LP optimum under the 0/1 cost 1{d > delta}
+        def u(delta):
+            return _lp_transport_cost((d > delta).astype(float), mu.p, nu.p)
+
+        deltas = np.concatenate(([0.0], mu.space.distinct_distances))
+        p = prokhorov(mu, nu)
+        k = int(np.searchsorted(deltas, p, side="right")) - 1
+        u_k = u(deltas[k])
+        if k + 1 < deltas.size:
+            assert u_k < deltas[k + 1]
+        if k > 0:
+            assert u(deltas[k - 1]) >= deltas[k]
+        assert abs(p - max(deltas[k], u_k)) <= 1e-9
+
+
+def _collinear_point_masses(xs, i, j):
+    s = FiniteMetricSpace.collinear(xs)
+    return DiscreteDistribution.point_mass(s, i), DiscreteDistribution.point_mass(s, j)
+
+
+def _equal_pair_40():
+    rng = np.random.default_rng(40)
+    s = FiniteMetricSpace.euclidean(rng.normal(size=(40, 2)))
+    p = rng.dirichlet(np.ones(40))
+    return DiscreteDistribution(s, p), DiscreteDistribution(s, p.copy())
+
+
+class TestTransportDegenerate:
+    """Inputs with a closed-form answer, pinned exactly: (P, W)."""
+
+    @pytest.mark.parametrize("build, want", [
+        (lambda: _pair(FiniteMetricSpace.from_matrix([[0.0]]), [1.0], [1.0]),
+         (0.0, 0.0)),
+        (_equal_pair_40, (0.0, 0.0)),
+        (lambda: bern_pair(0.0, 1.0, d=0.25), (0.25, 0.25)),
+        (lambda: bern_pair(0.0, 1.0, d=1.0), (1.0, 1.0)),
+        (lambda: bern_pair(1.0, 0.0, d=3.5), (1.0, 3.5)),
+        (lambda: _collinear_point_masses([0.0, 0.1, 0.35, 0.5, 2.0], 0, 2),
+         (0.35, 0.35)),
+        (lambda: _collinear_point_masses([0.0, 0.1, 0.35, 0.5, 2.0], 4, 1),
+         (1.0, 1.9)),
+        (lambda: (DiscreteDistribution.point_mass(FiniteMetricSpace.cycle(40), 3),
+                  DiscreteDistribution.point_mass(FiniteMetricSpace.cycle(40), 10)),
+         (1.0, 7.0)),
+    ], ids=["n=1", "equal-n40", "points-r0.25", "points-r1", "points-r3.5",
+            "line-points-r0.35", "line-points-r1.9", "cycle40-points-r7"])
+    def test_exact_values(self, build, want):
+        mu, nu = build()
+        w, coupling = wasserstein_finite(mu, nu)
+        assert (prokhorov(mu, nu), w) == want
+        assert coupling.expected_cost(mu.space.d) == w
+
+
 class TestMixedDiscrepancy:
     def test_point_mass_against_normal(self):
         assert abs(discrepancy_real_mixed(delta(0.0), gaussian_cdf()) - 1.0) < 1e-12
