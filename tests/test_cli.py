@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -117,6 +118,27 @@ class TestWalks:
 
     def test_cdg_needs_p_or_t(self, capsys):
         assert main(["walk-cdg", "--steps", "5"]) == 1
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_cdg_rejects_bad_steps(self, tmp_path, capsys, steps):
+        out = tmp_path / "cdg.csv"
+        assert main(["walk-cdg", "--t", "5", "--steps", steps, "--out", str(out)]) == 1
+        assert "error: steps: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--t", "40"], ["--t", "64"],
+                                      ["--p", str(2 ** 40 - 1)]],
+                             ids=["t40", "t64", "p2^40-1"])
+    def test_cdg_rejects_huge_modulus_before_allocating(self, capsys, args):
+        tracemalloc.start()
+        try:
+            code = main(["walk-cdg", *args, "--steps", "5"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {args[0][2:]}: ")
+        assert peak < 2 ** 20
 
     def test_product_csv_contract(self, tmp_path):
         out = tmp_path / "prod.csv"

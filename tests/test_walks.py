@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContex
 from metric_atlas.oracles import cdg_disc_window_oracle, product_walk_direct
 from metric_atlas.spaces import MASS_TOL, gaussian_cdf
 from metric_atlas.transport import discrepancy_finite, wasserstein_finite, prokhorov
-from metric_atlas.walks import (CdgWalk, ProductWalkParams, binomial_normal_demo,
-                                cdg_discrepancy, cdg_trace, crossing_time,
+from metric_atlas.walks import (MAX_MODULUS, CdgWalk, ProductWalkParams,
+                                binomial_normal_demo, cdg_discrepancy,
+                                cdg_trace, crossing_time,
                                 dudley_instance, product_walk_crossing_times,
                                 product_walk_distances, standardized_binomial)
 
@@ -46,9 +48,32 @@ class TestCdgWalk:
         walk.step()
         assert np.allclose(walk.dist, 1 / 7, atol=1e-15)
 
+    @pytest.mark.parametrize("p", [5, 21, 1023, 1025, 2187, 4095])
+    def test_step_matches_index_map(self, p):
+        # Reference: the gather through ((y - s) * 2^-1) mod p, s in {0, 1, -1}.
+        inv_two = pow(2, -1, p)
+        y = np.arange(p)
+        idx = [((y - shift) * inv_two) % p for shift in (0, 1, -1)]
+        walk = CdgWalk(p)
+        ref = walk.dist.copy()
+        for _ in range(3 * math.ceil(math.log2(p))):
+            ref = (ref[idx[0]] + ref[idx[1]] + ref[idx[2]]) / 3.0
+            walk.step()
+            assert np.array_equal(walk.dist, ref), (p, walk.step_count)
+
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
             CdgWalk(8)
+
+    def test_modulus_above_memory_cap_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^p: "):
+                CdgWalk(MAX_MODULUS + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_initial_distances(self):
         for p in (5, 101):
@@ -76,14 +101,32 @@ class TestCdgDiscrepancy:
                 v = rng.dirichlet(np.ones(p))
                 assert abs(cdg_discrepancy(v) - cdg_disc_window_oracle(v)) < 1e-11
 
+    @pytest.mark.parametrize("p", [1025, 3001, 4095])
+    def test_matches_window_oracle_on_hard_vectors(self, rng, p):
+        point = np.zeros(p)
+        point[p // 2] = 1.0
+        arc = np.zeros(p)  # zero mass off one arc
+        arc[3:p // 3 * 2] = rng.random(p // 3 * 2 - 3)
+        holes = rng.dirichlet(np.ones(p)) * (rng.random(p) < 0.5)
+        vectors = [point, arc / arc.sum(), holes / holes.sum()]
+        vectors += [rng.dirichlet(np.full(p, 0.05)) for _ in range(3)]
+        walk, k = CdgWalk(p), math.ceil(math.log2(p))
+        for step in range(1, 2 * k + 1):
+            walk.step()
+            if step in (1, 2, k, 2 * k):
+                vectors.append(walk.dist)
+        for v in vectors:
+            assert abs(cdg_discrepancy(v) - cdg_disc_window_oracle(v)) < 1e-11
+
     def test_matches_ball_enumeration_on_cycle_space(self, rng):
         from metric_atlas.spaces import DiscreteDistribution, FiniteMetricSpace
-        s = FiniteMetricSpace.cycle(9)
-        unif = DiscreteDistribution.uniform(s)
-        for _ in range(10):
-            v = rng.dirichlet(np.ones(9))
-            mu = DiscreteDistribution(s, v)
-            assert abs(cdg_discrepancy(v) - discrepancy_finite(mu, unif)) < 1e-12
+        for p in (9, 21, 63):
+            s = FiniteMetricSpace.cycle(p)
+            unif = DiscreteDistribution.uniform(s)
+            for _ in range(10):
+                v = rng.dirichlet(np.ones(p))
+                mu = DiscreteDistribution(s, v)
+                assert abs(cdg_discrepancy(v) - discrepancy_finite(mu, unif)) < 1e-12
 
     def test_tv_is_monotone_and_disc_eventually_decreasing(self):
         rows = cdg_trace(101, 70)
