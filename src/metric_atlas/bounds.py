@@ -15,7 +15,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -253,18 +253,9 @@ def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
     the induced collinear space (Prokhorov agrees exactly with the line)."""
     space, mu, nu = embed_atomic_pair(F, G)
     ctx = finite_context(space, mu, nu, instance_id)
-    values = dict(ctx.values)
-    values["kolmogorov"] = tp.kolmogorov(F, G)
-    values["levy"] = tp.levy(F, G)
-    return MetricContext(
-        instance_id=instance_id,
-        kind="real-atomic",
-        values=values,
-        nu_dominates_mu=ctx.nu_dominates_mu,
-        d_min=ctx.d_min,
-        diam=ctx.diam,
-        phi=ctx.phi,
-    )
+    return replace(
+        ctx, instance_id=instance_id, kind="real-atomic",
+        values={**ctx.values, "kolmogorov": tp.kolmogorov(F, G), "levy": tp.levy(F, G)})
 
 
 def real_mixed_context(F: RealAtomicDistribution, G: SmoothRealCdf,

@@ -211,21 +211,20 @@ class RealAtomicDistribution:
             raise ValueError(f"atoms: weights sum to {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "positions", _frozen(xs))
         object.__setattr__(self, "weights", _frozen(ws))
-        object.__setattr__(self, "_cum", _frozen(np.cumsum(ws)))
+        # _cum[k] is the mass of the first k atoms, so _cum[0] = 0.
+        object.__setattr__(self, "_cum", _frozen(np.concatenate([[0.0], np.cumsum(ws)])))
 
     @property
     def m(self) -> int:
         return self.positions.size
 
-    def cdf(self, x: float) -> float:
-        """P(X <= x)."""
-        k = int(np.searchsorted(self.positions, x, side="right"))
-        return float(self._cum[k - 1]) if k else 0.0
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        """P(X <= x), at a point (a float) or at each of an array of points."""
+        return self._cum[np.searchsorted(self.positions, x, side="right")]
 
-    def cdf_left(self, x: float) -> float:
-        """P(X < x), the left limit of the CDF."""
-        k = int(np.searchsorted(self.positions, x, side="left"))
-        return float(self._cum[k - 1]) if k else 0.0
+    def cdf_left(self, x: float | np.ndarray) -> float | np.ndarray:
+        """P(X < x), the left limit of the CDF, at a point or an array."""
+        return self._cum[np.searchsorted(self.positions, x, side="left")]
 
     @classmethod
     def point_mass(cls, x: float) -> "RealAtomicDistribution":

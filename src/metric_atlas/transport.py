@@ -66,21 +66,15 @@ def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> flo
         raise ValueError("truncation interval does not cover the atoms")
 
     pts = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
-    cums = np.cumsum(mu.weights)
-    w_incl = np.concatenate([[0.0], cums, [cums[-1]]])   # mass <= pts[j]
-    w_excl = np.concatenate([[0.0], w_incl[:-1]])        # mass <  pts[j]
-    g = np.array([nu(float(x)) for x in pts])
+    w_incl = mu.cdf(pts)        # mass <= pts[j]
+    w_excl = mu.cdf_left(pts)   # mass <  pts[j]
+    g = np.array([nu(x) for x in pts.tolist()])
 
-    best = 0.0
-    run_closed = -math.inf   # max of g[i] - w_excl[i] over i <= j
-    run_open = -math.inf     # max of w_incl[i] - g[i] over i <  j
-    for j in range(pts.size):
-        run_closed = max(run_closed, g[j] - w_excl[j])
-        best = max(best, (w_incl[j] - g[j]) + run_closed)
-        if j > 0:
-            best = max(best, (g[j] - w_excl[j]) + run_open)
-        run_open = max(run_open, w_incl[j] - g[j])
-    return max(best, 0.0)
+    run_closed = np.maximum.accumulate(g - w_excl)   # max over i <= j
+    run_open = np.maximum.accumulate(w_incl - g)     # max over i <= j
+    best = max(np.max((w_incl - g) + run_closed),
+               np.max((g[1:] - w_excl[1:]) + run_open[:-1]))
+    return max(0.0, float(best))
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +89,13 @@ def kolmogorov(F, G) -> float:
     """
     if isinstance(F, RealAtomicDistribution) and isinstance(G, RealAtomicDistribution):
         grid = np.union1d(F.positions, G.positions)
-        return max(abs(F.cdf(float(x)) - G.cdf(float(x))) for x in grid)
+        return float(np.max(np.abs(F.cdf(grid) - G.cdf(grid))))
     if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
         F, G = G, F
     if isinstance(F, RealAtomicDistribution) and isinstance(G, SmoothRealCdf):
-        best = 0.0
-        for x in F.positions.tolist():
-            gx = G(x)
-            best = max(best, abs(F.cdf(x) - gx), abs(F.cdf_left(x) - gx))
-        return best
+        xs = F.positions
+        gx = np.array([G(x) for x in xs.tolist()])
+        return float(np.max(np.abs(np.stack([F.cdf(xs), F.cdf_left(xs)]) - gx)))
     raise TypeError("kolmogorov: use smooth_pair_kolmogorov for two smooth CDFs")
 
 
@@ -115,26 +107,17 @@ def _levy_feasible(F: RealAtomicDistribution, G, eps: float) -> bool:
     piece start suffices. Pieces contributed by G's atoms are evaluated with
     G's jump taken exactly, not through the x +- eps float round trip.
     """
+    u = F.positions
     if isinstance(G, RealAtomicDistribution):
-        # F(x) <= G(x+eps) + eps at x = u_i and x = v_j - eps
-        for u in F.positions.tolist():
-            if F.cdf(u) > G.cdf(u + eps) + eps + 1e-15:
-                return False
-        for v in G.positions.tolist():
-            if F.cdf(v - eps) > G.cdf(v) + eps + 1e-15:
-                return False
+        v = G.positions
+        # F(x) <= G(x+eps) + eps at x = u_i and x = v_j - eps, and
         # G(x-eps) - eps <= F(x) at x = u_i and x = v_j + eps
-        for u in F.positions.tolist():
-            if G.cdf(u - eps) - eps > F.cdf(u) + 1e-15:
-                return False
-        for v in G.positions.tolist():
-            if G.cdf(v) - eps > F.cdf(v + eps) + 1e-15:
-                return False
-        return True
-    for x in F.positions.tolist():
-        if F.cdf(x) > G(x + eps) + eps + 1e-15:
-            return False
-        if G(x - eps) - eps > F.cdf_left(x) + 1e-15:
+        return not (np.any(F.cdf(u) > G.cdf(u + eps) + eps + 1e-15)
+                    or np.any(F.cdf(v - eps) > G.cdf(v) + eps + 1e-15)
+                    or np.any(G.cdf(u - eps) - eps > F.cdf(u) + 1e-15)
+                    or np.any(G.cdf(v) - eps > F.cdf(v + eps) + 1e-15))
+    for x, fx, fx_left in zip(u.tolist(), F.cdf(u).tolist(), F.cdf_left(u).tolist()):
+        if fx > G(x + eps) + eps + 1e-15 or G(x - eps) - eps > fx_left + 1e-15:
             return False
     return True
 
@@ -371,9 +354,8 @@ def wasserstein_finite(mu: DiscreteDistribution,
 def wasserstein_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
     """Integral of |F - G| over the merged breakpoint grid, exactly."""
     grid = np.union1d(F.positions, G.positions)
-    diffs = [abs(F.cdf(float(x)) - G.cdf(float(x))) * float(w)
-             for x, w in zip(grid[:-1], np.diff(grid))]
-    return math.fsum(diffs)
+    x = grid[:-1]
+    return math.fsum((np.abs(F.cdf(x) - G.cdf(x)) * np.diff(grid)).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ forms, and the standardized Binomial against the normal limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,18 +177,14 @@ def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
             "hellinger": hellinger, "separation": separation}
 
 
-def crossing_time(params_at, threshold: float = 0.25,
-                  t_start: float = 1e-3, t_cap: float = 1e9) -> float:
-    """First time a decreasing distance curve drops to the threshold:
-    geometric sweep at 1% resolution, then bisection."""
+def crossing_time(params_at, threshold: float, t_hi: float) -> float:
+    """First time a decreasing distance curve drops to the threshold, by 80
+    bisection steps on [0, t_hi], where t_hi is a time by which the curve is
+    known to be at or below it: for the product walk, a chi-squared crossing
+    through the catalog edge `TV<=sqrt(chi2)/2` or `I<=log1p(chi2)`."""
     if params_at(0.0) <= threshold:
         return 0.0
-    t = t_start
-    while params_at(t) > threshold:
-        t *= 1.01
-        if t > t_cap:
-            raise RuntimeError("no crossing below the time cap")
-    lo, hi = t / 1.01, t
+    lo, hi = 0.0, t_hi
     for _ in range(80):
         mid = (lo + hi) / 2.0
         if params_at(mid) > threshold:
@@ -199,12 +196,29 @@ def crossing_time(params_at, threshold: float = 0.25,
 
 def product_walk_crossing_times(n: int, g: int,
                                 threshold: float = 0.25) -> dict[str, float]:
-    out = {}
-    for key in ("tv", "entropy", "chi2"):
-        out[key] = crossing_time(
-            lambda t, k=key: product_walk_distances(ProductWalkParams(n, g, t))[k],
-            threshold)
-    return out
+    """First times at which tv, entropy and chi2 to uniform drop to the
+    threshold. chi2 = (1 + (g-1) e^(-2t/n))^n - 1 reaches a level at the
+    closed-form time t_chi2(level). By the catalog edges `TV<=sqrt(chi2)/2`
+    and `I<=log1p(chi2)` (with log1p(x) <= x), tv and entropy are at or below
+    the threshold by t_chi2(4 threshold^2) and t_chi2(threshold); each is
+    bisected below that bound."""
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
+    if 4.0 * threshold * threshold < sys.float_info.min:
+        raise ValueError(f"threshold: 4 * threshold^2 underflows, got {threshold!r}")
+    ProductWalkParams(n, g, 0.0)  # rejects n and g before t_chi2 divides by them
+
+    def t_chi2(level: float) -> float:
+        ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
+        return max(0.0, -0.5 * n * math.log(ratio))
+
+    def distance(key):
+        return lambda t: product_walk_distances(ProductWalkParams(n, g, t))[key]
+
+    return {"tv": crossing_time(distance("tv"), threshold,
+                                t_chi2(4.0 * threshold * threshold)),
+            "entropy": crossing_time(distance("entropy"), threshold, t_chi2(threshold)),
+            "chi2": t_chi2(threshold)}
 
 
 def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
@@ -229,8 +243,9 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
     if n < 1:
         raise ValueError("need at least one trial")
     k = np.arange(n + 1)
-    logw = (math.lgamma(n + 1) - np.array([math.lgamma(i + 1) for i in k])
-            - np.array([math.lgamma(n - i + 1) for i in k]) - n * math.log(2.0))
+    lgamma_k1 = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    # lgamma(n - k + 1) is the same list reversed
+    logw = lgamma_k1[-1] - lgamma_k1 - lgamma_k1[::-1] - n * math.log(2.0)
     w = np.exp(logw)
     keep = w > 0.0
     w = w[keep] / math.fsum(w[keep].tolist())

@@ -8,7 +8,7 @@ from metric_atlas.bounds import (CertificationReport, EdgeResult, MetricContext,
                                  real_atomic_context, reports_from_json,
                                  reports_to_csv, reports_to_json)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
-                                 RealAtomicDistribution)
+                                 RealAtomicDistribution, gaussian_cdf)
 from metric_atlas.transport import tightest_ball_growth
 from metric_atlas.walks import z10_measures
 
@@ -105,6 +105,17 @@ class TestEvaluation:
             mu, nu = random_pair_on(s, rng, sparsity=0.3)
             assert certify(mu, nu).passed
             assert certify(nu, mu).passed
+
+    def test_smooth_pair_certifies_the_line_edges(self):
+        rep = certify(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2), instance_id="smooth")
+        line_edges = {"L<=K", "K<=(1+c)L", "K<=D", "D<=2K"}
+        assert rep.passed
+        for r in rep.results:
+            if r.edge_id in line_edges:
+                assert r.status == "pass", r
+            else:
+                assert r.status == "skip" and r.reason.startswith("unavailable"), r
+        assert sum(r.status == "skip" for r in rep.results) == 15
 
 
 class TestNonCatalogRelations:

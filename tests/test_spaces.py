@@ -116,6 +116,16 @@ class TestDistributions:
         assert d.cdf_left(1.0) == 0.25
         assert d.cdf(1.0) == 1.0
 
+    def test_atomic_cdf_on_arrays_matches_pointwise(self):
+        d = RealAtomicDistribution(np.array([-1.5, 0.0, 0.25, 2.0]),
+                                   np.array([0.1, 0.4, 0.2, 0.3]))
+        # below the first atom, on each atom, between atoms, above the last
+        xs = np.array([-9.0, -1.5, -1.0, 0.0, 0.1, 0.25, 1.0, 2.0, 2.5])
+        assert d.cdf(xs).tolist() == [float(d.cdf(float(x))) for x in xs]
+        assert d.cdf_left(xs).tolist() == [float(d.cdf_left(float(x))) for x in xs]
+        assert d.cdf(xs).tolist() == [0.0, 0.1, 0.1, 0.5, 0.5, 0.7, 0.7, 1.0, 1.0]
+        assert d.cdf_left(xs).tolist() == [0.0, 0.0, 0.1, 0.1, 0.5, 0.5, 0.7, 0.7, 1.0]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_mass(self, bad):
         with pytest.raises(ValueError, match=r"distribution\.p: non-finite"):

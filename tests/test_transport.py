@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,12 @@ class TestKolmogorov:
         assert abs(kolmogorov(F, G) - 0.5) < 1e-12
         assert abs(kolmogorov(G, F) - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("mean", [-0.5, 0.5])
+    def test_mixed_left_limit_or_value_drives_the_sup(self, mean):
+        # at mean -0.5 the sup is |F(0-) - G(0)|, at mean 0.5 it is |F(0) - G(0)|
+        want = 0.5 * (1.0 + math.erf(0.5 / math.sqrt(2.0)))
+        assert abs(kolmogorov(delta(0.0), gaussian_cdf(mean)) - want) < 1e-12
+
 
 class TestLevy:
     def test_identical(self):
@@ -114,6 +122,17 @@ class TestLevy:
         lo, hi = levy_grid_oracle(F, G, 1e-4)
         assert lo - 1e-9 <= v <= hi + 1e-9
         assert abs(v - 0.25) < 1e-9  # shift by a quarter, jumps of 1/2 > 1/4
+
+    @pytest.mark.parametrize("mean", [-0.5, 0.5])
+    def test_point_mass_against_shifted_normal(self, mean):
+        # L solves Phi(0.5 - eps) = eps for either sign of the mean; at mean
+        # -0.5 the binding condition is the one on F's left limit at 0
+        from scipy.optimize import brentq  # test-only dependency
+        want = brentq(lambda e: 0.5 * (1.0 + math.erf((0.5 - e) / math.sqrt(2.0))) - e,
+                      0.0, 1.0, xtol=1e-15)
+        G = gaussian_cdf(mean)
+        assert abs(levy(delta(0.0), G) - want) < 1e-11
+        assert abs(levy(G, delta(0.0)) - want) < 1e-11
 
     def test_shared_positions(self, rng):
         xs = np.array([-1.0, 0.0, 2.0])

@@ -218,9 +218,43 @@ class TestProductWalk:
             assert evaluate_edges(ctx).passed
 
     def test_crossing_time_helper(self):
-        assert crossing_time(lambda t: math.exp(-t), 0.25) == pytest.approx(
+        assert crossing_time(lambda t: math.exp(-t), 0.25, 10.0) == pytest.approx(
             math.log(4), abs=1e-6)
-        assert crossing_time(lambda t: 0.1, 0.25) == 0.0
+        assert crossing_time(lambda t: 0.1, 0.25, 10.0) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40, 64])
+    def test_crossings_match_sweep_then_bisect(self, n):
+        # reference: the geometric sweep from t = 1e-3 by factors of 1.01,
+        # then 80 bisection steps, probing each distance at every step
+        def sweep_crossing(params_at, threshold):
+            if params_at(0.0) <= threshold:
+                return 0.0
+            t = 1e-3
+            while params_at(t) > threshold:
+                t *= 1.01
+            lo, hi = t / 1.01, t
+            for _ in range(80):
+                mid = (lo + hi) / 2.0
+                if params_at(mid) > threshold:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2.0
+
+        for g in sorted({2, 3, 2 ** n}):
+            for thr in (1e-3, 0.01, 0.25, 0.5):
+                got = product_walk_crossing_times(n, g, thr)
+                for key in ("tv", "entropy", "chi2"):
+                    want = sweep_crossing(
+                        lambda t: product_walk_distances(ProductWalkParams(n, g, t))[key],
+                        thr)
+                    assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (g, thr, key)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, -math.inf, 1e-160],
+                             ids=["nan", "zero", "negative", "inf", "-inf", "square-underflows"])
+    def test_crossing_times_reject_bad_threshold(self, bad):
+        with pytest.raises(ValueError, match="threshold"):
+            product_walk_crossing_times(5, 2, bad)
 
 
 class TestBinomialNormal:
