@@ -1,5 +1,6 @@
-"""Machine-checkable catalog of inter-metric bounds, with applicability
-predicates, randomized instance generation, and certification reports.
+"""Machine-checkable catalog of inter-metric bounds, each naming the two
+values and at most one instance condition it needs; randomized instance
+generation; and certification reports.
 
 Metric value keys: tv, hellinger, entropy, chi2, separation, disc,
 prokhorov, wasserstein, kolmogorov, levy. An edge `A<=h(B)` passes when
@@ -16,7 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,117 +47,85 @@ class MetricContext:
     extra_slack: float = 0.0
 
 
+# Instance facts an edge may require besides its two values: each names a
+# predicate over the context and the skip reason when it does not hold.
+_CONDITIONS: dict[str, tuple[Callable[[MetricContext], bool], str]] = {
+    "density_bound": (lambda c: c.density_bound is not None,
+                      "no absolutely continuous reference with a density bound"),
+    "phi": (lambda c: c.phi is not None, "no ball-growth modulus for this instance"),
+    "diam": (lambda c: c.diam is not None, "unbounded space"),
+    "d_min": (lambda c: c.d_min is not None, "no minimum distance"),
+    "domination": (lambda c: c.nu_dominates_mu is True, "nu does not dominate mu"),
+    "countable_or_domination": (
+        lambda c: c.kind in ("finite", "real-atomic") or c.nu_dominates_mu is True,
+        "needs a countable space or domination"),
+}
+
+
 @dataclass(frozen=True)
 class BoundEdge:
-    """One directed bound lhs <= transform(rhs), guarded by an applicability
-    predicate over the instance."""
+    """One directed bound lhs <= transform(rhs). It applies when the context
+    holds both values and, if `condition` names one, that instance fact."""
 
     edge_id: str
     lhs: str
     rhs: str
     transform: Callable[[float, MetricContext], float]
-    applicable: Callable[[MetricContext], tuple[bool, str]]
+    condition: str | None = None
 
-
-def _needs(*keys: str, extra: Callable[[MetricContext], tuple[bool, str]] | None = None):
-    def check(ctx: MetricContext) -> tuple[bool, str]:
-        missing = [k for k in keys if k not in ctx.values]
+    def applicable(self, ctx: MetricContext) -> tuple[bool, str]:
+        missing = [k for k in (self.lhs, self.rhs) if k not in ctx.values]
         if missing:
             return False, f"unavailable: {','.join(missing)}"
-        if extra is not None:
-            return extra(ctx)
+        if self.condition is not None:
+            holds, reason = _CONDITIONS[self.condition]
+            if not holds(ctx):
+                return False, reason
         return True, ""
-    return check
 
 
-def _needs_domination(ctx: MetricContext) -> tuple[bool, str]:
-    if ctx.nu_dominates_mu is True:
-        return True, ""
-    return False, "nu does not dominate mu"
+_CATALOG = (
+    # real-line block
+    BoundEdge("L<=K", "levy", "kolmogorov", lambda x, c: x),
+    BoundEdge("K<=(1+c)L", "kolmogorov", "levy",
+              lambda x, c: (1.0 + c.density_bound) * x, "density_bound"),
+    BoundEdge("K<=D", "kolmogorov", "disc", lambda x, c: x),
+    BoundEdge("D<=2K", "disc", "kolmogorov", lambda x, c: 2.0 * x),
+    BoundEdge("L<=P", "levy", "prokhorov", lambda x, c: x),
 
+    # geometric block
+    BoundEdge("D<=P+phi(P)", "disc", "prokhorov",
+              lambda x, c: (x + _PHI_NUDGE) + c.phi(x + _PHI_NUDGE), "phi"),
+    BoundEdge("P<=sqrt(W)", "prokhorov", "wasserstein", lambda x, c: math.sqrt(x)),
+    BoundEdge("D<=TV", "disc", "tv", lambda x, c: x),
+    BoundEdge("P<=TV", "prokhorov", "tv", lambda x, c: x),
+    BoundEdge("W<=diam*TV", "wasserstein", "tv", lambda x, c: c.diam * x, "diam"),
+    BoundEdge("TV<=W/dmin", "tv", "wasserstein", lambda x, c: x / c.d_min, "d_min"),
 
-def _needs_density_bound(ctx: MetricContext) -> tuple[bool, str]:
-    if ctx.density_bound is not None:
-        return True, ""
-    return False, "no absolutely continuous reference with a density bound"
-
-
-def _needs_countable_or_dom(ctx: MetricContext) -> tuple[bool, str]:
-    if ctx.kind in ("finite", "real-atomic") or ctx.nu_dominates_mu is True:
-        return True, ""
-    return False, "needs a countable space or domination"
-
-
-def _needs_phi(ctx: MetricContext) -> tuple[bool, str]:
-    if ctx.phi is not None:
-        return True, ""
-    return False, "no ball-growth modulus for this instance"
+    # density-ratio block
+    BoundEdge("TV<=H", "tv", "hellinger", lambda x, c: x),
+    BoundEdge("H<=sqrt(2TV)", "hellinger", "tv", lambda x, c: math.sqrt(2.0 * x)),
+    BoundEdge("TV<=S", "tv", "separation", lambda x, c: x),
+    BoundEdge("TV<=sqrt(I/2)", "tv", "entropy", lambda x, c: math.sqrt(x / 2.0)),
+    BoundEdge("H<=sqrt(I)", "hellinger", "entropy", lambda x, c: math.sqrt(x)),
+    BoundEdge("H<=sqrt(chi2)", "hellinger", "chi2", lambda x, c: math.sqrt(x),
+              "domination"),
+    BoundEdge("TV<=sqrt(chi2)/2", "tv", "chi2", lambda x, c: math.sqrt(x) / 2.0,
+              "countable_or_domination"),
+    BoundEdge("I<=log1p(chi2)", "entropy", "chi2", lambda x, c: math.log1p(x)),
+)
 
 
 def edge_catalog() -> list[BoundEdge]:
     """All nineteen certified inter-metric bounds."""
-    e: list[BoundEdge] = []
-
-    # real-line block
-    e.append(BoundEdge("L<=K", "levy", "kolmogorov",
-                       lambda x, c: x, _needs("levy", "kolmogorov")))
-    e.append(BoundEdge("K<=(1+c)L", "kolmogorov", "levy",
-                       lambda x, c: (1.0 + c.density_bound) * x,
-                       _needs("kolmogorov", "levy", extra=_needs_density_bound)))
-    e.append(BoundEdge("K<=D", "kolmogorov", "disc",
-                       lambda x, c: x, _needs("kolmogorov", "disc")))
-    e.append(BoundEdge("D<=2K", "disc", "kolmogorov",
-                       lambda x, c: 2.0 * x, _needs("disc", "kolmogorov")))
-    e.append(BoundEdge("L<=P", "levy", "prokhorov",
-                       lambda x, c: x, _needs("levy", "prokhorov")))
-
-    # geometric block
-    e.append(BoundEdge("D<=P+phi(P)", "disc", "prokhorov",
-                       lambda x, c: (x + _PHI_NUDGE) + c.phi(x + _PHI_NUDGE),
-                       _needs("disc", "prokhorov", extra=_needs_phi)))
-    e.append(BoundEdge("P<=sqrt(W)", "prokhorov", "wasserstein",
-                       lambda x, c: math.sqrt(x), _needs("prokhorov", "wasserstein")))
-    e.append(BoundEdge("D<=TV", "disc", "tv",
-                       lambda x, c: x, _needs("disc", "tv")))
-    e.append(BoundEdge("P<=TV", "prokhorov", "tv",
-                       lambda x, c: x, _needs("prokhorov", "tv")))
-    e.append(BoundEdge("W<=diam*TV", "wasserstein", "tv",
-                       lambda x, c: c.diam * x,
-                       _needs("wasserstein", "tv",
-                              extra=lambda c: (c.diam is not None, "unbounded space"))))
-    e.append(BoundEdge("TV<=W/dmin", "tv", "wasserstein",
-                       lambda x, c: x / c.d_min,
-                       _needs("tv", "wasserstein",
-                              extra=lambda c: (c.d_min is not None, "no minimum distance"))))
-
-    # density-ratio block
-    e.append(BoundEdge("TV<=H", "tv", "hellinger",
-                       lambda x, c: x, _needs("tv", "hellinger")))
-    e.append(BoundEdge("H<=sqrt(2TV)", "hellinger", "tv",
-                       lambda x, c: math.sqrt(2.0 * x), _needs("hellinger", "tv")))
-    e.append(BoundEdge("TV<=S", "tv", "separation",
-                       lambda x, c: x, _needs("tv", "separation")))
-    e.append(BoundEdge("TV<=sqrt(I/2)", "tv", "entropy",
-                       lambda x, c: math.sqrt(x / 2.0), _needs("tv", "entropy")))
-    e.append(BoundEdge("H<=sqrt(I)", "hellinger", "entropy",
-                       lambda x, c: math.sqrt(x), _needs("hellinger", "entropy")))
-    e.append(BoundEdge("H<=sqrt(chi2)", "hellinger", "chi2",
-                       lambda x, c: math.sqrt(x),
-                       _needs("hellinger", "chi2", extra=_needs_domination)))
-    e.append(BoundEdge("TV<=sqrt(chi2)/2", "tv", "chi2",
-                       lambda x, c: math.sqrt(x) / 2.0,
-                       _needs("tv", "chi2", extra=_needs_countable_or_dom)))
-    e.append(BoundEdge("I<=log1p(chi2)", "entropy", "chi2",
-                       lambda x, c: math.log1p(x), _needs("entropy", "chi2")))
-    return e
+    return list(_CATALOG)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeResult:
+class EdgeResult(NamedTuple):
     edge_id: str
     lhs: float | None
     rhs: float | None
@@ -180,12 +149,9 @@ class CertificationReport:
         return not self.failures
 
 
-def evaluate_edges(ctx: MetricContext,
-                   catalog: Sequence[BoundEdge] | None = None) -> CertificationReport:
-    if catalog is None:
-        catalog = edge_catalog()
+def evaluate_edges(ctx: MetricContext) -> CertificationReport:
     results = []
-    for edge in catalog:
+    for edge in _CATALOG:
         ok, reason = edge.applicable(ctx)
         if not ok:
             results.append(EdgeResult(edge.edge_id, None, None, None, None,
@@ -210,19 +176,25 @@ def evaluate_edges(ctx: MetricContext,
 # Instance contexts
 # ---------------------------------------------------------------------------
 
+# The eight metrics of a finite instance, by value key. Each entry looks its
+# function up in its module when called, so a module attribute swapped in
+# later (a tracer's wrapper, a test double) is the one that runs.
+FINITE_METRICS: dict[str, Callable[[DiscreteDistribution, DiscreteDistribution], float]] = {
+    "tv": lambda mu, nu: dv.total_variation(mu, nu),
+    "hellinger": lambda mu, nu: dv.hellinger(mu, nu),
+    "entropy": lambda mu, nu: dv.relative_entropy(mu, nu),
+    "chi2": lambda mu, nu: dv.chi_squared(mu, nu),
+    "separation": lambda mu, nu: dv.separation(mu, nu),
+    "disc": lambda mu, nu: tp.discrepancy_finite(mu, nu),
+    "prokhorov": lambda mu, nu: tp.prokhorov(mu, nu),
+    "wasserstein": lambda mu, nu: tp.wasserstein_finite(mu, nu)[0],
+}
+
+
 def finite_context(space: FiniteMetricSpace, mu: DiscreteDistribution,
                    nu: DiscreteDistribution,
                    instance_id: str = "finite") -> MetricContext:
-    values = {
-        "tv": dv.total_variation(mu, nu),
-        "hellinger": dv.hellinger(mu, nu),
-        "entropy": dv.relative_entropy(mu, nu),
-        "chi2": dv.chi_squared(mu, nu),
-        "separation": dv.separation(mu, nu),
-        "disc": tp.discrepancy_finite(mu, nu),
-        "prokhorov": tp.prokhorov(mu, nu),
-        "wasserstein": tp.wasserstein_finite(mu, nu)[0],
-    }
+    values = {key: metric(mu, nu) for key, metric in FINITE_METRICS.items()}
     return MetricContext(
         instance_id=instance_id,
         kind="finite",
@@ -380,14 +352,13 @@ def certification_campaign(trials: int, seed: int = 0,
                            sparsities: Sequence[float] = (0.0, 0.3),
                            ) -> list[CertificationReport]:
     """Seeded campaign cycling through space kinds and sparsity levels."""
-    catalog = edge_catalog()
     reports = []
     for i in range(trials):
         kind = kinds[i % len(kinds)]
         sparsity = sparsities[(i // len(kinds)) % len(sparsities)]
         inst = random_instance(seed, i, size_range, kind, sparsity)
         ctx = finite_context(inst.space, inst.mu, inst.nu, inst.instance_id)
-        reports.append(evaluate_edges(ctx, catalog))
+        reports.append(evaluate_edges(ctx))
     return reports
 
 

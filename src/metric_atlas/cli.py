@@ -20,22 +20,11 @@ import json
 import sys
 
 from . import bounds, transport, walks
-from .divergences import (chi_squared, hellinger, relative_entropy,
-                          separation, total_variation)
+from .divergences import relative_entropy, total_variation
 from .spaces import (DiscreteDistribution, RealAtomicDistribution,
                      distribution_from_json)
 
-_FINITE_METRICS = {
-    "tv": total_variation,
-    "hellinger": hellinger,
-    "entropy": relative_entropy,
-    "kl": relative_entropy,
-    "chi2": chi_squared,
-    "separation": separation,
-    "disc": transport.discrepancy_finite,
-    "prokhorov": transport.prokhorov,
-    "wasserstein": lambda a, b: transport.wasserstein_finite(a, b)[0],
-}
+_FINITE_METRICS = {**bounds.FINITE_METRICS, "kl": bounds.FINITE_METRICS["entropy"]}
 _REAL_ONLY = ("kolmogorov", "levy")
 METRIC_NAMES = sorted(set(_FINITE_METRICS) | set(_REAL_ONLY))
 

@@ -32,22 +32,15 @@ def discrepancy_finite(mu: DiscreteDistribution, nu: DiscreteDistribution) -> fl
 
     Balls only change at radii taken from the distance multiset, so scanning
     the cumulative mass difference in distance order from every center covers
-    them all.
+    them all. Row c of the scan is center c.
     """
     _check_same_space(mu, nu)
     d = mu.space.d
-    n = mu.space.n
-    delta = mu.p - nu.p
-    best = 0.0
-    for c in range(n):
-        order = np.argsort(d[c], kind="stable")
-        dist_sorted = d[c][order]
-        csum = np.cumsum(delta[order])
-        # last index of each tie group = a complete ball
-        ends = np.nonzero(np.diff(dist_sorted) > 0)[0]
-        idx = np.concatenate([ends, [n - 1]])
-        best = max(best, float(np.max(np.abs(csum[idx]))))
-    return best
+    order = np.argsort(d, axis=1, kind="stable")
+    csum = np.cumsum((mu.p - nu.p)[order], axis=1)
+    # last index of each tie group = a complete ball
+    ends = np.diff(np.take_along_axis(d, order, axis=1), axis=1, append=np.inf) > 0
+    return float(np.max(np.abs(csum[ends])))
 
 
 def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> float:

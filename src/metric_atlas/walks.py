@@ -129,14 +129,29 @@ class ProductWalkParams:
         return cls(n, 2 ** n, t)
 
 
+def _psi(a: float) -> float:
+    """(1 + a) log(1 + a) - a for a >= -1, without cancellation near 0."""
+    if abs(a) < 1e-3:  # the series sum_{k>=2} (-a)^k / (k (k-1)), to a^7
+        return a * a * (1 / 2 - a * (1 / 6 - a * (1 / 12 - a * (
+            1 / 20 - a * (1 / 30 - a / 42)))))
+    if a == -1.0:
+        return 1.0
+    return (1.0 + a) * math.log1p(a) - a
+
+
 def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
     """Distances to uniform at time t, via per-coordinate closed forms.
 
-    With s = t/n, q0 = e^-s + (1-e^-s)/g and q1 = (1-e^-s)/g, the product
+    With s = t/n, u = e^-s, q0 = u + (1-u)/g and q1 = (1-u)/g, the product
     structure gives entropy by additivity, chi-squared and Hellinger by their
     product identities, separation from the minimum density ratio, and total
     variation as a sum over the number of still-at-start coordinates, carried
     in log space so g as large as 2^64 stays finite.
+
+    The entropy is written without cancellation, as
+    n/g * [psi((g-1)u) + (g-1) psi(-u)] with psi(a) = (1+a) log1p(a) - a:
+    the linear terms of q log(gq) sum to zero and are left out, so the value
+    keeps its relative accuracy as it decays like chi-squared/2 towards 0.
     """
     n, g = params.n, params.g
     s = params.s
@@ -144,9 +159,8 @@ def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
     log_gq0 = math.log1p((g - 1.0) * u)  # log of g*q0
     log_gq1 = math.log1p(-u) if u < 1.0 else -math.inf  # log of g*q1
     q0 = u + (1.0 - u) / g
-    rest = (g - 1.0) * (1.0 - u) / g    # total mass on refreshed values
 
-    entropy = max(0.0, n * (q0 * log_gq0 + (rest * log_gq1 if rest > 0.0 else 0.0)))
+    entropy = n * (_psi((g - 1.0) * u) + (g - 1.0) * _psi(-u)) / g
 
     log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
     chi2 = math.inf if n * log1p_chi2_coord > 700.0 else math.expm1(n * log1p_chi2_coord)

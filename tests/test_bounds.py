@@ -1,16 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from metric_atlas.bounds import (CertificationReport, EdgeResult, MetricContext,
                                  certification_campaign, certify, edge_catalog,
                                  evaluate_edges, finite_context, random_instance,
-                                 real_atomic_context, reports_from_json,
+                                 real_atomic_context, real_mixed_context,
+                                 real_smooth_context, reports_from_json,
                                  reports_to_csv, reports_to_json)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, gaussian_cdf)
 from metric_atlas.transport import tightest_ball_growth
-from metric_atlas.walks import z10_measures
+from metric_atlas.walks import standardized_binomial, z10_measures
 
 from conftest import random_pair_on
 
@@ -49,6 +52,109 @@ class TestCatalog:
         edge = next(e for e in edge_catalog() if e.edge_id == "K<=(1+c)L")
         ok, reason = edge.applicable(ctx)
         assert not ok and reason
+
+
+def _status_contexts() -> dict[str, MetricContext]:
+    """One context of each kind, plus doctored finite ones that hold every
+    value and fact but one."""
+    space, mu, _, unif = z10_measures()
+    finite = finite_context(space, mu, unif)
+    full = replace(finite, values={**finite.values, "kolmogorov": 0.3, "levy": 0.2},
+                   density_bound=1.0)
+    F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (2.0, 0.3), (3.5, 0.2)])
+    G = RealAtomicDistribution.from_pairs([(0.5, 0.4), (2.0, 0.6)])
+    return {
+        "finite": finite,
+        "real-atomic": real_atomic_context(F, G),
+        "real-mixed": real_mixed_context(standardized_binomial(16), gaussian_cdf(0.0, 1.0)),
+        "real-smooth": real_smooth_context(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2)),
+        "all-facts": full,
+        "nu_dominates_mu=None": replace(full, nu_dominates_mu=None),
+        "nu_dominates_mu=False": replace(full, nu_dominates_mu=False),
+        "real-mixed,nu_dominates_mu=None": replace(full, kind="real-mixed",
+                                                   nu_dominates_mu=None),
+        "d_min=None": replace(full, d_min=None),
+        "diam=None": replace(full, diam=None),
+        "density_bound=None": replace(full, density_bound=None),
+        "phi=None": replace(full, phi=None),
+        "empty-values": replace(full, values={}),
+    }
+
+
+_NO_DOM = "nu does not dominate mu"
+_NO_DENSITY = "no absolutely continuous reference with a density bound"
+_NO_COUNT = "needs a countable space or domination"
+# Skip reason of every skipped edge, by context; every other edge passes.
+# Recorded from the catalog as it stood before its conditions became a table.
+_EXPECTED_SKIPS = {
+    "finite": {
+        "L<=K": "unavailable: levy,kolmogorov", "K<=(1+c)L": "unavailable: kolmogorov,levy",
+        "K<=D": "unavailable: kolmogorov", "D<=2K": "unavailable: kolmogorov",
+        "L<=P": "unavailable: levy"},
+    "real-atomic": {"K<=(1+c)L": _NO_DENSITY, "H<=sqrt(chi2)": _NO_DOM},
+    "real-mixed": {
+        "L<=P": "unavailable: prokhorov", "D<=P+phi(P)": "unavailable: prokhorov",
+        "P<=sqrt(W)": "unavailable: prokhorov,wasserstein",
+        "P<=TV": "unavailable: prokhorov", "W<=diam*TV": "unavailable: wasserstein",
+        "TV<=W/dmin": "unavailable: wasserstein", "H<=sqrt(chi2)": _NO_DOM,
+        "TV<=sqrt(chi2)/2": _NO_COUNT},
+    "real-smooth": {
+        "L<=P": "unavailable: prokhorov", "D<=P+phi(P)": "unavailable: prokhorov",
+        "P<=sqrt(W)": "unavailable: prokhorov,wasserstein", "D<=TV": "unavailable: tv",
+        "P<=TV": "unavailable: prokhorov,tv", "W<=diam*TV": "unavailable: wasserstein,tv",
+        "TV<=W/dmin": "unavailable: tv,wasserstein", "TV<=H": "unavailable: tv,hellinger",
+        "H<=sqrt(2TV)": "unavailable: hellinger,tv", "TV<=S": "unavailable: tv,separation",
+        "TV<=sqrt(I/2)": "unavailable: tv,entropy",
+        "H<=sqrt(I)": "unavailable: hellinger,entropy",
+        "H<=sqrt(chi2)": "unavailable: hellinger,chi2",
+        "TV<=sqrt(chi2)/2": "unavailable: tv,chi2",
+        "I<=log1p(chi2)": "unavailable: entropy,chi2"},
+    "all-facts": {},
+    "nu_dominates_mu=None": {"H<=sqrt(chi2)": _NO_DOM},
+    "nu_dominates_mu=False": {"H<=sqrt(chi2)": _NO_DOM},
+    "real-mixed,nu_dominates_mu=None": {"H<=sqrt(chi2)": _NO_DOM,
+                                        "TV<=sqrt(chi2)/2": _NO_COUNT},
+    "d_min=None": {"TV<=W/dmin": "no minimum distance"},
+    "diam=None": {"W<=diam*TV": "unbounded space"},
+    "density_bound=None": {"K<=(1+c)L": _NO_DENSITY},
+    "phi=None": {"D<=P+phi(P)": "no ball-growth modulus for this instance"},
+    "empty-values": {
+        "L<=K": "unavailable: levy,kolmogorov", "K<=(1+c)L": "unavailable: kolmogorov,levy",
+        "K<=D": "unavailable: kolmogorov,disc", "D<=2K": "unavailable: disc,kolmogorov",
+        "L<=P": "unavailable: levy,prokhorov", "D<=P+phi(P)": "unavailable: disc,prokhorov",
+        "P<=sqrt(W)": "unavailable: prokhorov,wasserstein", "D<=TV": "unavailable: disc,tv",
+        "P<=TV": "unavailable: prokhorov,tv", "W<=diam*TV": "unavailable: wasserstein,tv",
+        "TV<=W/dmin": "unavailable: tv,wasserstein", "TV<=H": "unavailable: tv,hellinger",
+        "H<=sqrt(2TV)": "unavailable: hellinger,tv", "TV<=S": "unavailable: tv,separation",
+        "TV<=sqrt(I/2)": "unavailable: tv,entropy",
+        "H<=sqrt(I)": "unavailable: hellinger,entropy",
+        "H<=sqrt(chi2)": "unavailable: hellinger,chi2",
+        "TV<=sqrt(chi2)/2": "unavailable: tv,chi2",
+        "I<=log1p(chi2)": "unavailable: entropy,chi2"},
+}
+
+
+class TestEdgeStatusTable:
+    @pytest.fixture(scope="class")
+    def contexts(self):
+        return _status_contexts()
+
+    @pytest.mark.parametrize("name", sorted(_EXPECTED_SKIPS))
+    def test_status_and_reason_per_edge(self, contexts, name):
+        skips = _EXPECTED_SKIPS[name]
+        rep = evaluate_edges(contexts[name])
+        assert [r.edge_id for r in rep.results] == ids(edge_catalog())
+        for r in rep.results:
+            want = ("skip", skips[r.edge_id]) if r.edge_id in skips else ("pass", "")
+            assert (r.status, r.reason) == want, (name, r.edge_id)
+
+    @pytest.mark.parametrize("name", sorted(_EXPECTED_SKIPS))
+    def test_applicable_agrees_with_the_report(self, contexts, name):
+        skips = _EXPECTED_SKIPS[name]
+        for edge in edge_catalog():
+            ok, reason = edge.applicable(contexts[name])
+            assert (ok, reason) == ((False, skips[edge.edge_id]) if edge.edge_id in skips
+                                    else (True, "")), (name, edge.edge_id)
 
 
 class TestEvaluation:

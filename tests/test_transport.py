@@ -55,6 +55,32 @@ class TestDiscrepancyFinite:
         nu3 = DiscreteDistribution(s3, nu.p)
         assert abs(discrepancy_finite(mu, nu) - discrepancy_finite(mu3, nu3)) < 1e-14
 
+    def test_equals_the_per_center_scan(self, rng):
+        def per_center(mu, nu):
+            # one stable sort per center, read at the end of each tie group
+            d, n, delta = mu.space.d, mu.space.n, mu.p - nu.p
+            best = 0.0
+            for c in range(n):
+                order = np.argsort(d[c], kind="stable")
+                csum = np.cumsum(delta[order])
+                ends = np.nonzero(np.diff(d[c][order]) > 0)[0]
+                idx = np.concatenate([ends, [n - 1]])
+                best = max(best, float(np.max(np.abs(csum[idx]))))
+            return best
+
+        one = FiniteMetricSpace.from_matrix([[0.0]])
+        pairs = [(DiscreteDistribution.point_mass(one, 0),) * 2]
+        spaces = [FiniteMetricSpace.cycle(n) for n in (3, 4, 9, 16)]  # heavy ties
+        spaces += [FiniteMetricSpace.euclidean(rng.normal(size=(n, 2))) for n in (2, 7)]
+        spaces.append(_random_metric(rng, 11))
+        for s in spaces:
+            for sparsity in (0.0, 0.5):  # 0.5 zeroes coordinates on each side
+                pairs += [random_pair_on(s, rng, sparsity) for _ in range(5)]
+            pairs.append((DiscreteDistribution.point_mass(s, 0),
+                          DiscreteDistribution.uniform(s)))
+        for mu, nu in pairs:
+            assert discrepancy_finite(mu, nu) == per_center(mu, nu)
+
 
 class TestKolmogorov:
     def test_point_masses(self):

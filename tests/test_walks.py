@@ -217,6 +217,35 @@ class TestProductWalk:
                                 nu_dominates_mu=(t > 0))
             assert evaluate_edges(ctx).passed
 
+    def test_entropy_against_a_700_digit_reference(self):
+        from decimal import Decimal, localcontext
+
+        def entropy_ref(n, g, t):
+            with localcontext() as ctx:
+                ctx.prec = 700
+                u = (-Decimal(t) / n).exp()
+                q0, q1 = u + (1 - u) / g, (1 - u) / g
+                kl = q0 * (g * q0).ln()
+                if q1 > 0:
+                    kl += (g - 1) * q1 * (g * q1).ln()
+                return n * kl
+
+        for n in (1, 2, 5, 10, 40, 64):
+            for g in sorted({2, 3, 2 ** n}):
+                # t/n <= 300 keeps e^(-2t/n), hence the entropy, a normal float
+                for t in (0.0, 0.01, 1.0, 10.0, 100.0, 200.0, 300.0, 1000.0, 3000.0):
+                    if t / n > 300:
+                        continue
+                    got = product_walk_distances(ProductWalkParams(n, g, t))["entropy"]
+                    want = entropy_ref(n, g, t)
+                    assert abs(Decimal(got) - want) <= Decimal(1e-12) * want, (n, g, t)
+
+    def test_entropy_crossing_at_1e_100_lies_just_below_chi2s(self):
+        # entropy ~ chi2/2 this far out, so it crosses 1e-100 where chi2 = 2e-100,
+        # (n/2) log 2 before chi2 crosses 1e-100
+        ct = product_walk_crossing_times(5, 2, 1e-100)
+        assert 0.99 * ct["chi2"] <= ct["entropy"] < ct["chi2"]
+
     def test_crossing_time_helper(self):
         assert crossing_time(lambda t: math.exp(-t), 0.25, 10.0) == pytest.approx(
             math.log(4), abs=1e-6)
