@@ -193,3 +193,26 @@ def product_walk_direct(n: int, g: int, t: float) -> dict[str, float]:
         "hellinger": hellinger_kernel(dist, unif),
         "separation": separation_kernel(dist, unif),
     }
+
+
+def cdg_fourier_transform(p: int, k: int) -> np.ndarray:
+    """Fourier transform of the doubling walk's law after k steps from 0.
+
+    X_k = sum_{j<k} 2^j e_j (mod p) with independent e_j uniform on
+    {-1, 0, 1}, so at every frequency xi the transform sum_x P(X_k = x)
+    e^(-2 pi i xi x / p) is the real product over j < k of
+    (1 + 2 cos(2 pi ((2^j mod p) xi mod p) / p)) / 3. Angles are reduced
+    mod p in integers before the cosine, so none grows with k.
+    """
+    if p < 1 or p > 2 ** 31:
+        raise ValueError("cdg_fourier_transform: p must be in 1..2^31")
+    if k < 0:
+        raise ValueError("cdg_fourier_transform: k < 0")
+    xi = np.arange(p, dtype=np.int64)
+    phi = np.ones(p)
+    mult = 1 % p
+    for _ in range(k):
+        angle = (xi * mult) % p * (2.0 * math.pi / p)
+        phi *= (1.0 + 2.0 * np.cos(angle)) / 3.0
+        mult = 2 * mult % p
+    return phi

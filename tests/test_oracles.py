@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from metric_atlas.oracles import (ball_growth_exhaustive, cdg_disc_window_oracle,
+                                  cdg_fourier_transform,
                                   levy_grid_oracle, mixed_discrepancy_scan_oracle,
                                   prokhorov_exhaustive, product_walk_direct,
                                   tv_exhaustive, tv_subset_oracle)
@@ -86,3 +89,26 @@ def test_mixed_scan_point_mass():
 def test_product_walk_direct_guards():
     with pytest.raises(ValueError):
         product_walk_direct(10, 2 ** 10, 1.0)
+
+
+def test_cdg_fourier_transform_matches_path_enumeration():
+    # The law of X_k = 2 X_{k-1} + e_k from every path, then its DFT by
+    # direct summation.
+    p, k = 11, 6
+    hist = np.zeros(p)
+    for eps in itertools.product((-1, 0, 1), repeat=k):
+        x = 0
+        for e in eps:
+            x = (2 * x + e) % p
+        hist[x] += 3.0 ** -k
+    x = np.arange(p)
+    dft = np.exp(-2j * np.pi * np.outer(x, x) / p) @ hist
+    assert np.max(np.abs(dft - cdg_fourier_transform(p, k))) < 1e-14
+    assert np.array_equal(cdg_fourier_transform(p, 0), np.ones(p))
+
+
+def test_cdg_fourier_transform_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        cdg_fourier_transform(0, 3)
+    with pytest.raises(ValueError):
+        cdg_fourier_transform(7, -1)

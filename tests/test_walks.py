@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContext
-from metric_atlas.oracles import cdg_disc_window_oracle, product_walk_direct
+from metric_atlas.divergences import tv_kernel
+from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
+                                  product_walk_direct)
 from metric_atlas.spaces import MASS_TOL, gaussian_cdf
 from metric_atlas.transport import discrepancy_finite, wasserstein_finite, prokhorov
 from metric_atlas.walks import (MAX_MODULUS, CdgWalk, ProductWalkParams,
@@ -86,6 +88,53 @@ class TestCdgWalk:
         walk.dist = np.full(9, 1 / 9)
         d = walk.distances()
         assert d["tv"] < 1e-14 and d["disc"] < 1e-14
+
+    @pytest.mark.parametrize("p", [3, 5, 101, 4099, 2 ** 16 - 1])
+    def test_step_matches_rolled_form_bit_for_bit(self, p):
+        # Reference: the shuffle, then (g + roll(g, 1)) + roll(g, -1).
+        half = (p + 1) // 2
+        walk = CdgWalk(p)
+        ref = walk.dist.copy()
+        for _ in range(2 * math.ceil(math.log2(p))):
+            g = np.empty_like(ref)
+            g[0::2], g[1::2] = ref[:half], ref[half:]
+            ref = g + np.roll(g, 1)
+            ref += np.roll(g, -1)
+            ref /= 3.0
+            walk.step()
+            assert np.array_equal(walk.dist, ref), (p, walk.step_count)
+
+    @pytest.mark.parametrize("p", [3, 5, 101, 4099, 2 ** 16 - 1])
+    def test_distances_match_the_standalone_kernels(self, p):
+        walk = CdgWalk(p)
+        for _ in range(2 * math.ceil(math.log2(p))):
+            walk.step()
+            d = walk.distances()
+            assert d["disc"] == cdg_discrepancy(walk.dist), (p, walk.step_count)
+            tv = tv_kernel(walk.dist, np.full(p, 1.0 / p))
+            assert abs(d["tv"] - tv) <= 1e-14, (p, walk.step_count)
+
+    def test_step_and_distances_allocate_about_two_vectors(self):
+        p = 2 ** 16 - 1
+        walk = CdgWalk(p)
+        walk.step()
+        for call in (walk.step, walk.distances):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * 8 * p, (call.__name__, peak / (8 * p))
+
+    @pytest.mark.parametrize("p", [2 ** 16 - 1, 65539, 2 ** 20 - 1])
+    def test_law_matches_fourier_oracle(self, p):
+        k = 30
+        walk = CdgWalk(p)
+        for _ in range(k):
+            walk.step()
+        err = np.abs(np.fft.fft(walk.dist) - cdg_fourier_transform(p, k))
+        assert err.max() <= 1e-14, (p, err.max())
 
 
 class TestCdgDiscrepancy:
