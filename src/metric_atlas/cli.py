@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds, transport, walks
@@ -82,6 +83,13 @@ def _parse_size_range(raw: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _parse_time(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValueError(f"times: not a number: {token!r}") from None
+
+
 def _csv_rows(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -133,11 +141,13 @@ def _cmd_walk_cdg(args) -> int:
 
 def _cmd_walk_product(args) -> int:
     if args.times:
-        times = [float(x) for x in args.times.split(",")]
+        times = [_parse_time(x) for x in args.times.split(",")]
     else:
         if args.steps < 2:
             raise ValueError("steps: need at least 2 grid points")
         horizon = args.horizon if args.horizon is not None else 2.0 * args.n ** 2
+        if not math.isfinite(horizon):  # the grid would hold 0 * inf = NaN
+            raise ValueError(f"horizon: must be finite, got {horizon}")
         times = [horizon * k / (args.steps - 1) for k in range(args.steps)]
     g = args.g if args.g is not None else 2 ** args.n
     rows = walks.product_walk_trace(args.n, g, times)

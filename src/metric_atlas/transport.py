@@ -285,6 +285,12 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     eps iff u(d_k) < d_{k+1}, validity is monotone in k, and the first valid
     interval yields the infimum max(d_k, u(d_k)).
 
+    u(0) = 1 - sum min(mu, nu) is the total variation, so the slack never
+    exceeds TV and every k with d_{k+1} > TV is valid (the catalog's P <= TV).
+    The search therefore runs only over the distances at or below TV, with
+    u(0) read from the shared mass instead of a solve; when d_1 > TV, P = TV
+    and no transport problem is solved at all.
+
     u(delta) is the optimal transportation cost under the 0/1 cost
     1{d > delta}. Shortest paths there cost 0 until the zero-cost arcs carry
     all they can, then exactly 1, since a direct arc costs at most 1; so the
@@ -301,8 +307,10 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     deltas = np.concatenate(([0.0], mu.space.distinct_distances))
     K = deltas.size - 1
 
-    cache: dict[int, tuple[float, np.ndarray]] = {}  # k -> (u(d_k), its flow)
     warm = np.diag(np.minimum(mu.p, nu.p))  # shared mass stays put
+    # at delta = 0 the solver ships nothing beyond the shared mass
+    tv = max(0.0, float(np.sum(mu.p - warm.sum(axis=1))))
+    cache = {0: (tv, warm)}  # k -> (u(d_k), its flow)
 
     def u(k: int) -> float:
         if k not in cache:
@@ -316,7 +324,8 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
         nxt = float(deltas[k + 1]) if k < K else math.inf
         return u(k) < nxt
 
-    lo, hi = 0, K  # valid(K) always holds: everything couples at the diameter
+    # valid(hi) holds: u(d_hi) <= u(0) = TV < d_{hi+1}, or hi = K
+    lo, hi = 0, int(np.searchsorted(deltas, tv, side="right")) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if valid(mid):

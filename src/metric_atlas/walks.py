@@ -131,10 +131,12 @@ class ProductWalkParams:
     t: float
 
     def __post_init__(self):
-        if self.n < 1 or self.g < 2:
-            raise ValueError("need n >= 1 coordinates over a group of size >= 2")
-        if self.t < 0:
-            raise ValueError("time must be non-negative")
+        if self.n < 1:
+            raise ValueError(f"n: need at least 1 coordinate, got {self.n}")
+        if self.g < 2:
+            raise ValueError(f"g: group size must be >= 2, got {self.g}")
+        if not self.t >= 0:  # also NaN; +inf is the stationary limit
+            raise ValueError(f"t: time must be non-negative, got {self.t}")
 
     @property
     def s(self) -> float:

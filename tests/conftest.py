@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+from metric_atlas import transport
 from metric_atlas.spaces import DiscreteDistribution, RealAtomicDistribution
 
 
@@ -28,3 +31,17 @@ def random_pair_on(space, rng, sparsity=0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def transport_solves(monkeypatch):
+    """Counts the calls of the one transport solver in `.count`."""
+    counter = types.SimpleNamespace(count=0)
+    solve = transport._transport
+
+    def counting(*args, **kwargs):
+        counter.count += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_transport", counting)
+    return counter

@@ -148,6 +148,18 @@ class TestWalks:
         assert lines[0] == "time,tv,entropy,chi2,hellinger,separation"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("args, message", [
+        (["--times", "1,nan"], "error: t: "),
+        (["--times", "0,abc"], "error: times: not a number: 'abc'"),
+        (["--horizon", "nan"], "error: horizon: "),
+        (["--horizon", "inf"], "error: horizon: "),
+    ], ids=["times-nan", "times-not-a-number", "horizon-nan", "horizon-inf"])
+    def test_product_rejects_bad_time(self, tmp_path, capsys, args, message):
+        out = tmp_path / "prod.csv"
+        assert main(["walk-product", "--n", "3", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_demo_deterministic(self, capsys):
         assert main(["demo"]) == 0
         first = capsys.readouterr().out

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_atlas.bounds import embed_atomic_pair, random_instance
+from metric_atlas.bounds import INSTANCE_KINDS, embed_atomic_pair, random_instance
 from metric_atlas.divergences import total_variation
 from metric_atlas.oracles import (ball_growth_exhaustive, levy_grid_oracle,
                                   mixed_discrepancy_scan_oracle,
                                   prokhorov_exhaustive)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, gaussian_cdf)
-from metric_atlas.transport import (ball_growth_at, discrepancy_finite,
+from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_finite,
                                     discrepancy_real_mixed, kolmogorov, levy,
                                     prokhorov, smooth_pair_kolmogorov,
                                     smooth_pair_levy, tightest_ball_growth,
@@ -213,6 +213,83 @@ class TestProkhorov:
         assert abs(prokhorov(mu5, nu5) - 0.4) < 1e-12   # unchanged, not 0.2
         mu2, nu2 = bern_pair(0.3, 0.7, d=0.2)
         assert abs(prokhorov(mu2, nu2) - 0.2) < 1e-12   # capped by the distance
+
+    @staticmethod
+    def campaign_mix(seed, count, size_range=(4, 10)):
+        """`certification_campaign`'s cycle of kinds and sparsities."""
+        for i in range(count):
+            yield random_instance(seed, i, size_range, INSTANCE_KINDS[i % 3],
+                                  (0.0, 0.3)[(i // 3) % 2])
+
+    @staticmethod
+    def bracket_index(mu, nu):
+        """Index of the largest candidate distance (0 counted) at or below TV."""
+        deltas = np.concatenate(([0.0], mu.space.distinct_distances))
+        return int(np.searchsorted(deltas, total_variation(mu, nu), side="right")) - 1
+
+    def test_no_solve_when_the_first_distance_exceeds_tv(self, transport_solves):
+        hits = 0
+        for inst in self.campaign_mix(5, 300):
+            if self.bracket_index(inst.mu, inst.nu) > 0:
+                continue
+            transport_solves.count = 0
+            value = prokhorov(inst.mu, inst.nu)
+            assert transport_solves.count == 0, inst.instance_id
+            assert abs(value - total_variation(inst.mu, inst.nu)) <= 1e-15
+            hits += 1
+        assert hits >= 100  # the common case at campaign sizes
+
+    def test_solves_logarithmic_in_the_bracket(self, transport_solves):
+        instances = [*self.campaign_mix(6, 150),
+                     *self.campaign_mix(7, 60, size_range=(4, 64))]
+        for inst in instances:
+            k_tv = self.bracket_index(inst.mu, inst.nu)
+            transport_solves.count = 0
+            prokhorov(inst.mu, inst.nu)
+            assert transport_solves.count <= math.ceil(math.log2(k_tv + 1)) + 1, \
+                inst.instance_id
+
+    @staticmethod
+    def unbracketed(mu, nu):
+        """The search over all K distinct distances, as before the TV bracket."""
+        d = mu.space.d
+        deltas = np.concatenate(([0.0], mu.space.distinct_distances))
+        K = deltas.size - 1
+        cache = {}
+        warm = np.diag(np.minimum(mu.p, nu.p))
+
+        def u(k):
+            if k not in cache:
+                flow = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
+                                  flow=warm, stop_cost=1.0)
+                cache[k] = (max(0.0, float(np.sum(mu.p - flow.sum(axis=1)))), flow)
+            return cache[k][0]
+
+        lo, hi = 0, K
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if u(mid) < (deltas[mid + 1] if mid < K else math.inf):
+                hi = mid
+            else:
+                lo = mid + 1
+                warm = cache[mid][1]
+        return max(float(deltas[lo]), u(lo))
+
+    def test_matches_the_unbracketed_search(self):
+        for inst in self.campaign_mix(31, 300, size_range=(4, 64)):
+            assert abs(prokhorov(inst.mu, inst.nu)
+                       - self.unbracketed(inst.mu, inst.nu)) <= 1e-15, inst.instance_id
+
+    @pytest.mark.parametrize("d, expected, solves", [
+        (0.5, 0.5, 1),
+        (math.nextafter(0.5, 1), 0.5, 0),
+        (math.nextafter(0.5, 0), math.nextafter(0.5, 0), 1),
+    ], ids=["d-equals-tv", "d-above-tv", "d-below-tv"])
+    def test_tie_at_the_bracket_edge(self, transport_solves, d, expected, solves):
+        mu, nu = bern_pair(0.25, 0.75, d)  # dyadic masses: TV is exactly 0.5
+        assert prokhorov(mu, nu) == expected
+        assert transport_solves.count == solves
+        assert prokhorov_exhaustive(mu, nu) == expected
 
 
 class TestWasserstein:

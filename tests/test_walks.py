@@ -208,12 +208,17 @@ class TestCdgDiscrepancy:
 
 class TestProductWalk:
     def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n: "):
             ProductWalkParams(0, 4, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^g: "):
             ProductWalkParams(3, 1, 1.0)
-        with pytest.raises(ValueError):
-            ProductWalkParams(3, 4, -0.5)
+        for t in (-0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^t: "):
+                ProductWalkParams(3, 4, t)
+
+    def test_infinite_time_is_the_stationary_limit(self):
+        d = product_walk_distances(ProductWalkParams(3, 8, math.inf))
+        assert d == dict.fromkeys(("tv", "entropy", "chi2", "hellinger", "separation"), 0.0)
 
     def test_time_zero_closed_forms(self):
         for n, g in [(3, 8), (6, 64), (40, 2 ** 40)]:
