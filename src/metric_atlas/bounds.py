@@ -260,9 +260,7 @@ def real_smooth_context(F: SmoothRealCdf, G: SmoothRealCdf,
     grid error carried as extra slack."""
     k, k_err = tp.smooth_pair_kolmogorov(F, G, mesh)
     l, l_err = tp.smooth_pair_levy(F, G, mesh)
-    lo = min(F.support[0], G.support[0])
-    hi = max(F.support[1], G.support[1])
-    grid = np.arange(lo, hi + mesh, mesh)
+    grid, _ = tp._smooth_grid(F, G, mesh)
     diffs = np.array([F(float(x)) - G(float(x)) for x in grid])
     disc = float(max(diffs.max(), 0.0) - min(diffs.min(), 0.0))
     slack = k_err + (1.0 + G.density_bound) * l_err

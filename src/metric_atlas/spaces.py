@@ -167,9 +167,6 @@ class DiscreteDistribution:
         idx = sorted(points)
         return float(math.fsum(self.p[idx].tolist())) if idx else 0.0
 
-    def approx_equal(self, other: "DiscreteDistribution", tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.p - other.p) <= tol))
-
     @classmethod
     def uniform(cls, space: FiniteMetricSpace) -> "DiscreteDistribution":
         return cls(space, np.full(space.n, 1.0 / space.n))
@@ -262,6 +259,9 @@ class SmoothRealCdf:
             raise ValueError("smooth cdf: empty truncation interval")
         if self.density_bound <= 0 or not math.isfinite(self.density_bound):
             raise ValueError("smooth cdf: density bound must be positive and finite")
+        if not 0.0 <= self.eval_tolerance < math.inf:  # also NaN
+            raise ValueError("eval_tolerance: must be finite and non-negative, "
+                             f"got {self.eval_tolerance!r}")
         fa, fb = self.cdf(a), self.cdf(b)
         if fa > 1e-12 or fb < 1.0 - 1e-12 or fb - fa < 1.0 - 2e-12:
             raise ValueError("smooth cdf: truncation interval does not capture the mass")

@@ -78,7 +78,8 @@ def kolmogorov(F, G) -> float:
     """sup_x |F(x) - G(x)| for atomic/atomic or atomic/smooth inputs.
 
     Step CDFs are compared at the merged atom positions; against a smooth
-    CDF both one-sided values at each atom are needed.
+    CDF both one-sided values at each atom are needed, and the sup is the
+    largest per-atom gap.
     """
     if isinstance(F, RealAtomicDistribution) and isinstance(G, RealAtomicDistribution):
         grid = np.union1d(F.positions, G.positions)
@@ -87,94 +88,133 @@ def kolmogorov(F, G) -> float:
         F, G = G, F
     if isinstance(F, RealAtomicDistribution) and isinstance(G, SmoothRealCdf):
         xs = F.positions
-        gx = np.array([G(x) for x in xs.tolist()])
-        return float(np.max(np.abs(np.stack([F.cdf(xs), F.cdf_left(xs)]) - gx)))
+        return float(np.max(_gap(xs, F.cdf(xs), F.cdf_left(xs), G)))
     raise TypeError("kolmogorov: use smooth_pair_kolmogorov for two smooth CDFs")
 
 
-def _levy_feasible(F: RealAtomicDistribution, G, eps: float) -> bool:
-    """Exact Levy feasibility for step F against step or continuous G.
-
-    Both conditions are piecewise constant (step G) or piecewise monotone
-    (continuous G) between the jump points of either side, so checking every
-    piece start suffices. Pieces contributed by G's atoms are evaluated with
-    G's jump taken exactly, not through the x +- eps float round trip.
-    """
-    u = F.positions
-    if isinstance(G, RealAtomicDistribution):
-        v = G.positions
-        # F(x) <= G(x+eps) + eps at x = u_i and x = v_j - eps, and
-        # G(x-eps) - eps <= F(x) at x = u_i and x = v_j + eps
-        return not (np.any(F.cdf(u) > G.cdf(u + eps) + eps + 1e-15)
-                    or np.any(F.cdf(v - eps) > G.cdf(v) + eps + 1e-15)
-                    or np.any(G.cdf(u - eps) - eps > F.cdf(u) + 1e-15)
-                    or np.any(G.cdf(v) - eps > F.cdf(v + eps) + 1e-15))
-    for x, fx, fx_left in zip(u.tolist(), F.cdf(u).tolist(), F.cdf_left(u).tolist()):
-        if fx > G(x + eps) + eps + 1e-15 or G(x - eps) - eps > fx_left + 1e-15:
-            return False
-    return True
-
-
-def levy(F, G) -> float:
-    """Levy distance by bisection (absolute tolerance 1e-12) over an exact
-    feasibility predicate. Accepts two atomic CDFs, or one atomic and one
-    smooth (the metric is symmetric, so argument order is normalized)."""
-    if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
-        F, G = G, F
-    if not isinstance(F, RealAtomicDistribution):
-        raise TypeError("levy: use smooth_pair_levy for two smooth CDFs")
-    if _levy_feasible(F, G, 0.0):
+def _bisect(feasible, tol: float) -> float:
+    """Smallest feasible eps in [0, 1] of a monotone predicate, to `tol`:
+    0.0 when feasible(0.0), else the upper end of the last bracket (1.0 when
+    nothing below it is feasible). Every probe is a dyadic point of the same
+    halving of [0, 1], so a predicate that is the conjunction of monotone
+    ones gets the largest of their results."""
+    if feasible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
+    while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        if _levy_feasible(F, G, mid):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
     return hi
 
 
+def _levy_feasible(F: RealAtomicDistribution, G, eps: float) -> bool:
+    """Exact Levy feasibility for two step CDFs.
+
+    Both conditions are piecewise constant between the jump points of either
+    side, so checking every piece start suffices. Pieces contributed by G's
+    atoms are evaluated with G's jump taken exactly, not through the
+    x +- eps float round trip.
+    """
+    u, v = F.positions, G.positions
+    # F(x) <= G(x+eps) + eps at x = u_i and x = v_j - eps, and
+    # G(x-eps) - eps <= F(x) at x = u_i and x = v_j + eps
+    return not (np.any(F.cdf(u) > G.cdf(u + eps) + eps + 1e-15)
+                or np.any(F.cdf(v - eps) > G.cdf(v) + eps + 1e-15)
+                or np.any(G.cdf(u - eps) - eps > F.cdf(u) + 1e-15)
+                or np.any(G.cdf(v) - eps > F.cdf(v + eps) + 1e-15))
+
+
+def _gap(xs: np.ndarray, f, f_left, G: SmoothRealCdf) -> np.ndarray:
+    """Per-point vertical gap max(f - G, G - f_left) to a smooth G, where
+    f_left <= f are the one-sided values at xs of a step CDF (equal for a
+    smooth one). It is the point's Kolmogorov term, and the point's Levy
+    condition holds at eps = its gap (L <= K, point by point)."""
+    g = np.array([G(x) for x in xs.tolist()])
+    return np.maximum(f - g, g - f_left)
+
+
+def _smooth_levy(xs: np.ndarray, f, f_left, G: SmoothRealCdf, tol: float) -> float:
+    """Levy distance, bisected to `tol`, of the values f_left <= f at xs
+    against a smooth G.
+
+    The condition at x, f(x) <= G(x+eps) + eps and G(x-eps) - eps <=
+    f_left(x), is monotone in eps, so L is the largest per-point root. The
+    points are visited in decreasing gap; once a gap is at most the best
+    root so far, no later point can raise it. A point is bisected only when
+    its condition fails at the best root, and only above it.
+    """
+    gap = _gap(xs, f, f_left, G)
+    best = 0.0
+    for i in np.argsort(gap)[::-1].tolist():
+        if gap[i] <= best:
+            break
+        x, fx, fx_left = float(xs[i]), float(f[i]), float(f_left[i])
+
+        def ok(eps: float) -> bool:
+            return not (fx > G(x + eps) + eps + 1e-15
+                        or G(x - eps) - eps > fx_left + 1e-15)
+
+        if not ok(best):
+            best = _bisect(lambda e: e > best and ok(e), tol)
+    return best
+
+
+def levy(F, G) -> float:
+    """Levy distance, bisected to an absolute tolerance of 1e-12. Accepts two
+    atomic CDFs, or one atomic and one smooth (the metric is symmetric, so
+    argument order is normalized).
+
+    Two step CDFs are bisected over an exact feasibility predicate on whole
+    arrays. Against a smooth G, L is the largest per-atom root, each bounded
+    by the atom's Kolmogorov gap, so only the atoms that can still bind are
+    bisected; the value equals the joint bisection's bit for bit.
+    """
+    if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
+        F, G = G, F
+    if not isinstance(F, RealAtomicDistribution):
+        raise TypeError("levy: use smooth_pair_levy for two smooth CDFs")
+    if isinstance(G, RealAtomicDistribution):
+        return _bisect(lambda eps: _levy_feasible(F, G, eps), 1e-12)
+    xs = F.positions
+    return _smooth_levy(xs, F.cdf(xs), F.cdf_left(xs), G, 1e-12)
+
+
+def _smooth_grid(F: SmoothRealCdf, G: SmoothRealCdf, mesh: float) -> tuple[np.ndarray, float]:
+    """Grid of step `mesh` over both truncation intervals, and the error
+    (c_F + c_G) * mesh + tol_F + tol_G of a sup read off it."""
+    if not (math.isfinite(mesh) and mesh > 0):
+        raise ValueError(f"mesh: must be finite and positive, got {mesh!r}")
+    lo = min(F.support[0], G.support[0])
+    hi = max(F.support[1], G.support[1])
+    err = (F.density_bound + G.density_bound) * mesh + F.eval_tolerance + G.eval_tolerance
+    return np.arange(lo, hi + mesh, mesh), err
+
+
 def smooth_pair_kolmogorov(F: SmoothRealCdf, G: SmoothRealCdf,
                            mesh: float = 1e-4) -> tuple[float, float]:
     """Grid estimate of sup|F-G| with a certified error bound."""
-    lo = min(F.support[0], G.support[0])
-    hi = max(F.support[1], G.support[1])
-    grid = np.arange(lo, hi + mesh, mesh)
+    grid, err = _smooth_grid(F, G, mesh)
     value = max(abs(F(float(x)) - G(float(x))) for x in grid)
-    err = (F.density_bound + G.density_bound) * mesh + F.eval_tolerance + G.eval_tolerance
     return value, err
 
 
 def smooth_pair_levy(F: SmoothRealCdf, G: SmoothRealCdf,
                      mesh: float = 1e-4) -> tuple[float, float]:
-    """Grid-checked Levy distance with a certified error bound."""
-    lo_x = min(F.support[0], G.support[0])
-    hi_x = max(F.support[1], G.support[1])
-    grid = np.arange(lo_x, hi_x + mesh, mesh)
+    """Levy distance checked on the grid, bisected to mesh/4, with a
+    certified error bound.
+
+    It is the largest per-grid-point root, each bounded by the point's
+    Kolmogorov gap |F - G|: the search `levy` runs over atoms, with F's one
+    value standing for both sides. The bisection's mesh/4 joins the grid
+    error when the value is positive.
+    """
+    grid, err = _smooth_grid(F, G, mesh)
     fvals = np.array([F(float(x)) for x in grid])
-
-    def feasible(eps: float) -> bool:
-        for x, fx in zip(grid.tolist(), fvals.tolist()):
-            if fx > G(x + eps) + eps + 1e-15:
-                return False
-            if G(x - eps) - eps > fx + 1e-15:
-                return False
-        return True
-
-    if feasible(0.0):
-        return 0.0, (F.density_bound + G.density_bound) * mesh \
-            + F.eval_tolerance + G.eval_tolerance
-    lo, hi = 0.0, 1.0
-    while hi - lo > mesh / 4.0:
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    err = (F.density_bound + G.density_bound) * mesh \
-        + F.eval_tolerance + G.eval_tolerance + mesh / 4.0
-    return hi, err
+    value = _smooth_levy(grid, fvals, fvals, G, mesh / 4.0)
+    return value, (err + mesh / 4.0 if value > 0 else err)
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,6 @@ class ProductWalkParams:
         """Per-coordinate exposure t/n."""
         return self.t / self.n
 
-    @classmethod
-    def doubling_group(cls, n: int, t: float) -> "ProductWalkParams":
-        return cls(n, 2 ** n, t)
-
 
 def _psi(a: float) -> float:
     """(1 + a) log(1 + a) - a for a >= -1, without cancellation near 0."""

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import metric_atlas
 
 SRC = str(Path(metric_atlas.__file__).resolve().parents[1])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_runtime_imports_no_scipy():
@@ -21,3 +23,13 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # `perfbench/run.py --trace 1` wraps each (owner, attr) through getattr,
+    # so renaming or deleting one of them breaks the traced run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    missing = [name for owner, attr, name, _ in workloads.TRACED
+               if not callable(getattr(owner, attr, None))]
+    assert not missing, missing

@@ -169,6 +169,13 @@ class TestSmoothRealCdf:
                           density_bound=1.0, support=(-20.0, 20.0))
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_eval_tolerance(self, bad):
+        with pytest.raises(ValueError, match="^eval_tolerance:"):
+            SmoothRealCdf(cdf=lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2))),
+                          density_bound=0.4, support=(-9.0, 9.0), eval_tolerance=bad)
+
+
 class TestCoupling:
     def test_independent_coupling_valid(self):
         s = path3()

@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_atlas.bounds import INSTANCE_KINDS, embed_atomic_pair, random_instance
+from metric_atlas.bounds import (INSTANCE_KINDS, embed_atomic_pair, random_instance,
+                                 real_smooth_context)
 from metric_atlas.divergences import total_variation
 from metric_atlas.oracles import (ball_growth_exhaustive, levy_grid_oracle,
                                   mixed_discrepancy_scan_oracle,
                                   prokhorov_exhaustive)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
-                                 RealAtomicDistribution, gaussian_cdf)
+                                 RealAtomicDistribution, SmoothRealCdf, gaussian_cdf)
 from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_finite,
                                     discrepancy_real_mixed, kolmogorov, levy,
                                     prokhorov, smooth_pair_kolmogorov,
                                     smooth_pair_levy, tightest_ball_growth,
                                     wasserstein_finite, wasserstein_real)
-from metric_atlas.walks import z10_measures
+from metric_atlas.walks import standardized_binomial, z10_measures
 
 from conftest import random_atomic, random_pair_on
 
@@ -168,6 +169,98 @@ class TestLevy:
             v = levy(F, G)
             lo, hi = levy_grid_oracle(F, G, 1e-3)
             assert lo - 1e-9 <= v <= hi + 1e-9
+
+
+def joint_levy(xs, f, f_left, G, tol):
+    """The Levy search as one bisection over all points at once: the
+    reference the per-point search must reproduce bit for bit."""
+    def feasible(eps):
+        return not any(fx > G(x + eps) + eps + 1e-15 or G(x - eps) - eps > fl + 1e-15
+                       for x, fx, fl in zip(xs.tolist(), f.tolist(), f_left.tolist()))
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def joint_atomic_levy(F, G):
+    return joint_levy(F.positions, F.cdf(F.positions), F.cdf_left(F.positions), G, 1e-12)
+
+
+def counting_cdf(G):
+    """G behind a counter of its oracle calls, reset after construction."""
+    calls = [0]
+
+    def cdf(x):
+        calls[0] += 1
+        return G(x)
+
+    counted = SmoothRealCdf(cdf, G.density_bound, G.support, G.eval_tolerance)
+    calls[0] = 0
+    return counted, calls
+
+
+class TestLevyPerPointSearch:
+    @pytest.mark.parametrize("n", [16, 100, 1000])
+    def test_binomial_matches_the_joint_bisection(self, n):
+        F, G = standardized_binomial(n), gaussian_cdf()
+        want = joint_atomic_levy(F, G).hex()
+        assert levy(F, G).hex() == want
+        assert levy(G, F).hex() == want
+
+    def test_random_pairs_match_the_joint_bisection(self):
+        rng = np.random.default_rng(20261018)
+        for trial in range(320):
+            if trial % 2:  # lattice atoms: ties between the atoms' gaps
+                xs = np.unique(rng.integers(-6, 7, 8) * 0.25)
+            else:
+                xs = np.sort(rng.normal(size=int(rng.integers(1, 10))) * 1.5)
+            F = RealAtomicDistribution(xs, rng.dirichlet(np.ones(xs.size)))
+            G = gaussian_cdf(float(rng.normal(0.0, 0.5)), float(rng.uniform(0.3, 2.0)))
+            want = joint_atomic_levy(F, G).hex()
+            assert levy(F, G).hex() == want
+            assert levy(G, F).hex() == want
+
+    @pytest.mark.parametrize("mesh", [1e-3, 4e-3])
+    def test_smooth_pairs_match_the_joint_bisection(self, mesh):
+        pairs = [(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2)),
+                 (gaussian_cdf(0.0, 1.0), gaussian_cdf(0.0, 1.0)),
+                 (gaussian_cdf(-1.0, 2.0), gaussian_cdf(0.2, 1.0))]
+        for A, B in pairs:
+            lo = min(A.support[0], B.support[0])
+            hi = max(A.support[1], B.support[1])
+            grid = np.arange(lo, hi + mesh, mesh)
+            fvals = np.array([A(float(x)) for x in grid])
+            want = joint_levy(grid, fvals, fvals, B, mesh / 4.0)
+            err = (A.density_bound + B.density_bound) * mesh \
+                + A.eval_tolerance + B.eval_tolerance
+            if want > 0:
+                err += mesh / 4.0
+            value, value_err = smooth_pair_levy(A, B, mesh)
+            assert (value.hex(), value_err.hex()) == (want.hex(), err.hex())
+
+    def test_bisects_only_the_atoms_that_can_bind(self):
+        F = standardized_binomial(1000)
+        G, calls = counting_cdf(gaussian_cdf())
+        value = levy(F, G)
+        assert calls[0] < 3 * F.positions.size
+        assert value == levy(F, gaussian_cdf())
+
+
+class TestSmoothGrid:
+    @pytest.mark.parametrize("mesh", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [smooth_pair_kolmogorov, smooth_pair_levy,
+                                      real_smooth_context])
+    def test_rejects_bad_mesh(self, call, mesh):
+        with pytest.raises(ValueError, match="^mesh:"):
+            call(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2), mesh=mesh)
 
 
 class TestProkhorov:
