@@ -191,17 +191,18 @@ FINITE_METRICS: dict[str, Callable[[DiscreteDistribution, DiscreteDistribution],
 }
 
 
-def finite_context(space: FiniteMetricSpace, mu: DiscreteDistribution,
-                   nu: DiscreteDistribution,
+def finite_context(mu: DiscreteDistribution, nu: DiscreteDistribution,
                    instance_id: str = "finite") -> MetricContext:
+    """The eight metrics and the instance facts of a finite pair; d_min and
+    diam are those of the space the two measures live on."""
     values = {key: metric(mu, nu) for key, metric in FINITE_METRICS.items()}
     return MetricContext(
         instance_id=instance_id,
         kind="finite",
         values=values,
         nu_dominates_mu=dv.nu_dominates_mu(mu, nu),
-        d_min=space.d_min,
-        diam=space.diam,
+        d_min=mu.space.d_min,
+        diam=mu.space.diam,
         phi=functools.partial(tp.ball_growth_at, nu),
     )
 
@@ -223,8 +224,8 @@ def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
                         instance_id: str = "real-atomic") -> MetricContext:
     """Atomic pair on the line: CDF metrics directly, geometric metrics on
     the induced collinear space (Prokhorov agrees exactly with the line)."""
-    space, mu, nu = embed_atomic_pair(F, G)
-    ctx = finite_context(space, mu, nu, instance_id)
+    _, mu, nu = embed_atomic_pair(F, G)
+    ctx = finite_context(mu, nu, instance_id)
     return replace(
         ctx, instance_id=instance_id, kind="real-atomic",
         values={**ctx.values, "kolmogorov": tp.kolmogorov(F, G), "levy": tp.levy(F, G)})
@@ -256,29 +257,24 @@ def real_mixed_context(F: RealAtomicDistribution, G: SmoothRealCdf,
 def real_smooth_context(F: SmoothRealCdf, G: SmoothRealCdf,
                         instance_id: str = "real-smooth",
                         mesh: float = 1e-3) -> MetricContext:
-    """Two smooth CDFs: grid-based K, L, and interval discrepancy with the
-    grid error carried as extra slack."""
-    k, k_err = tp.smooth_pair_kolmogorov(F, G, mesh)
-    l, l_err = tp.smooth_pair_levy(F, G, mesh)
-    grid, _ = tp._smooth_grid(F, G, mesh)
-    diffs = np.array([F(float(x)) - G(float(x)) for x in grid])
-    disc = float(max(diffs.max(), 0.0) - min(diffs.min(), 0.0))
-    slack = k_err + (1.0 + G.density_bound) * l_err
+    """Two smooth CDFs: grid-based K, L, and interval discrepancy from
+    `transport.smooth_pair`, with the grid error carried as extra slack."""
+    pair = tp.smooth_pair(F, G, mesh)
+    k_err, l_err = pair["kolmogorov"][1], pair["levy"][1]
     return MetricContext(
         instance_id=instance_id,
         kind="real-smooth",
-        values={"kolmogorov": k, "levy": l, "disc": disc},
+        values={key: value for key, (value, _) in pair.items()},
         density_bound=G.density_bound,
-        extra_slack=slack,
+        extra_slack=k_err + (1.0 + G.density_bound) * l_err,
     )
 
 
-def certify(mu, nu, space: FiniteMetricSpace | None = None,
-            instance_id: str = "instance") -> CertificationReport:
+def certify(mu, nu, instance_id: str = "instance") -> CertificationReport:
     """Compute all applicable metrics for the instance and evaluate every
     edge of the catalog."""
     if isinstance(mu, DiscreteDistribution) and isinstance(nu, DiscreteDistribution):
-        return evaluate_edges(finite_context(space or mu.space, mu, nu, instance_id))
+        return evaluate_edges(finite_context(mu, nu, instance_id))
     if isinstance(mu, RealAtomicDistribution) and isinstance(nu, RealAtomicDistribution):
         return evaluate_edges(real_atomic_context(mu, nu, instance_id))
     if isinstance(mu, RealAtomicDistribution) and isinstance(nu, SmoothRealCdf):
@@ -355,7 +351,7 @@ def certification_campaign(trials: int, seed: int = 0,
         kind = kinds[i % len(kinds)]
         sparsity = sparsities[(i // len(kinds)) % len(sparsities)]
         inst = random_instance(seed, i, size_range, kind, sparsity)
-        ctx = finite_context(inst.space, inst.mu, inst.nu, inst.instance_id)
+        ctx = finite_context(inst.mu, inst.nu, inst.instance_id)
         reports.append(evaluate_edges(ctx))
     return reports
 

@@ -17,6 +17,7 @@ MASS_TOL = 1e-12        # absolute tolerance on total probability mass
 MARGINAL_TOL = 1e-10    # coupling marginal deviation tolerance
 TRIANGLE_TOL = 1e-12    # slack for float-valued metrics (euclidean, shortest-path closures)
 TRIANGLE_CHECK_LIMIT = 512  # the O(n^3) triangle validation is only run up to this size
+SAME_SPACE_TOL = 1e-12  # largest entrywise distance gap between spaces taken as one
 
 PRODUCT_SIZE_LIMIT = 10**6
 
@@ -135,9 +136,9 @@ class FiniteMetricSpace:
             raise ValueError("positions must be strictly increasing")
         return cls(np.abs(xs[:, None] - xs[None, :]))
 
-    def same_as(self, other: "FiniteMetricSpace", tol: float = 1e-12) -> bool:
+    def same_as(self, other: "FiniteMetricSpace") -> bool:
         return self.d.shape == other.d.shape and bool(
-            np.all(np.abs(self.d - other.d) <= tol))
+            np.all(np.abs(self.d - other.d) <= SAME_SPACE_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,21 +257,21 @@ class SmoothRealCdf:
     def __post_init__(self):
         a, b = self.support
         if not a < b:
-            raise ValueError("smooth cdf: empty truncation interval")
+            raise ValueError("support: empty truncation interval")
         if self.density_bound <= 0 or not math.isfinite(self.density_bound):
-            raise ValueError("smooth cdf: density bound must be positive and finite")
+            raise ValueError("density_bound: must be positive and finite")
         if not 0.0 <= self.eval_tolerance < math.inf:  # also NaN
             raise ValueError("eval_tolerance: must be finite and non-negative, "
                              f"got {self.eval_tolerance!r}")
         fa, fb = self.cdf(a), self.cdf(b)
         if fa > 1e-12 or fb < 1.0 - 1e-12 or fb - fa < 1.0 - 2e-12:
-            raise ValueError("smooth cdf: truncation interval does not capture the mass")
+            raise ValueError("support: truncation interval does not capture the mass")
         grid = np.linspace(a, b, 65)
         vals = [self.cdf(float(x)) for x in grid]
         if any(v2 < v1 - 1e-12 for v1, v2 in zip(vals, vals[1:])):
-            raise ValueError("smooth cdf: oracle is not non-decreasing on the check grid")
+            raise ValueError("cdf: oracle is not non-decreasing on the check grid")
         if any(v < -1e-12 or v > 1 + 1e-12 for v in vals):
-            raise ValueError("smooth cdf: oracle leaves [0, 1]")
+            raise ValueError("cdf: oracle leaves [0, 1]")
 
     def __call__(self, x: float) -> float:
         return float(self.cdf(x))
@@ -280,7 +281,7 @@ def gaussian_cdf(mean: float = 0.0, sigma: float = 1.0,
                  halfwidth: float = 9.0) -> SmoothRealCdf:
     """Normal CDF via erf, truncated at mean +- halfwidth*sigma."""
     if halfwidth < 7.1:
-        raise ValueError("halfwidth too small to push tail mass below 1e-12")
+        raise ValueError("halfwidth: too small to push tail mass below 1e-12")
 
     def cdf(x: float) -> float:
         return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))

@@ -43,6 +43,11 @@ def discrepancy_finite(mu: DiscreteDistribution, nu: DiscreteDistribution) -> fl
     return float(np.max(np.abs(csum[ends])))
 
 
+def _oracle_at(G: SmoothRealCdf, xs: np.ndarray) -> np.ndarray:
+    """The smooth CDF G at each of xs, one oracle call per point."""
+    return np.array([G(x) for x in xs.tolist()])
+
+
 def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> float:
     """sup over closed intervals of |mu([a,b]) - nu([a,b])| for atomic mu
     against an atomless nu.
@@ -52,16 +57,16 @@ def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> flo
     max of A_j - B_i over prefixes.
     """
     if nu.eval_tolerance > 1e-9:
-        raise ValueError("cdf oracle tolerance exceeds the 1e-9 budget")
+        raise ValueError("eval_tolerance: cdf oracle tolerance exceeds the 1e-9 budget")
     a, b = nu.support
     xs = mu.positions
     if xs[0] < a or xs[-1] > b:
-        raise ValueError("truncation interval does not cover the atoms")
+        raise ValueError("support: truncation interval does not cover the atoms")
 
     pts = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
     w_incl = mu.cdf(pts)        # mass <= pts[j]
     w_excl = mu.cdf_left(pts)   # mass <  pts[j]
-    g = np.array([nu(x) for x in pts.tolist()])
+    g = _oracle_at(nu, pts)
 
     run_closed = np.maximum.accumulate(g - w_excl)   # max over i <= j
     run_open = np.maximum.accumulate(w_incl - g)     # max over i <= j
@@ -73,6 +78,14 @@ def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> flo
 # ---------------------------------------------------------------------------
 # Kolmogorov and Levy on the line
 # ---------------------------------------------------------------------------
+
+def _gap(f, f_left, g) -> np.ndarray:
+    """Per-point vertical gap max(f - g, g - f_left) of the one-sided
+    values f_left <= f of one CDF to the values g of the other. It is the
+    point's Kolmogorov term, and the point's Levy condition holds at eps =
+    its gap (L <= K, point by point)."""
+    return np.maximum(f - g, g - f_left)
+
 
 def kolmogorov(F, G) -> float:
     """sup_x |F(x) - G(x)| for atomic/atomic or atomic/smooth inputs.
@@ -88,8 +101,8 @@ def kolmogorov(F, G) -> float:
         F, G = G, F
     if isinstance(F, RealAtomicDistribution) and isinstance(G, SmoothRealCdf):
         xs = F.positions
-        return float(np.max(_gap(xs, F.cdf(xs), F.cdf_left(xs), G)))
-    raise TypeError("kolmogorov: use smooth_pair_kolmogorov for two smooth CDFs")
+        return float(np.max(_gap(F.cdf(xs), F.cdf_left(xs), _oracle_at(G, xs))))
+    raise TypeError("kolmogorov: use smooth_pair for two smooth CDFs")
 
 
 def _bisect(feasible, tol: float) -> float:
@@ -110,43 +123,18 @@ def _bisect(feasible, tol: float) -> float:
     return hi
 
 
-def _levy_feasible(F: RealAtomicDistribution, G, eps: float) -> bool:
-    """Exact Levy feasibility for two step CDFs.
-
-    Both conditions are piecewise constant between the jump points of either
-    side, so checking every piece start suffices. Pieces contributed by G's
-    atoms are evaluated with G's jump taken exactly, not through the
-    x +- eps float round trip.
-    """
-    u, v = F.positions, G.positions
-    # F(x) <= G(x+eps) + eps at x = u_i and x = v_j - eps, and
-    # G(x-eps) - eps <= F(x) at x = u_i and x = v_j + eps
-    return not (np.any(F.cdf(u) > G.cdf(u + eps) + eps + 1e-15)
-                or np.any(F.cdf(v - eps) > G.cdf(v) + eps + 1e-15)
-                or np.any(G.cdf(u - eps) - eps > F.cdf(u) + 1e-15)
-                or np.any(G.cdf(v) - eps > F.cdf(v + eps) + 1e-15))
-
-
-def _gap(xs: np.ndarray, f, f_left, G: SmoothRealCdf) -> np.ndarray:
-    """Per-point vertical gap max(f - G, G - f_left) to a smooth G, where
-    f_left <= f are the one-sided values at xs of a step CDF (equal for a
-    smooth one). It is the point's Kolmogorov term, and the point's Levy
-    condition holds at eps = its gap (L <= K, point by point)."""
-    g = np.array([G(x) for x in xs.tolist()])
-    return np.maximum(f - g, g - f_left)
-
-
-def _smooth_levy(xs: np.ndarray, f, f_left, G: SmoothRealCdf, tol: float) -> float:
+def _levy_search(xs: np.ndarray, f, f_left, G, g, tol: float) -> float:
     """Levy distance, bisected to `tol`, of the values f_left <= f at xs
-    against a smooth G.
+    against the CDF G, a step or a smooth one, whose values at xs are g.
 
     The condition at x, f(x) <= G(x+eps) + eps and G(x-eps) - eps <=
     f_left(x), is monotone in eps, so L is the largest per-point root. The
     points are visited in decreasing gap; once a gap is at most the best
     root so far, no later point can raise it. A point is bisected only when
-    its condition fails at the best root, and only above it.
+    its condition fails at the best root, and only above it; its probes
+    read G through `G.cdf`.
     """
-    gap = _gap(xs, f, f_left, G)
+    gap = _gap(f, f_left, g)
     best = 0.0
     for i in np.argsort(gap)[::-1].tolist():
         if gap[i] <= best:
@@ -154,8 +142,8 @@ def _smooth_levy(xs: np.ndarray, f, f_left, G: SmoothRealCdf, tol: float) -> flo
         x, fx, fx_left = float(xs[i]), float(f[i]), float(f_left[i])
 
         def ok(eps: float) -> bool:
-            return not (fx > G(x + eps) + eps + 1e-15
-                        or G(x - eps) - eps > fx_left + 1e-15)
+            return not (fx > G.cdf(x + eps) + eps + 1e-15
+                        or G.cdf(x - eps) - eps > fx_left + 1e-15)
 
         if not ok(best):
             best = _bisect(lambda e: e > best and ok(e), tol)
@@ -167,54 +155,55 @@ def levy(F, G) -> float:
     atomic CDFs, or one atomic and one smooth (the metric is symmetric, so
     argument order is normalized).
 
-    Two step CDFs are bisected over an exact feasibility predicate on whole
-    arrays. Against a smooth G, L is the largest per-atom root, each bounded
-    by the atom's Kolmogorov gap, so only the atoms that can still bind are
-    bisected; the value equals the joint bisection's bit for bit.
+    L is the largest per-point root of the Levy condition, each bounded by
+    the point's Kolmogorov gap, so only the points that can still bind are
+    bisected. Against a smooth G the points are F's atoms, with both
+    one-sided values of F. Between two step CDFs both conditions are
+    constant between jump points, so the points are the piece starts: F's
+    atoms against G and G's atoms against F, each with its CDF's value on
+    both sides. Every probe is a dyadic point of the same halving of [0, 1],
+    so the value equals one joint bisection over all points bit for bit.
     """
     if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
         F, G = G, F
     if not isinstance(F, RealAtomicDistribution):
-        raise TypeError("levy: use smooth_pair_levy for two smooth CDFs")
-    if isinstance(G, RealAtomicDistribution):
-        return _bisect(lambda eps: _levy_feasible(F, G, eps), 1e-12)
-    xs = F.positions
-    return _smooth_levy(xs, F.cdf(xs), F.cdf_left(xs), G, 1e-12)
+        raise TypeError("levy: use smooth_pair for two smooth CDFs")
+    u = F.positions
+    if isinstance(G, SmoothRealCdf):
+        return _levy_search(u, F.cdf(u), F.cdf_left(u), G, _oracle_at(G, u), 1e-12)
+    v = G.positions
+    f, g = F.cdf(u), G.cdf(v)
+    return max(_levy_search(u, f, f, G, G.cdf(u), 1e-12),
+               _levy_search(v, g, g, F, F.cdf(v), 1e-12))
 
 
-def _smooth_grid(F: SmoothRealCdf, G: SmoothRealCdf, mesh: float) -> tuple[np.ndarray, float]:
-    """Grid of step `mesh` over both truncation intervals, and the error
-    (c_F + c_G) * mesh + tol_F + tol_G of a sup read off it."""
+def smooth_pair(F: SmoothRealCdf, G: SmoothRealCdf,
+                mesh: float = 1e-3) -> dict[str, tuple[float, float]]:
+    """Kolmogorov, Levy and interval discrepancy of two smooth CDFs, each as
+    (value, certified error), keyed as the bound catalog's values.
+
+    F and G are read once each, on a grid of step `mesh` over both
+    truncation intervals; a sup read off it is within err = (c_F + c_G) *
+    mesh + tol_F + tol_G of the true one. K is the largest |F - G| on the
+    grid and disc the spread max(F - G, 0) - min(F - G, 0), within 2 err.
+    L is the largest per-grid-point root against G, the search `levy` runs
+    over atoms with F's one value standing for both sides, bisected to
+    mesh/4, which joins the error when L > 0.
+    """
     if not (math.isfinite(mesh) and mesh > 0):
         raise ValueError(f"mesh: must be finite and positive, got {mesh!r}")
     lo = min(F.support[0], G.support[0])
     hi = max(F.support[1], G.support[1])
+    grid = np.arange(lo, hi + mesh, mesh)
     err = (F.density_bound + G.density_bound) * mesh + F.eval_tolerance + G.eval_tolerance
-    return np.arange(lo, hi + mesh, mesh), err
-
-
-def smooth_pair_kolmogorov(F: SmoothRealCdf, G: SmoothRealCdf,
-                           mesh: float = 1e-4) -> tuple[float, float]:
-    """Grid estimate of sup|F-G| with a certified error bound."""
-    grid, err = _smooth_grid(F, G, mesh)
-    value = max(abs(F(float(x)) - G(float(x))) for x in grid)
-    return value, err
-
-
-def smooth_pair_levy(F: SmoothRealCdf, G: SmoothRealCdf,
-                     mesh: float = 1e-4) -> tuple[float, float]:
-    """Levy distance checked on the grid, bisected to mesh/4, with a
-    certified error bound.
-
-    It is the largest per-grid-point root, each bounded by the point's
-    Kolmogorov gap |F - G|: the search `levy` runs over atoms, with F's one
-    value standing for both sides. The bisection's mesh/4 joins the grid
-    error when the value is positive.
-    """
-    grid, err = _smooth_grid(F, G, mesh)
-    fvals = np.array([F(float(x)) for x in grid])
-    value = _smooth_levy(grid, fvals, fvals, G, mesh / 4.0)
-    return value, (err + mesh / 4.0 if value > 0 else err)
+    f, g = _oracle_at(F, grid), _oracle_at(G, grid)
+    diffs = f - g
+    levy_value = _levy_search(grid, f, f, G, g, mesh / 4.0)
+    return {
+        "kolmogorov": (float(np.max(np.abs(diffs))), err),
+        "levy": (levy_value, err + mesh / 4.0 if levy_value > 0 else err),
+        "disc": (float(max(diffs.max(), 0.0) - min(diffs.min(), 0.0)), 2.0 * err),
+    }
 
 
 # ---------------------------------------------------------------------------

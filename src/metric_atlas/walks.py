@@ -270,7 +270,7 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
     their atoms; for smaller n every atom is kept.
     """
     if n < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError("n: need at least one trial")
     k = np.arange(n + 1)
     lgamma_k1 = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     # lgamma(n - k + 1) is the same list reversed

@@ -41,14 +41,14 @@ class TestCatalog:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), edge.edge_id
 
     def test_tv_le_sep_applies_on_any_finite_instance(self):
-        space, mu, _, unif = z10_measures()
-        ctx = finite_context(space, mu, unif)
+        _, mu, _, unif = z10_measures()
+        ctx = finite_context(mu, unif)
         edge = next(e for e in edge_catalog() if e.edge_id == "TV<=S")
         assert edge.applicable(ctx)[0]
 
     def test_kolmogorov_via_levy_skips_on_finite_instances(self):
-        space, mu, _, unif = z10_measures()
-        ctx = finite_context(space, mu, unif)
+        _, mu, _, unif = z10_measures()
+        ctx = finite_context(mu, unif)
         edge = next(e for e in edge_catalog() if e.edge_id == "K<=(1+c)L")
         ok, reason = edge.applicable(ctx)
         assert not ok and reason
@@ -57,8 +57,8 @@ class TestCatalog:
 def _status_contexts() -> dict[str, MetricContext]:
     """One context of each kind, plus doctored finite ones that hold every
     value and fact but one."""
-    space, mu, _, unif = z10_measures()
-    finite = finite_context(space, mu, unif)
+    _, mu, _, unif = z10_measures()
+    finite = finite_context(mu, unif)
     full = replace(finite, values={**finite.values, "kolmogorov": 0.3, "levy": 0.2},
                    density_bound=1.0)
     F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (2.0, 0.3), (3.5, 0.2)])
@@ -205,6 +205,13 @@ class TestEvaluation:
         by_id = {r.edge_id: r for r in rep.results}
         assert by_id["I<=log1p(chi2)"].status == "pass"
 
+    def test_space_comes_from_the_measures(self):
+        # a separate space argument could disagree with the measures' own
+        # (diam and d_min read off the wrong metric gave false failures)
+        _, mu, _, unif = z10_measures()
+        with pytest.raises(TypeError):
+            certify(mu, unif, space=FiniteMetricSpace(mu.space.d * 0.01))
+
     def test_both_argument_orders_certify(self, rng):
         s = FiniteMetricSpace.euclidean(rng.normal(size=(6, 2)))
         for i in range(15):
@@ -294,7 +301,7 @@ class TestMutualConvergence:
         for k in (2, 4, 8, 16, 64, 256):
             mix = DiscreteDistribution(
                 space, (1 - 1 / k) * nu.p + (1 / k) * mu0.p)
-            ctx = finite_context(space, mix, nu, f"mix-{k}")
+            ctx = finite_context(mix, nu, f"mix-{k}")
             tv, h = ctx.values["tv"], ctx.values["hellinger"]
             assert h * h / 2 <= tv + 1e-12 and tv <= h + 1e-12
             if prev_tv is not None:
@@ -335,7 +342,7 @@ class TestRandomInstances:
         kinds, sparsities = ("euclidean", "cycle", "random-metric"), (0.0, 0.3)
         for i in range(60):
             inst = random_instance(0, i, (4, 10), kinds[i % 3], sparsities[(i // 3) % 2])
-            ctx = finite_context(inst.space, inst.mu, inst.nu)
+            ctx = finite_context(inst.mu, inst.nu)
             x = ctx.values["prokhorov"] + 1e-12
             assert abs(ctx.phi(x) - tightest_ball_growth(inst.nu).at(x)) <= 1e-12
 

@@ -9,6 +9,8 @@ from metric_atlas.spaces import (Coupling, DiscreteDistribution,
                                  SmoothRealCdf, distribution_from_json,
                                  gaussian_cdf, product_distribution,
                                  product_pair, product_space, space_from_json)
+from metric_atlas.transport import discrepancy_real_mixed
+from metric_atlas.walks import standardized_binomial
 
 
 def path3():
@@ -174,6 +176,40 @@ class TestSmoothRealCdf:
         with pytest.raises(ValueError, match="^eval_tolerance:"):
             SmoothRealCdf(cdf=lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2))),
                           density_bound=0.4, support=(-9.0, 9.0), eval_tolerance=bad)
+
+
+def _phi_cdf(x):
+    return 0.5 * (1 + math.erf(x / math.sqrt(2)))
+
+
+@pytest.mark.parametrize("field, build", [
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, (1.0, -1.0)),
+                 id="empty-support"),
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-2.0, 2.0)),
+                 id="support-misses-mass"),
+    pytest.param("density_bound", lambda: SmoothRealCdf(_phi_cdf, 0.0, (-9.0, 9.0)),
+                 id="zero-density-bound"),
+    pytest.param("density_bound", lambda: SmoothRealCdf(_phi_cdf, math.inf, (-9.0, 9.0)),
+                 id="infinite-density-bound"),
+    pytest.param("cdf", lambda: SmoothRealCdf(lambda x: 0.5 + 0.6 * math.sin(x), 1.0,
+                                              (-20.0, 20.0)),
+                 id="non-monotone-cdf"),
+    pytest.param("cdf", lambda: SmoothRealCdf(lambda x: 1.5 * _phi_cdf(x), 0.6, (-9.0, 9.0)),
+                 id="cdf-above-one"),
+    pytest.param("halfwidth", lambda: gaussian_cdf(0.0, 1.0, halfwidth=5.0),
+                 id="gaussian-halfwidth"),
+    pytest.param("eval_tolerance", lambda: discrepancy_real_mixed(
+        RealAtomicDistribution.point_mass(0.0),
+        SmoothRealCdf(_phi_cdf, 0.4, (-9.0, 9.0), eval_tolerance=1e-6)),
+                 id="mixed-discrepancy-tolerance"),
+    pytest.param("support", lambda: discrepancy_real_mixed(
+        RealAtomicDistribution.point_mass(11.0), gaussian_cdf()),
+                 id="mixed-discrepancy-support"),
+    pytest.param("n", lambda: standardized_binomial(0), id="binomial-n"),
+])
+def test_real_line_errors_name_the_field(field, build):
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        build()
 
 
 class TestCoupling:

@@ -14,8 +14,7 @@ from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, SmoothRealCdf, gaussian_cdf)
 from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_finite,
                                     discrepancy_real_mixed, kolmogorov, levy,
-                                    prokhorov, smooth_pair_kolmogorov,
-                                    smooth_pair_levy, tightest_ball_growth,
+                                    prokhorov, smooth_pair, tightest_ball_growth,
                                     wasserstein_finite, wasserstein_real)
 from metric_atlas.walks import standardized_binomial, z10_measures
 
@@ -194,6 +193,60 @@ def joint_atomic_levy(F, G):
     return joint_levy(F.positions, F.cdf(F.positions), F.cdf_left(F.positions), G, 1e-12)
 
 
+def joint_step_levy(F, G):
+    """Levy distance of two step CDFs as one bisection over an exact
+    feasibility predicate on whole arrays: the reference the two per-point
+    searches of `levy` must reproduce bit for bit."""
+    u, v = F.positions, G.positions
+
+    def feasible(eps):
+        return not (np.any(F.cdf(u) > G.cdf(u + eps) + eps + 1e-15)
+                    or np.any(F.cdf(v - eps) > G.cdf(v) + eps + 1e-15)
+                    or np.any(G.cdf(u - eps) - eps > F.cdf(u) + 1e-15)
+                    or np.any(G.cdf(v) - eps > F.cdf(v + eps) + 1e-15))
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def step_pair(rng, kind):
+    """A pair of atomic CDFs of one of six shapes: normal positions, a 0.25
+    lattice (ties between gaps and shifts), shared positions, a dyadic
+    lattice with equal weights, a point mass against several atoms, and two
+    point masses."""
+    def atoms(xs, equal=False):
+        w = np.full(xs.size, 1.0 / xs.size) if equal else rng.dirichlet(np.ones(xs.size))
+        return RealAtomicDistribution(xs, w)
+
+    def size():
+        return int(rng.integers(1, 10))
+
+    if kind == 0:
+        return (atoms(np.sort(rng.normal(size=size()))),
+                atoms(np.sort(rng.normal(size=size()) + rng.normal(0.0, 0.5))))
+    if kind == 1:
+        return (atoms(np.unique(rng.integers(-6, 7, size()) * 0.25)),
+                atoms(np.unique(rng.integers(-6, 7, size()) * 0.25)))
+    if kind == 2:
+        xs = np.sort(rng.normal(size=size()))
+        return atoms(xs), atoms(xs)
+    if kind == 3:
+        return (atoms(np.unique(rng.integers(-8, 9, size()) / 8.0), equal=True),
+                atoms(np.unique(rng.integers(-8, 9, size()) / 8.0), equal=True))
+    if kind == 4:
+        return (delta(float(rng.integers(-4, 5)) * 0.25),
+                atoms(np.unique(rng.integers(-6, 7, size()) * 0.25)))
+    return delta(0.0), delta(float(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0, 2.0, rng.normal()])))
+
+
 def counting_cdf(G):
     """G behind a counter of its oracle calls, reset after construction."""
     calls = [0]
@@ -228,6 +281,14 @@ class TestLevyPerPointSearch:
             assert levy(F, G).hex() == want
             assert levy(G, F).hex() == want
 
+    def test_step_pairs_match_the_joint_bisection(self):
+        rng = np.random.default_rng(20261019)
+        for trial in range(2040):
+            F, G = step_pair(rng, trial % 6)
+            want = joint_step_levy(F, G).hex()
+            assert levy(F, G).hex() == want, (F.positions, G.positions)
+            assert levy(G, F).hex() == want, (F.positions, G.positions)
+
     @pytest.mark.parametrize("mesh", [1e-3, 4e-3])
     def test_smooth_pairs_match_the_joint_bisection(self, mesh):
         pairs = [(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2)),
@@ -238,13 +299,23 @@ class TestLevyPerPointSearch:
             hi = max(A.support[1], B.support[1])
             grid = np.arange(lo, hi + mesh, mesh)
             fvals = np.array([A(float(x)) for x in grid])
+            diffs = fvals - np.array([B(float(x)) for x in grid])
             want = joint_levy(grid, fvals, fvals, B, mesh / 4.0)
             err = (A.density_bound + B.density_bound) * mesh \
                 + A.eval_tolerance + B.eval_tolerance
-            if want > 0:
-                err += mesh / 4.0
-            value, value_err = smooth_pair_levy(A, B, mesh)
-            assert (value.hex(), value_err.hex()) == (want.hex(), err.hex())
+            l_err = err + mesh / 4.0 if want > 0 else err
+            expected = {
+                "kolmogorov": (float(np.max(np.abs(diffs))), err),
+                "levy": (want, l_err),
+                "disc": (float(max(diffs.max(), 0.0) - min(diffs.min(), 0.0)), 2.0 * err),
+            }
+            got = smooth_pair(A, B, mesh)
+            assert {k: (v.hex(), e.hex()) for k, (v, e) in got.items()} \
+                == {k: (v.hex(), e.hex()) for k, (v, e) in expected.items()}
+            ctx = real_smooth_context(A, B, mesh=mesh)
+            assert {k: v.hex() for k, v in ctx.values.items()} \
+                == {k: v.hex() for k, (v, _) in expected.items()}
+            assert ctx.extra_slack.hex() == (err + (1.0 + B.density_bound) * l_err).hex()
 
     def test_bisects_only_the_atoms_that_can_bind(self):
         F = standardized_binomial(1000)
@@ -254,6 +325,16 @@ class TestLevyPerPointSearch:
         assert value == levy(F, gaussian_cdf())
 
 
+def smooth_pair_kolmogorov(F, G, mesh):
+    """K and its certified error, as `smooth_pair` returns them."""
+    return smooth_pair(F, G, mesh)["kolmogorov"]
+
+
+def smooth_pair_levy(F, G, mesh):
+    """L and its certified error, as `smooth_pair` returns them."""
+    return smooth_pair(F, G, mesh)["levy"]
+
+
 class TestSmoothGrid:
     @pytest.mark.parametrize("mesh", [0.0, -1e-3, math.nan, math.inf])
     @pytest.mark.parametrize("call", [smooth_pair_kolmogorov, smooth_pair_levy,
@@ -261,6 +342,26 @@ class TestSmoothGrid:
     def test_rejects_bad_mesh(self, call, mesh):
         with pytest.raises(ValueError, match="^mesh:"):
             call(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2), mesh=mesh)
+
+    def test_reads_each_oracle_once_per_grid_point(self, monkeypatch):
+        import metric_atlas.transport as tp
+        F, f_calls = counting_cdf(gaussian_cdf(0.0, 1.0))
+        G, g_calls = counting_cdf(gaussian_cdf(0.3, 1.2))
+        levy_search, search_calls = tp._levy_search, []
+
+        def search(*args):
+            before = g_calls[0]
+            out = levy_search(*args)
+            search_calls.append(g_calls[0] - before)
+            return out
+
+        monkeypatch.setattr(tp, "_levy_search", search)
+        smooth_pair(F, G, mesh=1e-3)
+        grid_size = np.arange(-10.5, 11.1 + 1e-3, 1e-3).size  # both supports
+        assert grid_size == 21601
+        assert f_calls[0] == grid_size  # the search probes G only
+        assert len(search_calls) == 1
+        assert g_calls[0] - search_calls[0] == grid_size
 
 
 class TestProkhorov:
@@ -753,7 +854,7 @@ class TestSmoothPairs:
     def test_kolmogorov_grid_brackets_truth(self):
         A = gaussian_cdf(0.0, 1.0)
         B = gaussian_cdf(0.5, 1.0)
-        value, err = smooth_pair_kolmogorov(A, B, mesh=1e-4)
+        value, err = smooth_pair(A, B, mesh=1e-4)["kolmogorov"]
         # equal-variance shift: sup at the midpoint, 2*Phi(delta/2) - 1
         exact = 2 * A(0.25) - 1
         assert abs(value - exact) <= err
@@ -763,8 +864,8 @@ class TestSmoothPairs:
                  (gaussian_cdf(0.0, 0.8), gaussian_cdf(0.1, 0.8)),
                  (gaussian_cdf(-0.2, 1.0), gaussian_cdf(0.0, 2.0))]
         for A, B in pairs:
-            k, k_err = smooth_pair_kolmogorov(A, B, mesh=1e-3)
-            l, l_err = smooth_pair_levy(A, B, mesh=1e-3)
+            pair = smooth_pair(A, B, mesh=1e-3)
+            (k, k_err), (l, l_err) = pair["kolmogorov"], pair["levy"]
             assert l <= k + l_err + k_err
             bound = (1.0 + B.density_bound) * (l + l_err) + k_err
             assert k <= bound + 1e-9
