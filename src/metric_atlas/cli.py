@@ -161,7 +161,7 @@ def _cmd_demo(args) -> int:
     dudley = {}
     for n in (2, 10):
         space, p_n, target = walks.dudley_instance(n)
-        w, _ = transport.wasserstein_finite(p_n, target)
+        w, _, _ = transport.wasserstein_finite(p_n, target)
         dudley[str(n)] = {"wasserstein": w, "prokhorov": transport.prokhorov(p_n, target)}
     binom = {str(n): walks.binomial_normal_demo(n) for n in (16, 1000)}
     payload = {

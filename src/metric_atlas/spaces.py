@@ -21,6 +21,11 @@ SAME_SPACE_TOL = 1e-12  # largest entrywise distance gap between spaces taken as
 
 PRODUCT_SIZE_LIMIT = 10**6
 
+# The triangle check takes the middle points j in blocks of at most this many
+# (j, i, k) cells: small spaces take one vectorized pass, large ones O(n^2)
+# memory.
+_TRIANGLE_BLOCK_CELLS = 1 << 14
+
 
 def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -47,6 +52,8 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if n < 1:
             raise ValueError("space.d: empty matrix")
+        if not np.all(np.isfinite(d)):  # first: NaN fails every other test
+            raise ValueError("space.d: non-finite entry")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("space.d: nonzero diagonal entry")
         if not np.array_equal(d, d.T):
@@ -54,15 +61,17 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ValueError("space.d: off-diagonal distance must be positive")
-        if np.any(~np.isfinite(d)):
-            raise ValueError("space.d: non-finite entry")
         if n <= TRIANGLE_CHECK_LIMIT:
-            for j in range(n):
-                viol = d > d[:, [j]] + d[[j], :] + TRIANGLE_TOL * (1.0 + d)
+            tol = TRIANGLE_TOL * (1.0 + d)
+            step = max(1, _TRIANGLE_BLOCK_CELLS // (n * n))
+            for j0 in range(0, n, step):
+                # viol[j, i, k]: d_ik > d_ij + d_jk + tol_ik, j in the block
+                via = d[j0:j0 + step]
+                viol = d > via[:, :, None] + via[:, None, :] + tol
                 if viol.any():
-                    i, k = np.argwhere(viol)[0]
+                    j, i, k = np.argwhere(viol)[0]
                     raise ValueError(
-                        f"space.d: triangle inequality fails at ({i},{j},{k})")
+                        f"space.d: triangle inequality fails at ({i},{j0 + j},{k})")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("space.labels: length mismatch")
         object.__setattr__(self, "d", _frozen(d))

@@ -3,11 +3,12 @@ Wasserstein, plus the ball-growth modulus used to bound discrepancy by
 Prokhorov.
 
 Exact algorithms throughout: discrepancy enumerates the finitely many closed
-balls. One transport core, successive shortest paths on dense arrays, serves
-Prokhorov and Wasserstein. Wasserstein is its optimum under the metric, with
-the optimal coupling as a witness; Prokhorov binary-searches the distinct
-distances delta, where by Strassen's equivalence its slack is the optimum
-under the 0/1 cost 1{d > delta}.
+balls. One transport core, successive shortest paths on dense arrays started
+from tight arcs, serves Prokhorov and Wasserstein. Wasserstein moves only the
+surplus of mu - nu onto its deficit (Kantorovich-Rubinstein duality), with the
+optimal coupling and a 1-Lipschitz function as witnesses; Prokhorov
+binary-searches the distinct distances delta, where by Strassen's equivalence
+its slack is the optimum under the 0/1 cost 1{d > delta}.
 """
 
 from __future__ import annotations
@@ -211,7 +212,8 @@ def smooth_pair(F: SmoothRealCdf, G: SmoothRealCdf,
 # ---------------------------------------------------------------------------
 
 def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
-               flow: np.ndarray, stop_cost: float = math.inf) -> np.ndarray:
+               flow: np.ndarray, stop_cost: float = math.inf
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Min-cost transportation plan by successive shortest paths.
 
     The residual graph is bipartite: a forward arc i -> j of cost
@@ -225,10 +227,15 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     at distance D; adding min(dist, D) to the potentials keeps the reduced
     costs non-negative without finishing it.
 
-    Augmentation starts from `flow`, which must be optimal for its value
-    under zero potentials (a flow on arcs of cost zero, when no cost is
-    negative), and stops once supply or demand is exhausted, or at the first
-    shortest path whose cost reaches `stop_cost`.
+    Costs must be non-negative, and `flow` may use only arcs of cost zero.
+    The search starts from tight arcs: each column's potential is its
+    cheapest arc, which is 0 wherever `flow` ships, and one greedy pass
+    ships along the arcs at that price. Augmentation then stops once supply
+    or demand is exhausted, or at the first shortest path whose cost reaches
+    `stop_cost`; the potentials telescope along a path of tight arcs, so
+    pot_c[j] - pot_r[i] is that cost. Returns the flow and the column
+    potentials, which with the row potentials satisfy
+    pot_c[j] - pot_r[i] <= cost[i, j], with equality wherever flow ships.
     """
     n, m = cost.shape
     flow = flow.copy()
@@ -246,11 +253,24 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     par_r, par_c = par[:n], par[n:]
     rows_n, cols_m = np.arange(n), np.arange(m)
 
+    # price each column at its cheapest arc, then ship greedily along the
+    # arcs that meet that price, column by column
+    pot_c[:] = cost.min(axis=0)
+    tight = (cost == pot_c) & (rem_s > _FLOW_EPS)[:, None] & (rem_d > _FLOW_EPS)
+    rs, rd = rem_s.tolist(), rem_d.tolist()
+    for j, i in zip(*(a.tolist() for a in np.nonzero(tight.T))):
+        amt = min(rs[i], rd[j])
+        if amt > _FLOW_EPS:
+            flow[i, j] += amt
+            rs[i] -= amt
+            rd[j] -= amt
+    rem_s, rem_d = np.array(rs), np.array(rd)
+
     for _ in range(16 * (n + m) + 100):
         is_src = rem_s > _FLOW_EPS
         np.greater(rem_d, _FLOW_EPS, out=needs[n:])
         if not (is_src.any() and needs.any()):
-            return flow
+            return flow, pot_c
         dist.fill(math.inf)
         dist_r[is_src] = 0.0
         open_[:] = dist
@@ -292,7 +312,7 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
             fi.append(int(par_c[bj[-1]]))
         i = fi[-1]
         if pot_c[j] - pot_r[i] >= stop_cost:  # the path's cost under `cost`
-            return flow
+            return flow, pot_c
         amt = min(rem_s[i], rem_d[j], flow[fi[:-1], bj].min(initial=math.inf))
         flow[fi, [j] + bj] += amt
         flow[fi[:-1], bj] -= amt
@@ -343,8 +363,8 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
 
     def u(k: int) -> float:
         if k not in cache:
-            flow = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
-                              flow=warm, stop_cost=1.0)
+            flow, _ = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
+                                 flow=warm, stop_cost=1.0)
             unshipped = float(np.sum(mu.p - flow.sum(axis=1)))
             cache[k] = (max(0.0, unshipped), flow)
         return cache[k][0]
@@ -369,17 +389,33 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
 # Wasserstein
 # ---------------------------------------------------------------------------
 
-def wasserstein_finite(mu: DiscreteDistribution,
-                       nu: DiscreteDistribution) -> tuple[float, Coupling]:
-    """Optimal transportation cost under the space's metric, with the
-    optimal coupling as a witness; the value is the coupling's exact cost.
+def wasserstein_finite(mu: DiscreteDistribution, nu: DiscreteDistribution
+                       ) -> tuple[float, Coupling, np.ndarray]:
+    """Optimal transportation cost under the space's metric, with two
+    witnesses: the optimal coupling, whose exact cost is the value, and a
+    1-Lipschitz f with sum f (mu - nu) equal to it.
 
-    The solver starts from the mass the two measures share on each point,
-    left in place: it costs 0, so it is optimal for its value."""
+    Under a metric cost W depends only on e = mu - nu (Kantorovich-Rubinstein
+    duality: W = sup over 1-Lipschitz f of sum f e). So the shared mass
+    min(mu, nu) stays on its point, and only the surplus block moves: from
+    S = {e > 0} to T = {e < 0}, at cost d[S][:, T]. With v the solver's
+    column potentials on T, f(x) = min over t in T of d(x, t) - v_t is
+    1-Lipschitz, being a minimum of 1-Lipschitz functions, and attains W.
+    When S or T is empty nothing is solved: W = 0 and f = 0.
+    """
     _check_same_space(mu, nu)
-    J = _transport(mu.space.d, mu.p, nu.p, flow=np.diag(np.minimum(mu.p, nu.p)))
+    d = mu.space.d
+    e = mu.p - nu.p
+    src, snk = e > 0.0, e < 0.0
+    J = np.diag(np.minimum(mu.p, nu.p))
+    f = np.zeros(mu.space.n)
+    if src.any() and snk.any():
+        block = d[src][:, snk]
+        flow, v = _transport(block, e[src], -e[snk], flow=np.zeros(block.shape))
+        J[np.ix_(src, snk)] += flow
+        f = np.min(d[:, snk] - v, axis=1)
     coupling = Coupling(J, mu, nu)
-    return coupling.expected_cost(mu.space.d), coupling
+    return coupling.expected_cost(d), coupling, f
 
 
 def wasserstein_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:

@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -35,13 +36,15 @@ def rng():
 
 @pytest.fixture
 def transport_solves(monkeypatch):
-    """Counts the calls of the one transport solver in `.count`."""
-    counter = types.SimpleNamespace(count=0)
+    """Counts the calls of the one transport solver in `.count`, and records
+    each call's (cost shape, stop_cost) in `.calls`."""
+    counter = types.SimpleNamespace(count=0, calls=[])
     solve = transport._transport
 
-    def counting(*args, **kwargs):
+    def counting(cost, supply, demand, flow, stop_cost=math.inf):
         counter.count += 1
-        return solve(*args, **kwargs)
+        counter.calls.append((cost.shape, stop_cost))
+        return solve(cost, supply, demand, flow, stop_cost)
 
     monkeypatch.setattr(transport, "_transport", counting)
     return counter

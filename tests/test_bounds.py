@@ -260,7 +260,7 @@ class TestNonCatalogRelations:
         for i in range(25):
             inst = random_instance(123, i, (3, 8), "random-metric",
                                    0.3 if i % 2 else 0.0)
-            w, _ = wasserstein_finite(inst.mu, inst.nu)
+            w, _, _ = wasserstein_finite(inst.mu, inst.nu)
             assert inst.space.d_min * discrepancy_finite(inst.mu, inst.nu) <= w + 1e-9
             assert w <= (inst.space.diam + 1.0) * prokhorov(inst.mu, inst.nu) + 1e-9
 

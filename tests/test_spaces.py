@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metric_atlas import spaces
 from metric_atlas.spaces import (Coupling, DiscreteDistribution,
                                  FiniteMetricSpace, RealAtomicDistribution,
                                  SmoothRealCdf, distribution_from_json,
@@ -11,6 +12,17 @@ from metric_atlas.spaces import (Coupling, DiscreteDistribution,
                                  product_pair, product_space, space_from_json)
 from metric_atlas.transport import discrepancy_real_mixed
 from metric_atlas.walks import standardized_binomial
+
+
+def _triangle_error_by_loop(d):
+    """The triangle check as a loop over the middle point j: the message for
+    the first violation, j first and then (i, k) in row-major order, or None."""
+    for j in range(d.shape[0]):
+        viol = d > d[:, [j]] + d[[j], :] + spaces.TRIANGLE_TOL * (1.0 + d)
+        if viol.any():
+            i, k = np.argwhere(viol)[0]
+            return f"space.d: triangle inequality fails at ({i},{j},{k})"
+    return None
 
 
 def path3():
@@ -29,6 +41,40 @@ class TestFiniteMetricSpace:
     def test_rejects_triangle_violation(self):
         with pytest.raises(ValueError, match="triangle"):
             FiniteMetricSpace.from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+
+    @pytest.mark.parametrize("d", [
+        [[0.0, math.nan], [math.nan, 0.0]],
+        [[math.nan, 1.0], [1.0, 0.0]],
+        [[0.0, math.inf], [math.inf, 0.0]],
+        [[0.0, 1.0], [1.0, math.inf]],
+    ], ids=["off-diagonal-nan", "diagonal-nan", "off-diagonal-inf", "diagonal-inf"])
+    def test_rejects_non_finite_entry_first(self, d):
+        with pytest.raises(ValueError, match=r"^space\.d: non-finite entry$"):
+            FiniteMetricSpace.from_matrix(d)
+
+    @pytest.mark.parametrize("cells", [spaces._TRIANGLE_BLOCK_CELLS, 50],
+                             ids=["default-blocks", "single-j-blocks"])
+    def test_triangle_check_names_the_loops_first_violation(self, monkeypatch, cells):
+        # with 50 cells, blocks hold 5, 3, 2 or 1 middle points for n = 3..11
+        monkeypatch.setattr(spaces, "_TRIANGLE_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(1412)
+        raised = 0
+        for trial in range(2000):
+            n = int(rng.integers(3, 12))
+            w = rng.uniform(0.1, 2.0, size=(n, n))
+            if trial % 2:  # ties: sums of tenths land on other entries
+                w = np.round(w, 1)
+            w = np.minimum(w, w.T)
+            np.fill_diagonal(w, 0.0)
+            want = _triangle_error_by_loop(w)
+            if want is None:
+                FiniteMetricSpace(w)
+                continue
+            with pytest.raises(ValueError) as err:
+                FiniteMetricSpace(w)
+            assert str(err.value) == want
+            raised += 1
+        assert raised >= 1500
 
     def test_diam_and_dmin(self):
         s = path3()

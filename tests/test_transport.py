@@ -17,6 +17,7 @@ from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_fini
                                     prokhorov, smooth_pair, tightest_ball_growth,
                                     wasserstein_finite, wasserstein_real)
 from metric_atlas.walks import standardized_binomial, z10_measures
+from metric_atlas.witness import check_wasserstein
 
 from conftest import random_atomic, random_pair_on
 
@@ -454,8 +455,8 @@ class TestProkhorov:
 
         def u(k):
             if k not in cache:
-                flow = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
-                                  flow=warm, stop_cost=1.0)
+                flow, _ = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
+                                     flow=warm, stop_cost=1.0)
                 cache[k] = (max(0.0, float(np.sum(mu.p - flow.sum(axis=1)))), flow)
             return cache[k][0]
 
@@ -489,21 +490,21 @@ class TestProkhorov:
 class TestWasserstein:
     def test_single_route(self):
         mu, nu = bern_pair(0.0, 1.0, d=0.75)
-        value, coupling = wasserstein_finite(mu, nu)
+        value, coupling, _ = wasserstein_finite(mu, nu)
         assert abs(value - 0.75) < 1e-15
         assert coupling.expected_cost(mu.space.d) == value  # witness is exact
 
     def test_dudley_stays_at_one(self):
         for n in (2, 5, 10, 1000):
             mu, nu = bern_pair(1.0 / n, 0.0, d=float(n))
-            value, _ = wasserstein_finite(mu, nu)
+            value, _, _ = wasserstein_finite(mu, nu)
             assert abs(value - 1.0) < 1e-12
 
     def test_bernoulli_hand_value(self, rng):
         for _ in range(10):
             p, q = rng.random(), rng.random()
             mu, nu = bern_pair(p, q)
-            value, _ = wasserstein_finite(mu, nu)
+            value, _, _ = wasserstein_finite(mu, nu)
             assert abs(value - abs(p - q)) < 1e-12
 
     def test_real_examples(self):
@@ -526,9 +527,9 @@ class TestWasserstein:
         s = FiniteMetricSpace.euclidean(rng.normal(size=(6, 2)))
         s3 = FiniteMetricSpace.from_matrix(3.0 * s.d)
         mu, nu = random_pair_on(s, rng)
-        w1, _ = wasserstein_finite(mu, nu)
-        w3, _ = wasserstein_finite(DiscreteDistribution(s3, mu.p),
-                                   DiscreteDistribution(s3, nu.p))
+        w1, _, _ = wasserstein_finite(mu, nu)
+        w3, _, _ = wasserstein_finite(DiscreteDistribution(s3, mu.p),
+                                      DiscreteDistribution(s3, nu.p))
         assert abs(w3 - 3.0 * w1) < 1e-10
 
     def test_no_negative_cycle_in_residual_graph(self, rng):
@@ -558,7 +559,7 @@ class TestWasserstein:
         for i in range(30):
             inst = random_instance(55, i, (3, 10), kinds[i % 3],
                                    0.3 if i % 2 else 0.0)
-            _, coupling = wasserstein_finite(inst.mu, inst.nu)
+            _, coupling, _ = wasserstein_finite(inst.mu, inst.nu)
             assert not has_negative_cycle(inst.space.d, coupling.J), \
                 inst.instance_id
 
@@ -574,21 +575,25 @@ class TestWasserstein:
             s = FiniteMetricSpace(w)
             mu, nu = random_pair_on(s, rng, sparsity=0.3 if trial % 2 else 0.0)
             assert abs(prokhorov(mu, nu) - prokhorov_exhaustive(mu, nu)) <= 1e-9
-            wass, coupling = wasserstein_finite(mu, nu)
+            wass, coupling, _ = wasserstein_finite(mu, nu)
             assert coupling.expected_cost(s.d) == wass
 
 
 def _lp_transport_cost(cost, a, b):
     """Optimal transportation cost from scipy's HiGHS LP, independent of
     the library's solver. scipy is a test-only dependency, imported here so
-    that the rest of the module runs without it."""
+    that the rest of the module runs without it. HiGHS's default feasibility
+    tolerances, 1e-7, left its optimum up to 8e-9 off a witness-checked W on
+    4 of 300 random instances; at 1e-10 it agrees within 1e-15."""
     from scipy import sparse
     from scipy.optimize import linprog
     n, m = cost.shape
     a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
                           sparse.kron(np.ones((1, n)), sparse.eye(m))])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return res.fun
 
@@ -640,6 +645,18 @@ LP_CASES = {
 }
 
 
+# euclidean pairs at n = 100-200 are in tests/test_witness.py
+WITNESS_CASES = {
+    "cycle-150": lambda rng: _dirichlet_pair(FiniteMetricSpace.cycle(150), rng),
+    "random-metric-100": lambda rng: _dirichlet_pair(_random_metric(rng, 100), rng),
+    "zero-mass-120": lambda rng: _zero_mass_pair(
+        FiniteMetricSpace.euclidean(rng.normal(size=(120, 2))), rng),
+    # integer grid points: many equal distances, so many tied cheapest arcs
+    "grid-ties-144": lambda rng: _dirichlet_pair(FiniteMetricSpace.euclidean(
+        np.stack(np.divmod(np.arange(144), 12), axis=1)), rng),
+}
+
+
 class TestTransportAgainstLP:
     """Cross-checks beyond the oracles' n <= 12, against scipy's HiGHS LP."""
 
@@ -647,7 +664,7 @@ class TestTransportAgainstLP:
     def test_matches_lp(self, case, rng):
         mu, nu = LP_CASES[case](rng)
         d = mu.space.d
-        w, coupling = wasserstein_finite(mu, nu)
+        w, coupling, _ = wasserstein_finite(mu, nu)
         assert abs(w - _lp_transport_cost(d, mu.p, nu.p)) <= 1e-10
         assert coupling.expected_cost(d) == w
 
@@ -700,9 +717,88 @@ class TestTransportDegenerate:
             "line-points-r0.35", "line-points-r1.9", "cycle40-points-r7"])
     def test_exact_values(self, build, want):
         mu, nu = build()
-        w, coupling = wasserstein_finite(mu, nu)
+        w, coupling, _ = wasserstein_finite(mu, nu)
         assert (prokhorov(mu, nu), w) == want
         assert coupling.expected_cost(mu.space.d) == w
+
+
+def _block_shape(mu, nu):
+    """(|S|, |T|) for the surplus S = {mu > nu} and deficit T = {mu < nu}."""
+    e = mu.p - nu.p
+    return int(np.sum(e > 0.0)), int(np.sum(e < 0.0))
+
+
+class TestWassersteinBlock:
+    """W moves only the surplus of mu - nu onto its deficit, and returns a
+    coupling and a 1-Lipschitz f that `check_wasserstein` verifies."""
+
+    def test_random_instances_match_lp(self, transport_solves):
+        for i in range(300):
+            inst = random_instance(612, i, (4, 64), INSTANCE_KINDS[i % 3],
+                                   (0.0, 0.3)[(i // 3) % 2])
+            mu, nu, d = inst.mu, inst.nu, inst.space.d
+            transport_solves.calls.clear()
+            w, coupling, f = wasserstein_finite(mu, nu)
+            assert transport_solves.calls == [(_block_shape(mu, nu), math.inf)], \
+                inst.instance_id
+            check_wasserstein(mu, nu, w, coupling, f)
+            assert abs(w - _lp_transport_cost(d, mu.p, nu.p)) <= 1e-10, inst.instance_id
+
+    @pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+    def test_witness_at_large_n(self, case, rng):
+        mu, nu = WITNESS_CASES[case](rng)
+        w, coupling, f = wasserstein_finite(mu, nu)
+        check_wasserstein(mu, nu, w, coupling, f)
+
+    def test_equal_measures_solve_nothing(self, transport_solves):
+        mu, nu = _equal_pair_40()
+        w, coupling, f = wasserstein_finite(mu, nu)
+        assert transport_solves.calls == []
+        assert w == 0.0
+        assert np.array_equal(coupling.J, np.diag(mu.p))
+        assert np.array_equal(f, np.zeros(40))
+        check_wasserstein(mu, nu, w, coupling, f)
+
+    def test_single_point_solves_nothing(self, transport_solves):
+        mu, nu = _pair(FiniteMetricSpace.from_matrix([[0.0]]), [1.0], [1.0])
+        w, coupling, f = wasserstein_finite(mu, nu)
+        assert (transport_solves.calls, w, coupling.J.tolist(), f.tolist()) == \
+            ([], 0.0, [[1.0]], [0.0])
+
+    def test_point_masses_take_one_unit_solve(self, transport_solves, rng):
+        s = _random_metric(rng, 12)
+        for i, j in ((0, 5), (7, 2), (11, 3)):
+            mu = DiscreteDistribution.point_mass(s, i)
+            nu = DiscreteDistribution.point_mass(s, j)
+            transport_solves.calls.clear()
+            w, coupling, f = wasserstein_finite(mu, nu)
+            assert transport_solves.calls == [((1, 1), math.inf)]
+            assert w == s.d[i, j]
+            assert coupling.J[i, j] == 1.0
+            check_wasserstein(mu, nu, w, coupling, f)
+
+    @pytest.mark.parametrize("build, sides", [
+        (_disjoint_pair, lambda mu, nu: (20, 20)),  # the two supports
+        (_zero_mass_pair, lambda mu, nu: (np.sum(mu.p > nu.p), np.sum(mu.p < nu.p))),
+    ], ids=["disjoint", "zero-mass"])
+    def test_solves_only_the_unbalanced_points(self, transport_solves, rng,
+                                               build, sides):
+        mu, nu = build(_random_metric(rng, 40), rng)
+        w, coupling, f = wasserstein_finite(mu, nu)
+        assert transport_solves.calls == [(sides(mu, nu), math.inf)]
+        # points empty under both measures join neither side
+        assert sum(sides(mu, nu)) == np.sum((mu.p > 0) | (nu.p > 0))
+        check_wasserstein(mu, nu, w, coupling, f)
+        assert abs(w - _lp_transport_cost(mu.space.d, mu.p, nu.p)) <= 1e-10
+
+    def test_prokhorov_solves_the_full_problem(self, transport_solves):
+        for i in range(60):
+            inst = random_instance(613, i, (4, 64), INSTANCE_KINDS[i % 3],
+                                   (0.0, 0.3)[(i // 3) % 2])
+            transport_solves.calls.clear()
+            prokhorov(inst.mu, inst.nu)
+            n = inst.space.n
+            assert all(call == ((n, n), 1.0) for call in transport_solves.calls)
 
 
 class TestMixedDiscrepancy:
@@ -822,7 +918,7 @@ class TestFigureBoundsOnRandomInstances:
             tv = total_variation(mu, nu)
             disc = discrepancy_finite(mu, nu)
             prok = prokhorov(mu, nu)
-            wass, _ = wasserstein_finite(mu, nu)
+            wass, _, _ = wasserstein_finite(mu, nu)
             slack = 1e-9
             assert prok ** 2 <= wass + slack
             assert wass <= (s.diam + 1.0) * prok + slack

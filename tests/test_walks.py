@@ -405,11 +405,11 @@ class TestDudley:
     def test_paper_values(self):
         for n in (2, 10):
             _, p_n, target = dudley_instance(n)
-            w, _ = wasserstein_finite(p_n, target)
+            w, _, _ = wasserstein_finite(p_n, target)
             assert abs(w - 1.0) < 1e-12
             assert abs(prokhorov(p_n, target) - 1.0 / n) < 1e-12
 
     def test_large_n_keeps_wasserstein_at_one(self):
         _, p_n, target = dudley_instance(10 ** 6)
-        w, _ = wasserstein_finite(p_n, target)
+        w, _, _ = wasserstein_finite(p_n, target)
         assert abs(w - 1.0) < 1e-12
