@@ -33,6 +33,14 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def fsum_largest_first(values: np.ndarray) -> float:
+    """math.fsum of non-negative values, taken in descending order. fsum is
+    correctly rounded, so the order does not change the sum; but terms that
+    span hundreds of binary orders of magnitude taken smallest first grow
+    its list of partial sums, and largest first keep it short."""
+    return math.fsum(np.sort(values)[::-1].tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite point set with a full distance matrix.
@@ -213,7 +221,7 @@ class RealAtomicDistribution:
             raise ValueError("atoms: positions must be strictly increasing")
         if np.any(ws <= 0):
             raise ValueError("atoms: weights must be positive")
-        total = math.fsum(ws.tolist())
+        total = fsum_largest_first(ws)
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"atoms: weights sum to {total!r}, not 1 within {MASS_TOL}")
         object.__setattr__(self, "positions", _frozen(xs))

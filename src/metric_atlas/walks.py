@@ -6,6 +6,7 @@ forms, and the standardized Binomial against the normal limit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from . import transport as tp
 # patches; CdgWalk.distances no longer calls it.
 from .divergences import tv_kernel  # noqa: F401
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, gaussian_cdf)
+                     RealAtomicDistribution, fsum_largest_first, gaussian_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +132,9 @@ class ProductWalkParams:
     t: float
 
     def __post_init__(self):
-        if self.n < 1:
+        if _integer("n", self.n) < 1:
             raise ValueError(f"n: need at least 1 coordinate, got {self.n}")
-        if self.g < 2:
+        if _integer("g", self.g) < 2:
             raise ValueError(f"g: group size must be >= 2, got {self.g}")
         if not self.t >= 0:  # also NaN; +inf is the stationary limit
             raise ValueError(f"t: time must be non-negative, got {self.t}")
@@ -142,6 +143,15 @@ class ProductWalkParams:
     def s(self) -> float:
         """Per-coordinate exposure t/n."""
         return self.t / self.n
+
+
+def _integer(field: str, value) -> int:
+    """value as an int (numpy integers pass), or a ValueError naming the
+    field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: must be an integer, got {value!r}") from None
 
 
 def _psi(a: float) -> float:
@@ -162,20 +172,11 @@ def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
     product identities, separation from the minimum density ratio, and total
     variation as a sum over the number of still-at-start coordinates, carried
     in log space so g as large as 2^64 stays finite.
-
-    The entropy is written without cancellation, as
-    n/g * [psi((g-1)u) + (g-1) psi(-u)] with psi(a) = (1+a) log1p(a) - a:
-    the linear terms of q log(gq) sum to zero and are left out, so the value
-    keeps its relative accuracy as it decays like chi-squared/2 towards 0.
     """
     n, g = params.n, params.g
-    s = params.s
-    u = math.exp(-s)                    # P(coordinate never refreshed)
-    log_gq0 = math.log1p((g - 1.0) * u)  # log of g*q0
-    log_gq1 = math.log1p(-u) if u < 1.0 else -math.inf  # log of g*q1
+    u = math.exp(-params.s)              # P(coordinate never refreshed)
+    log_gq0, log_gq1 = _log_gq(g, u)
     q0 = u + (1.0 - u) / g
-
-    entropy = n * (_psi((g - 1.0) * u) + (g - 1.0) * _psi(-u)) / g
 
     log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
     chi2 = math.inf if n * log1p_chi2_coord > 700.0 else math.expm1(n * log1p_chi2_coord)
@@ -185,11 +186,42 @@ def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
 
     separation = -math.expm1(n * log_gq1) if u < 1.0 else 1.0
 
+    return {"tv": _tv(_tv_log_counts(n, g), log_gq0, log_gq1),
+            "entropy": _entropy(n, g, u), "chi2": chi2,
+            "hellinger": hellinger, "separation": separation}
+
+
+def _log_gq(g: int, u: float) -> tuple[float, float]:
+    """log(g q0) and log(g q1), the log density ratios to uniform of a
+    coordinate still at its start and of one that has moved."""
+    return (math.log1p((g - 1.0) * u),
+            math.log1p(-u) if u < 1.0 else -math.inf)
+
+
+def _entropy(n: int, g: int, u: float) -> float:
+    """Relative entropy to uniform, written without cancellation as
+    n/g * [psi((g-1)u) + (g-1) psi(-u)] with psi(a) = (1+a) log1p(a) - a:
+    the linear terms of q log(gq) sum to zero and are left out, so the value
+    keeps its relative accuracy as it decays like chi-squared/2 towards 0."""
+    return n * (_psi((g - 1.0) * u) + (g - 1.0) * _psi(-u)) / g
+
+
+def _tv_log_counts(n: int, g: int) -> list[float]:
+    """log of the uniform mass of the states with k coordinates at their
+    start, C(n, k) (g-1)^(n-k) / g^n, for k = 0..n; they depend on n and g
+    alone."""
     log_base = math.log(g - 1.0)
+    return [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + (n - k) * log_base - n * math.log(g) for k in range(n + 1)]
+
+
+def _tv(log_counts: list[float], log_gq0: float, log_gq1: float) -> float:
+    """Total variation to uniform: half the sum over k of the uniform mass
+    of k still-at-start coordinates times |R_k - 1|, with R_k the density
+    ratio k log(g q0) + (n-k) log(g q1) in log space."""
+    n = len(log_counts) - 1
     terms = []
-    for k in range(n + 1):
-        log_count = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                     + (n - k) * log_base - n * math.log(g))
+    for k, log_count in enumerate(log_counts):
         log_ratio = k * log_gq0  # log of mu(x)/unif(x)
         if n - k:
             log_ratio += (n - k) * log_gq1
@@ -200,22 +232,22 @@ def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
         else:
             terms.append(math.exp(
                 log_count + log_ratio + math.log1p(-math.exp(-log_ratio))))
-    tv = 0.5 * math.fsum(terms)
-
-    return {"tv": tv, "entropy": entropy, "chi2": chi2,
-            "hellinger": hellinger, "separation": separation}
+    return 0.5 * math.fsum(terms)
 
 
 def crossing_time(params_at, threshold: float, t_hi: float) -> float:
-    """First time a decreasing distance curve drops to the threshold, by 80
-    bisection steps on [0, t_hi], where t_hi is a time by which the curve is
-    known to be at or below it: for the product walk, a chi-squared crossing
-    through the catalog edge `TV<=sqrt(chi2)/2` or `I<=log1p(chi2)`."""
+    """First time a decreasing distance curve drops to the threshold, by
+    bisection on [0, t_hi] that halves until lo and hi are adjacent floats,
+    at most 80 steps, where t_hi is a time by which the curve is known to be
+    at or below it: for the product walk, a chi-squared crossing through the
+    catalog edge `TV<=sqrt(chi2)/2` or `I<=log1p(chi2)`."""
     if params_at(0.0) <= threshold:
         return 0.0
     lo, hi = 0.0, t_hi
     for _ in range(80):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:  # no float left between: no step moves lo or hi
+            break
         if params_at(mid) > threshold:
             lo = mid
         else:
@@ -230,7 +262,7 @@ def product_walk_crossing_times(n: int, g: int,
     closed-form time t_chi2(level). By the catalog edges `TV<=sqrt(chi2)/2`
     and `I<=log1p(chi2)` (with log1p(x) <= x), tv and entropy are at or below
     the threshold by t_chi2(4 threshold^2) and t_chi2(threshold); each is
-    bisected below that bound."""
+    bisected below that bound, reading only its own distance at each probe."""
     if not 0.0 < threshold < math.inf:
         raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
     if 4.0 * threshold * threshold < sys.float_info.min:
@@ -241,12 +273,16 @@ def product_walk_crossing_times(n: int, g: int,
         ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
         return max(0.0, -0.5 * n * math.log(ratio))
 
-    def distance(key):
-        return lambda t: product_walk_distances(ProductWalkParams(n, g, t))[key]
+    log_counts = _tv_log_counts(n, g)
 
-    return {"tv": crossing_time(distance("tv"), threshold,
-                                t_chi2(4.0 * threshold * threshold)),
-            "entropy": crossing_time(distance("entropy"), threshold, t_chi2(threshold)),
+    def tv(t):
+        return _tv(log_counts, *_log_gq(g, math.exp(-t / n)))
+
+    def entropy(t):
+        return _entropy(n, g, math.exp(-t / n))
+
+    return {"tv": crossing_time(tv, threshold, t_chi2(4.0 * threshold * threshold)),
+            "entropy": crossing_time(entropy, threshold, t_chi2(threshold)),
             "chi2": t_chi2(threshold)}
 
 
@@ -267,17 +303,22 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
     log-gamma, renormalized by their exact float sum.
 
     Tail weights that underflow to 0 (from n = 1075 on) are dropped with
-    their atoms; for smaller n every atom is kept.
+    their atoms; for smaller n every atom is kept. By Hoeffding the weight
+    of k is at most exp(-2 (k - n/2)^2 / n), below exp(-746), which rounds
+    to 0, once |k - n/2| > sqrt(373 n), so only the atoms within
+    isqrt(373 n) + 2 of n/2 are computed.
     """
+    n = _integer("n", n)
     if n < 1:
-        raise ValueError("n: need at least one trial")
-    k = np.arange(n + 1)
-    lgamma_k1 = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    # lgamma(n - k + 1) is the same list reversed
-    logw = lgamma_k1[-1] - lgamma_k1 - lgamma_k1[::-1] - n * math.log(2.0)
+        raise ValueError(f"n: need at least one trial, got {n}")
+    k_lo = max(0, n // 2 - math.isqrt(373 * n) - 2)
+    k = np.arange(k_lo, n - k_lo + 1)
+    lgamma_k1 = np.array([math.lgamma(i + 1) for i in k.tolist()])
+    # lgamma(n - k + 1) is the same list reversed, as the window is symmetric
+    logw = math.lgamma(n + 1) - lgamma_k1 - lgamma_k1[::-1] - n * math.log(2.0)
     w = np.exp(logw)
     keep = w > 0.0
-    w = w[keep] / math.fsum(w[keep].tolist())
+    w = w[keep] / fsum_largest_first(w[keep])
     x = (2.0 * k[keep] - n) / math.sqrt(n)
     return RealAtomicDistribution(x, w)
 

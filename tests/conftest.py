@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from metric_atlas import transport
+from metric_atlas import transport, walks
 from metric_atlas.spaces import DiscreteDistribution, RealAtomicDistribution
 
 
@@ -47,4 +47,30 @@ def transport_solves(monkeypatch):
         return solve(cost, supply, demand, flow, stop_cost)
 
     monkeypatch.setattr(transport, "_transport", counting)
+    return counter
+
+
+@pytest.fixture
+def walk_probes(monkeypatch):
+    """Counts the calls of `walks.product_walk_distances` in `.distances`,
+    and records in `.probes` how many times each `walks.crossing_time` call
+    reads its curve, one entry per call."""
+    counter = types.SimpleNamespace(distances=0, probes=[])
+    distances, crossing = walks.product_walk_distances, walks.crossing_time
+
+    def counting_distances(params):
+        counter.distances += 1
+        return distances(params)
+
+    def counting_crossing(params_at, threshold, t_hi):
+        counter.probes.append(0)
+
+        def probe(t):
+            counter.probes[-1] += 1
+            return params_at(t)
+
+        return crossing(probe, threshold, t_hi)
+
+    monkeypatch.setattr(walks, "product_walk_distances", counting_distances)
+    monkeypatch.setattr(walks, "crossing_time", counting_crossing)
     return counter

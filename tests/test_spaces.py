@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metric_atlas import spaces
-from metric_atlas.spaces import (Coupling, DiscreteDistribution,
+from metric_atlas.spaces import (MASS_TOL, Coupling, DiscreteDistribution,
                                  FiniteMetricSpace, RealAtomicDistribution,
                                  SmoothRealCdf, distribution_from_json,
                                  gaussian_cdf, product_distribution,
-                                 product_pair, product_space, space_from_json)
+                                 fsum_largest_first, product_pair,
+                                 product_space, space_from_json)
 from metric_atlas.transport import discrepancy_real_mixed
 from metric_atlas.walks import standardized_binomial
 
@@ -194,10 +195,32 @@ class TestDistributions:
             distribution_from_json({"atoms": [{"x": 0.0, "w": bad},
                                               {"x": 1.0, "w": 1.0}]})
 
+    def test_atomic_mass_check_on_wide_range_weights(self):
+        # weights from 0.5 down to 2^-1070 (a subnormal), summing to the
+        # head's total plus under 2^-59
+        tail = [2.0 ** -e for e in range(60, 1071, 10)]
+        xs = np.arange(len(tail) + 2, dtype=float)
+        with pytest.raises(ValueError, match=r"atoms: weights sum to"):
+            RealAtomicDistribution(xs, np.array([0.5, 0.5 + 2 * MASS_TOL] + tail))
+        RealAtomicDistribution(xs, np.array([0.5, 0.5 + MASS_TOL / 2] + tail))
+        b = standardized_binomial(10**4)
+        assert b.weights.min() < 1e-300
+        RealAtomicDistribution(b.positions, b.weights)
+
     def test_from_pairs_merges_duplicates(self):
         d = RealAtomicDistribution.from_pairs([(1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
         assert d.positions.tolist() == [0.0, 1.0]
         assert d.weights.tolist() == [0.5, 0.5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0),
+                          st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                                    st.integers(-996, 1))),
+                min_size=1, max_size=80))
+def test_fsum_largest_first_is_fsum_bit_for_bit(values):
+    # terms from about 1e-300 to 1, in the order drawn
+    assert fsum_largest_first(np.array(values)) == math.fsum(values)
 
 
 class TestSmoothRealCdf:

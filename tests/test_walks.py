@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from metric_atlas import walks
 from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContext
 from metric_atlas.divergences import tv_kernel
 from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
@@ -221,6 +222,29 @@ class TestProductWalk:
         d = product_walk_distances(ProductWalkParams(3, 8, math.inf))
         assert d == dict.fromkeys(("tv", "entropy", "chi2", "hellinger", "separation"), 0.0)
 
+    @pytest.mark.parametrize("call, field", [
+        (lambda: ProductWalkParams(3, 4.5, 1.0), "g"),
+        (lambda: ProductWalkParams(2.5, 4, 1.0), "n"),
+        (lambda: ProductWalkParams(3, "4", 1.0), "g"),
+        (lambda: ProductWalkParams(3.0, 4, 1.0), "n"),
+        (lambda: product_walk_crossing_times(2.5, 4), "n"),
+        (lambda: product_walk_crossing_times(3, 4.5), "g"),
+        (lambda: standardized_binomial(10.5), "n"),
+        (lambda: standardized_binomial(16.0), "n"),
+    ], ids=["params-g", "params-n", "params-g-str", "params-n-integral-float",
+            "crossing-n", "crossing-g", "binomial", "binomial-integral-float"])
+    def test_rejects_non_integer_sizes(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            call()
+
+    def test_numpy_integer_sizes_accepted(self):
+        d = product_walk_distances(ProductWalkParams(np.int64(3), np.int64(4), 1.0))
+        assert d == product_walk_distances(ProductWalkParams(3, 4, 1.0))
+        assert (product_walk_crossing_times(np.int32(5), np.int64(2))
+                == product_walk_crossing_times(5, 2))
+        b = standardized_binomial(np.int64(16))
+        assert np.array_equal(b.weights, standardized_binomial(16).weights)
+
     def test_time_zero_closed_forms(self):
         for n, g in [(3, 8), (6, 64), (40, 2 ** 40)]:
             d = product_walk_distances(ProductWalkParams(n, g, 0.0))
@@ -334,6 +358,61 @@ class TestProductWalk:
                         thr)
                     assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (g, thr, key)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40, 64])
+    def test_crossings_equal_bisection_of_the_full_distances(self, n):
+        # reference: crossing_time over product_walk_distances(...)[key], below
+        # the same chi-squared brackets; equal as floats, not approximately
+        for g in sorted({2, 3, 2 ** n}):
+            def t_chi2(level):
+                ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
+                return max(0.0, -0.5 * n * math.log(ratio))
+
+            for thr in (1e-100, 1e-3, 0.01, 0.25, 0.5):
+                got = product_walk_crossing_times(n, g, thr)
+                assert got["chi2"] == t_chi2(thr)
+                for key, level in (("tv", 4.0 * thr * thr), ("entropy", thr)):
+                    want = crossing_time(
+                        lambda t: product_walk_distances(ProductWalkParams(n, g, t))[key],
+                        thr, t_chi2(level))
+                    assert got[key] == want, (g, thr, key)
+
+    @pytest.mark.parametrize("curve, threshold, t_hi", [
+        (lambda t: math.exp(-t), 0.25, 10.0),
+        (lambda t: 1.0 / (1.0 + t), 1e-3, 1e4),
+        (lambda t: math.exp(-t * t), 1e-300, 30.0),
+        (lambda t: 1.0 if t < 1.5 else 0.0, 0.5, 3.0),
+        (lambda t: 1.0 if t < 1e-200 else 0.0, 0.5, 1e300),
+        (lambda t: 0.1, 0.25, 10.0),
+        (lambda t: 1.0, 0.25, 10.0),
+        (lambda t: 1.0, 0.25, 0.0),
+        (lambda t: math.exp(-t), 0.25, 1.0),
+        (lambda t: math.exp(-t), 0.25, 5e-324),
+    ], ids=["exp", "reciprocal", "gaussian-tail", "step", "step-near-0",
+            "constant-below", "constant-above", "t_hi-zero", "above-at-t_hi",
+            "t_hi-subnormal"])
+    def test_crossing_time_equals_the_80_step_loop(self, curve, threshold, t_hi):
+        def bisect_80(params_at):
+            if params_at(0.0) <= threshold:
+                return 0.0
+            lo, hi = 0.0, t_hi
+            for _ in range(80):
+                mid = (lo + hi) / 2.0
+                if params_at(mid) > threshold:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2.0
+
+        assert crossing_time(curve, threshold, t_hi) == bisect_80(curve)
+
+    def test_crossing_probes_read_one_distance_each(self, walk_probes):
+        walks.product_walk_crossing_times(40, 2 ** 40)
+        assert walk_probes.distances == 0
+        # one probe at t = 0, then bisection steps until lo and hi are
+        # adjacent floats: 53 or 54 on these brackets
+        assert len(walk_probes.probes) == 2
+        assert all(count <= 56 for count in walk_probes.probes), walk_probes.probes
+
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, -math.inf, 1e-160],
                              ids=["nan", "zero", "negative", "inf", "-inf", "square-underflows"])
     def test_crossing_times_reject_bad_threshold(self, bad):
@@ -365,6 +444,22 @@ class TestBinomialNormal:
             assert b.m < n + 1
             assert abs(math.fsum(b.weights.tolist()) - 1.0) <= MASS_TOL
         assert binomial_normal_demo(2000)["disc"] < binomial_normal_demo(1000)["disc"]
+
+    @pytest.mark.parametrize("n", [1075, 2000, 10**4, 10**5])
+    def test_window_build_equals_the_full_range_build(self, n):
+        # reference: lgamma at every k, then the w > 0 trim
+        k = np.arange(n + 1)
+        lgamma_k1 = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+        w = np.exp(lgamma_k1[-1] - lgamma_k1 - lgamma_k1[::-1] - n * math.log(2.0))
+        keep = w > 0.0
+        b = standardized_binomial(n)
+        assert np.array_equal(b.weights, w[keep] / math.fsum(w[keep].tolist()))
+        assert np.array_equal(b.positions, (2.0 * k[keep] - n) / math.sqrt(n))
+        # every atom outside |k - n/2| <= isqrt(373 n) + 2 underflows,
+        # the ones just outside included
+        k_lo = max(0, n // 2 - math.isqrt(373 * n) - 2)
+        assert not w[:k_lo].any() and not w[n - k_lo + 1:].any()
+        assert (k_lo > 0) == (n >= 2000)
 
     def test_tv_is_exactly_one(self):
         for n in (16, 1000):
