@@ -163,7 +163,8 @@ def _cmd_demo(args) -> int:
         space, p_n, target = walks.dudley_instance(n)
         w, _, _ = transport.wasserstein_finite(p_n, target)
         dudley[str(n)] = {"wasserstein": w, "prokhorov": transport.prokhorov(p_n, target)}
-    binom = {str(n): walks.binomial_normal_demo(n) for n in (16, 1000)}
+    binom = {str(n): walks.binomial_normal_demo(n)
+             for n in (16, 10**2, 10**3, 10**4, 10**5, 10**6)}
     payload = {
         "z10": {
             "entropy_skewed": relative_entropy(mu, unif),

@@ -49,31 +49,54 @@ def _oracle_at(G: SmoothRealCdf, xs: np.ndarray) -> np.ndarray:
     return np.array([G(x) for x in xs.tolist()])
 
 
+def _interval_discrepancy(r: np.ndarray, l: np.ndarray) -> float:
+    """sup over intervals of |mu(I) - nu(I)| from r = F - G and l = F(.-) -
+    G(.-) at increasing points, F and G the CDFs of mu and nu.
+
+    Both are padded with 0 on each side, where F and G agree far out. An
+    interval that mu outweighs is best closed on points i <= j, worth
+    r_j - l_i; one that nu outweighs is best open between points i < j,
+    worth r_i - l_j. Each is a running max over prefixes.
+    """
+    r = np.concatenate(([0.0], r, [0.0]))
+    l = np.concatenate(([0.0], l, [0.0]))
+    closed = r + np.maximum.accumulate(-l)
+    open_ = -l[1:] + np.maximum.accumulate(r)[:-1]
+    return float(max(closed.max(), open_.max()))
+
+
+# Grid step on which two smooth CDFs are read.
+SMOOTH_MESH = 1e-3
+
+
+def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
+    """The points a pair against the smooth G is read at, F's values on
+    either side of each, and G's values there, one oracle call per point.
+
+    For an atomic F the points are its atoms, and G's oracle must hold the
+    1e-9 budget and its truncation interval must cover them. For a smooth F
+    they are a grid of step SMOOTH_MESH over both truncation intervals, with
+    F's one value standing for both sides.
+    """
+    if isinstance(F, RealAtomicDistribution):
+        if G.eval_tolerance > 1e-9:
+            raise ValueError("eval_tolerance: cdf oracle tolerance exceeds the 1e-9 budget")
+        xs = F.positions
+        if xs[0] < G.support[0] or xs[-1] > G.support[1]:
+            raise ValueError("support: truncation interval does not cover the atoms")
+        f, f_left = F.cdf(xs), F.cdf_left(xs)
+    else:
+        (a, b), (c, d) = F.support, G.support
+        xs = np.arange(min(a, c), max(b, d) + SMOOTH_MESH, SMOOTH_MESH)
+        f = f_left = _oracle_at(F, xs)
+    return xs, f, f_left, _oracle_at(G, xs)
+
+
 def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> float:
     """sup over closed intervals of |mu([a,b]) - nu([a,b])| for atomic mu
-    against an atomless nu.
-
-    Optimal intervals either close on atoms (mu-heavy) or open just inside
-    them (nu-heavy, attained as a supremum); both cases reduce to a running
-    max of A_j - B_i over prefixes.
-    """
-    if nu.eval_tolerance > 1e-9:
-        raise ValueError("eval_tolerance: cdf oracle tolerance exceeds the 1e-9 budget")
-    a, b = nu.support
-    xs = mu.positions
-    if xs[0] < a or xs[-1] > b:
-        raise ValueError("support: truncation interval does not cover the atoms")
-
-    pts = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
-    w_incl = mu.cdf(pts)        # mass <= pts[j]
-    w_excl = mu.cdf_left(pts)   # mass <  pts[j]
-    g = _oracle_at(nu, pts)
-
-    run_closed = np.maximum.accumulate(g - w_excl)   # max over i <= j
-    run_open = np.maximum.accumulate(w_incl - g)     # max over i <= j
-    best = max(np.max((w_incl - g) + run_closed),
-               np.max((g[1:] - w_excl[1:]) + run_open[:-1]))
-    return max(0.0, float(best))
+    against an atomless nu, exactly: the `disc` of `smooth_pair`."""
+    _, f, f_left, g = _read(mu, nu)
+    return _interval_discrepancy(f - g, f_left - g)
 
 
 # ---------------------------------------------------------------------------
@@ -88,30 +111,24 @@ def _gap(f, f_left, g) -> np.ndarray:
     return np.maximum(f - g, g - f_left)
 
 
-def kolmogorov(F, G) -> float:
-    """sup_x |F(x) - G(x)| for atomic/atomic or atomic/smooth inputs.
+def _check_steps(name: str, F, G) -> None:
+    if not all(isinstance(H, RealAtomicDistribution) for H in (F, G)):
+        raise TypeError(f"{name}: takes two atomic CDFs; use smooth_pair "
+                        "against a smooth CDF")
 
-    Step CDFs are compared at the merged atom positions; against a smooth
-    CDF both one-sided values at each atom are needed, and the sup is the
-    largest per-atom gap.
-    """
-    if isinstance(F, RealAtomicDistribution) and isinstance(G, RealAtomicDistribution):
-        grid = np.union1d(F.positions, G.positions)
-        return float(np.max(np.abs(F.cdf(grid) - G.cdf(grid))))
-    if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
-        F, G = G, F
-    if isinstance(F, RealAtomicDistribution) and isinstance(G, SmoothRealCdf):
-        xs = F.positions
-        return float(np.max(_gap(F.cdf(xs), F.cdf_left(xs), _oracle_at(G, xs))))
-    raise TypeError("kolmogorov: use smooth_pair for two smooth CDFs")
+
+def kolmogorov(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
+    """sup_x |F(x) - G(x)| of two step CDFs, compared at the merged atom
+    positions. Against a smooth CDF, `smooth_pair` reads it."""
+    _check_steps("kolmogorov", F, G)
+    grid = np.union1d(F.positions, G.positions)
+    return float(np.max(np.abs(F.cdf(grid) - G.cdf(grid))))
 
 
 def _bisect(feasible, tol: float) -> float:
     """Smallest feasible eps in [0, 1] of a monotone predicate, to `tol`:
     0.0 when feasible(0.0), else the upper end of the last bracket (1.0 when
-    nothing below it is feasible). Every probe is a dyadic point of the same
-    halving of [0, 1], so a predicate that is the conjunction of monotone
-    ones gets the largest of their results."""
+    nothing below it is feasible)."""
     if feasible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
@@ -151,59 +168,59 @@ def _levy_search(xs: np.ndarray, f, f_left, G, g, tol: float) -> float:
     return best
 
 
-def levy(F, G) -> float:
-    """Levy distance, bisected to an absolute tolerance of 1e-12. Accepts two
-    atomic CDFs, or one atomic and one smooth (the metric is symmetric, so
-    argument order is normalized).
+def levy(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
+    """Levy distance of two step CDFs, bisected to an absolute tolerance of
+    1e-12. Against a smooth CDF, `smooth_pair` reads it.
 
     L is the largest per-point root of the Levy condition, each bounded by
     the point's Kolmogorov gap, so only the points that can still bind are
-    bisected. Against a smooth G the points are F's atoms, with both
-    one-sided values of F. Between two step CDFs both conditions are
-    constant between jump points, so the points are the piece starts: F's
-    atoms against G and G's atoms against F, each with its CDF's value on
-    both sides. Every probe is a dyadic point of the same halving of [0, 1],
-    so the value equals one joint bisection over all points bit for bit.
+    bisected. Both conditions are constant between jump points, so the
+    points are the piece starts: F's atoms against G and G's atoms against
+    F, each with its CDF's value on both sides. Every probe is a dyadic
+    point of the same halving of [0, 1], so the value equals one joint
+    bisection over all points bit for bit.
     """
-    if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
-        F, G = G, F
-    if not isinstance(F, RealAtomicDistribution):
-        raise TypeError("levy: use smooth_pair for two smooth CDFs")
-    u = F.positions
-    if isinstance(G, SmoothRealCdf):
-        return _levy_search(u, F.cdf(u), F.cdf_left(u), G, _oracle_at(G, u), 1e-12)
-    v = G.positions
+    _check_steps("levy", F, G)
+    u, v = F.positions, G.positions
     f, g = F.cdf(u), G.cdf(v)
     return max(_levy_search(u, f, f, G, G.cdf(u), 1e-12),
                _levy_search(v, g, g, F, F.cdf(v), 1e-12))
 
 
-def smooth_pair(F: SmoothRealCdf, G: SmoothRealCdf,
-                mesh: float = 1e-3) -> dict[str, tuple[float, float]]:
-    """Kolmogorov, Levy and interval discrepancy of two smooth CDFs, each as
-    (value, certified error), keyed as the bound catalog's values.
+def smooth_pair(F: RealAtomicDistribution | SmoothRealCdf,
+                G: RealAtomicDistribution | SmoothRealCdf) -> dict[str, tuple[float, float]]:
+    """Kolmogorov, Levy and interval discrepancy of a pair against a smooth
+    CDF, each as (value, certified error), keyed as the bound catalog's
+    values. One of F and G may be atomic; the three metrics are symmetric,
+    so the atomic one is taken as F.
 
-    F and G are read once each, on a grid of step `mesh` over both
-    truncation intervals; a sup read off it is within err = (c_F + c_G) *
-    mesh + tol_F + tol_G of the true one. K is the largest |F - G| on the
-    grid and disc the spread max(F - G, 0) - min(F - G, 0), within 2 err.
-    L is the largest per-grid-point root against G, the search `levy` runs
-    over atoms with F's one value standing for both sides, bisected to
-    mesh/4, which joins the error when L > 0.
+    Both CDFs are read once at the same points: F's atoms, with both
+    one-sided values, or for a smooth F a grid of step SMOOTH_MESH over both
+    truncation intervals. G is read again only where the Levy search probes
+    it. K is the largest per-point gap, L the largest per-point root of the
+    Levy condition, and disc the interval discrepancy of F - G on both sides
+    of the points. Against an atomic F these are exact, and L is bisected to
+    1e-12. For two smooth CDFs a sup read off the grid is within err =
+    (c_F + c_G) * SMOOTH_MESH + tol_F + tol_G of the true one, disc (a
+    spread of two extremes) within 2 err, and L is bisected to
+    SMOOTH_MESH / 4. L's bisection tolerance joins its error when L > 0.
     """
-    if not (math.isfinite(mesh) and mesh > 0):
-        raise ValueError(f"mesh: must be finite and positive, got {mesh!r}")
-    lo = min(F.support[0], G.support[0])
-    hi = max(F.support[1], G.support[1])
-    grid = np.arange(lo, hi + mesh, mesh)
-    err = (F.density_bound + G.density_bound) * mesh + F.eval_tolerance + G.eval_tolerance
-    f, g = _oracle_at(F, grid), _oracle_at(G, grid)
-    diffs = f - g
-    levy_value = _levy_search(grid, f, f, G, g, mesh / 4.0)
+    if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
+        F, G = G, F
+    if not isinstance(G, SmoothRealCdf):
+        raise TypeError("smooth_pair: needs a smooth CDF; use kolmogorov and "
+                        "levy for two atomic ones")
+    xs, f, f_left, g = _read(F, G)
+    err, tol = 0.0, 1e-12
+    if isinstance(F, SmoothRealCdf):
+        err = ((F.density_bound + G.density_bound) * SMOOTH_MESH
+               + F.eval_tolerance + G.eval_tolerance)
+        tol = SMOOTH_MESH / 4.0
+    levy_value = _levy_search(xs, f, f_left, G, g, tol)
     return {
-        "kolmogorov": (float(np.max(np.abs(diffs))), err),
-        "levy": (levy_value, err + mesh / 4.0 if levy_value > 0 else err),
-        "disc": (float(max(diffs.max(), 0.0) - min(diffs.min(), 0.0)), 2.0 * err),
+        "kolmogorov": (float(np.max(_gap(f, f_left, g))), err),
+        "levy": (levy_value, err + tol if levy_value > 0 else err),
+        "disc": (_interval_discrepancy(f - g, f_left - g), 2.0 * err),
     }
 
 

@@ -324,13 +324,20 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
 
 
 def binomial_normal_demo(n: int) -> dict[str, float]:
-    """TV and discrepancy between the standardized Binomial(n, 1/2) and the
-    standard normal. TV is 1 exactly (atomic against atomless); the
-    discrepancy is the exact interval scan."""
+    """TV, discrepancy, Kolmogorov and Levy between the standardized
+    Binomial(n, 1/2) and the standard normal, and the last three times
+    sqrt(n). TV is 1 exactly (atomic against atomless); the others are
+    `transport.smooth_pair`'s exact values, and sqrt(n) times each tends to
+    a constant: 2 phi(0), phi(0) and phi(0) / (1 + phi(0)), with phi the
+    normal density."""
     mu = standardized_binomial(n)
     halfwidth = max(9.0, math.sqrt(n) + 2.0)
     nu = gaussian_cdf(0.0, 1.0, halfwidth)
-    return {"tv": 1.0, "disc": tp.discrepancy_real_mixed(mu, nu)}
+    out = {"tv": 1.0}
+    for key, (value, _) in tp.smooth_pair(mu, nu).items():
+        out[key] = value
+        out[f"sqrt_n_{key}"] = math.sqrt(n) * value
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -87,8 +87,7 @@ def test_acceptance_03_nested_uniforms():
 
 def test_acceptance_04_certification_campaign():
     def run():
-        return certification_campaign(trials=1000, seed=0, size_range=(4, 10),
-                                      sparsities=(0.0, 0.3))
+        return certification_campaign(trials=1000, seed=0, size_range=(4, 10))
 
     reports, ms = timed(run)
     rows = sum(len(r.results) for r in reports)

@@ -6,13 +6,13 @@ import pytest
 
 from metric_atlas.bounds import (CertificationReport, EdgeResult, MetricContext,
                                  certification_campaign, certify, edge_catalog,
-                                 evaluate_edges, finite_context, random_instance,
-                                 real_atomic_context, real_mixed_context,
-                                 real_smooth_context, reports_from_json,
-                                 reports_to_csv, reports_to_json)
+                                 embed_atomic_pair, evaluate_edges, finite_context,
+                                 random_instance, real_atomic_context,
+                                 real_mixed_context, real_smooth_context,
+                                 reports_from_json, reports_to_csv, reports_to_json)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, gaussian_cdf)
-from metric_atlas.transport import tightest_ball_growth
+from metric_atlas.transport import discrepancy_finite, tightest_ball_growth
 from metric_atlas.walks import standardized_binomial, z10_measures
 
 from conftest import random_pair_on
@@ -292,6 +292,19 @@ class TestTightnessWitnesses:
         G2 = RealAtomicDistribution.point_mass(1.0)
         ctx2 = real_atomic_context(F2, G2)
         assert abs(ctx2.values["disc"] - 2 * ctx2.values["kolmogorov"]) < 1e-12
+
+    def test_real_atomic_disc_is_the_finite_spaces(self):
+        # the collinear space's balls are centered at atoms, so [0, 1], where
+        # mu - nu = 1, is not one of them: disc reads 1/2, not the line's 1
+        F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
+        G = RealAtomicDistribution.from_pairs([(-0.5, 0.5), (1.5, 0.5)])
+        _, mu, nu = embed_atomic_pair(F, G)
+        ctx = real_atomic_context(F, G)
+        assert ctx.values["disc"] == discrepancy_finite(mu, nu) == 0.5
+        xs, e = np.union1d(F.positions, G.positions), mu.p - nu.p
+        line = max(abs(e[(xs >= a) & (xs <= b)].sum()) for a in xs for b in xs)
+        assert line == 1.0
+        assert evaluate_edges(ctx).passed
 
 
 class TestMutualConvergence:

@@ -167,3 +167,7 @@ class TestWalks:
         assert capsys.readouterr().out == first
         payload = json.loads(first)
         assert abs(payload["z10"]["tv_skewed"] - 0.5) < 1e-15
+        binom = payload["binomial_vs_normal"]
+        assert sorted(binom, key=int) == ["16", "100", "1000", "10000", "100000", "1000000"]
+        assert all(set(row) == {"tv", "disc", "kolmogorov", "levy", "sqrt_n_disc",
+                                "sqrt_n_kolmogorov", "sqrt_n_levy"} for row in binom.values())

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_atlas.bounds import (INSTANCE_KINDS, embed_atomic_pair, random_instance,
-                                 real_smooth_context)
+import metric_atlas.transport as tp
+from metric_atlas.bounds import (CAMPAIGN_SPARSITIES, INSTANCE_KINDS, embed_atomic_pair,
+                                 random_instance, real_mixed_context, real_smooth_context)
 from metric_atlas.divergences import total_variation
 from metric_atlas.oracles import (ball_growth_exhaustive, levy_grid_oracle,
                                   mixed_discrepancy_scan_oracle,
@@ -24,6 +25,12 @@ from conftest import random_atomic, random_pair_on
 
 def delta(x):
     return RealAtomicDistribution.point_mass(x)
+
+
+def mixed(key, F, G):
+    """One value of `smooth_pair`, the one reader of a pair against a
+    smooth CDF."""
+    return smooth_pair(F, G)[key][0]
 
 
 def bern_pair(p, q, d=1.0):
@@ -98,14 +105,14 @@ class TestKolmogorov:
         # mass just left of the median: the left limit drives the sup
         F = delta(0.0)
         G = gaussian_cdf()
-        assert abs(kolmogorov(F, G) - 0.5) < 1e-12
-        assert abs(kolmogorov(G, F) - 0.5) < 1e-12
+        assert abs(mixed("kolmogorov", F, G) - 0.5) < 1e-12
+        assert abs(mixed("kolmogorov", G, F) - 0.5) < 1e-12
 
     @pytest.mark.parametrize("mean", [-0.5, 0.5])
     def test_mixed_left_limit_or_value_drives_the_sup(self, mean):
         # at mean -0.5 the sup is |F(0-) - G(0)|, at mean 0.5 it is |F(0) - G(0)|
         want = 0.5 * (1.0 + math.erf(0.5 / math.sqrt(2.0)))
-        assert abs(kolmogorov(delta(0.0), gaussian_cdf(mean)) - want) < 1e-12
+        assert abs(mixed("kolmogorov", delta(0.0), gaussian_cdf(mean)) - want) < 1e-12
 
 
 class TestLevy:
@@ -158,8 +165,8 @@ class TestLevy:
         want = brentq(lambda e: 0.5 * (1.0 + math.erf((0.5 - e) / math.sqrt(2.0))) - e,
                       0.0, 1.0, xtol=1e-15)
         G = gaussian_cdf(mean)
-        assert abs(levy(delta(0.0), G) - want) < 1e-11
-        assert abs(levy(G, delta(0.0)) - want) < 1e-11
+        assert abs(mixed("levy", delta(0.0), G) - want) < 1e-11
+        assert abs(mixed("levy", G, delta(0.0)) - want) < 1e-11
 
     def test_shared_positions(self, rng):
         xs = np.array([-1.0, 0.0, 2.0])
@@ -264,10 +271,11 @@ def counting_cdf(G):
 class TestLevyPerPointSearch:
     @pytest.mark.parametrize("n", [16, 100, 1000])
     def test_binomial_matches_the_joint_bisection(self, n):
-        F, G = standardized_binomial(n), gaussian_cdf()
+        F = standardized_binomial(n)
+        G = gaussian_cdf(0.0, 1.0, max(9.0, math.sqrt(n) + 2.0))  # covers the atoms
         want = joint_atomic_levy(F, G).hex()
-        assert levy(F, G).hex() == want
-        assert levy(G, F).hex() == want
+        assert mixed("levy", F, G).hex() == want
+        assert mixed("levy", G, F).hex() == want
 
     def test_random_pairs_match_the_joint_bisection(self):
         rng = np.random.default_rng(20261018)
@@ -277,10 +285,13 @@ class TestLevyPerPointSearch:
             else:
                 xs = np.sort(rng.normal(size=int(rng.integers(1, 10))) * 1.5)
             F = RealAtomicDistribution(xs, rng.dirichlet(np.ones(xs.size)))
-            G = gaussian_cdf(float(rng.normal(0.0, 0.5)), float(rng.uniform(0.3, 2.0)))
+            mean, sigma = float(rng.normal(0.0, 0.5)), float(rng.uniform(0.3, 2.0))
+            # a truncation that covers the atoms; G's values do not depend on it
+            halfwidth = max(9.0, float(np.max(np.abs(xs - mean))) / sigma + 1.0)
+            G = gaussian_cdf(mean, sigma, halfwidth)
             want = joint_atomic_levy(F, G).hex()
-            assert levy(F, G).hex() == want
-            assert levy(G, F).hex() == want
+            assert mixed("levy", F, G).hex() == want
+            assert mixed("levy", G, F).hex() == want
 
     def test_step_pairs_match_the_joint_bisection(self):
         rng = np.random.default_rng(20261019)
@@ -291,7 +302,8 @@ class TestLevyPerPointSearch:
             assert levy(G, F).hex() == want, (F.positions, G.positions)
 
     @pytest.mark.parametrize("mesh", [1e-3, 4e-3])
-    def test_smooth_pairs_match_the_joint_bisection(self, mesh):
+    def test_smooth_pairs_match_the_joint_bisection(self, mesh, monkeypatch):
+        monkeypatch.setattr(tp, "SMOOTH_MESH", mesh)
         pairs = [(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2)),
                  (gaussian_cdf(0.0, 1.0), gaussian_cdf(0.0, 1.0)),
                  (gaussian_cdf(-1.0, 2.0), gaussian_cdf(0.2, 1.0))]
@@ -310,40 +322,23 @@ class TestLevyPerPointSearch:
                 "levy": (want, l_err),
                 "disc": (float(max(diffs.max(), 0.0) - min(diffs.min(), 0.0)), 2.0 * err),
             }
-            got = smooth_pair(A, B, mesh)
+            got = smooth_pair(A, B)
             assert {k: (v.hex(), e.hex()) for k, (v, e) in got.items()} \
                 == {k: (v.hex(), e.hex()) for k, (v, e) in expected.items()}
-            ctx = real_smooth_context(A, B, mesh=mesh)
+            ctx = real_smooth_context(A, B)
             assert {k: v.hex() for k, v in ctx.values.items()} \
                 == {k: v.hex() for k, (v, _) in expected.items()}
             assert ctx.extra_slack.hex() == (err + (1.0 + B.density_bound) * l_err).hex()
 
     def test_bisects_only_the_atoms_that_can_bind(self):
         F = standardized_binomial(1000)
-        G, calls = counting_cdf(gaussian_cdf())
-        value = levy(F, G)
+        G, calls = counting_cdf(gaussian_cdf(0.0, 1.0, math.sqrt(1000) + 2.0))
+        value = mixed("levy", F, G)
         assert calls[0] < 3 * F.positions.size
-        assert value == levy(F, gaussian_cdf())
-
-
-def smooth_pair_kolmogorov(F, G, mesh):
-    """K and its certified error, as `smooth_pair` returns them."""
-    return smooth_pair(F, G, mesh)["kolmogorov"]
-
-
-def smooth_pair_levy(F, G, mesh):
-    """L and its certified error, as `smooth_pair` returns them."""
-    return smooth_pair(F, G, mesh)["levy"]
+        assert value == mixed("levy", F, gaussian_cdf(0.0, 1.0, math.sqrt(1000) + 2.0))
 
 
 class TestSmoothGrid:
-    @pytest.mark.parametrize("mesh", [0.0, -1e-3, math.nan, math.inf])
-    @pytest.mark.parametrize("call", [smooth_pair_kolmogorov, smooth_pair_levy,
-                                      real_smooth_context])
-    def test_rejects_bad_mesh(self, call, mesh):
-        with pytest.raises(ValueError, match="^mesh:"):
-            call(gaussian_cdf(0.0, 1.0), gaussian_cdf(0.3, 1.2), mesh=mesh)
-
     def test_reads_each_oracle_once_per_grid_point(self, monkeypatch):
         import metric_atlas.transport as tp
         F, f_calls = counting_cdf(gaussian_cdf(0.0, 1.0))
@@ -357,7 +352,7 @@ class TestSmoothGrid:
             return out
 
         monkeypatch.setattr(tp, "_levy_search", search)
-        smooth_pair(F, G, mesh=1e-3)
+        smooth_pair(F, G)
         grid_size = np.arange(-10.5, 11.1 + 1e-3, 1e-3).size  # both supports
         assert grid_size == 21601
         assert f_calls[0] == grid_size  # the search probes G only
@@ -414,7 +409,7 @@ class TestProkhorov:
         """`certification_campaign`'s cycle of kinds and sparsities."""
         for i in range(count):
             yield random_instance(seed, i, size_range, INSTANCE_KINDS[i % 3],
-                                  (0.0, 0.3)[(i // 3) % 2])
+                                  CAMPAIGN_SPARSITIES[(i // 3) % 2])
 
     @staticmethod
     def bracket_index(mu, nu):
@@ -843,6 +838,106 @@ class TestMixedDiscrepancy:
             discrepancy_real_mixed(delta(11.0), gaussian_cdf())
 
 
+def three_read_reference(F, G):
+    """K, L and D of atomic F against smooth G as three separate reads of G
+    give them: D over the atoms between two sentinel points, one unit
+    outside them; K as the largest one-sided gap at the atoms; L as the
+    joint bisection. `smooth_pair` must reproduce them bit for bit."""
+    xs = F.positions
+    pts = np.concatenate([[xs[0] - 1.0], xs, [xs[-1] + 1.0]])
+    w_incl, w_excl = F.cdf(pts), F.cdf_left(pts)
+    g = np.array([G(x) for x in pts.tolist()])
+    run_closed = np.maximum.accumulate(g - w_excl)
+    run_open = np.maximum.accumulate(w_incl - g)
+    disc = max(0.0, float(max(np.max((w_incl - g) + run_closed),
+                              np.max((g[1:] - w_excl[1:]) + run_open[:-1]))))
+    g = np.array([G(x) for x in xs.tolist()])
+    f, f_left = F.cdf(xs), F.cdf_left(xs)
+    return {"kolmogorov": float(np.max(np.maximum(f - g, g - f_left))),
+            "levy": joint_atomic_levy(F, G),
+            "disc": disc}
+
+
+def mixed_pair(rng, kind):
+    """An atomic CDF against a normal one whose truncation covers it, of one
+    of six shapes: normal positions, a 0.25 lattice (ties between gaps)
+    against a mean on it, a single atom, a point mass on the lattice, a
+    dyadic lattice with equal weights, and positions rounded to 0.1."""
+    mean, sigma = float(rng.normal(0.0, 0.5)), float(rng.uniform(0.3, 2.0))
+    size = int(rng.integers(1, 10))
+    equal = False
+    if kind == 0:
+        xs = np.sort(rng.normal(size=size) * 1.5)
+    elif kind == 1:
+        xs = np.unique(rng.integers(-6, 7, size) * 0.25)
+        mean = float(rng.integers(-4, 5)) * 0.25
+    elif kind == 2:
+        xs = np.array([rng.normal() * 1.5])
+    elif kind == 3:
+        xs = np.array([float(rng.integers(-4, 5)) * 0.25])
+        mean = float(rng.choice([0.0, 0.25, mean]))
+    elif kind == 4:
+        xs, equal = np.unique(rng.integers(-8, 9, size) / 8.0), True
+    else:
+        xs = np.unique(np.round(rng.normal(size=size) * 1.5, 1))
+    w = np.full(xs.size, 1.0 / xs.size) if equal else rng.dirichlet(np.ones(xs.size))
+    halfwidth = max(9.0, float(np.max(np.abs(xs - mean))) / sigma + 1.0)
+    return RealAtomicDistribution(xs, w), gaussian_cdf(mean, sigma, halfwidth)
+
+
+class TestOneReaderAgainstSmooth:
+    def pairs(self):
+        rng = np.random.default_rng(20261019)
+        for trial in range(2040):
+            yield mixed_pair(rng, trial % 6)
+        for n in (1, 2, 3, 5, 16, 100, 1000, 1075, 4000):
+            yield (standardized_binomial(n),
+                   gaussian_cdf(0.0, 1.0, max(9.0, math.sqrt(n) + 2.0)))
+
+    def test_matches_the_three_read_reference(self):
+        degenerate = {"tv": 1.0, "hellinger": math.sqrt(2.0), "entropy": math.inf,
+                      "chi2": math.inf, "separation": 1.0}
+        for F, G in self.pairs():
+            want = {k: v.hex() for k, v in three_read_reference(F, G).items()}
+            for got in (smooth_pair(F, G), smooth_pair(G, F)):
+                assert {k: v.hex() for k, (v, _) in got.items()} == want, F.positions
+            ctx = real_mixed_context(F, G)
+            assert {k: v.hex() for k, v in ctx.values.items()} \
+                == {**{k: v.hex() for k, v in degenerate.items()}, **want}
+            assert ctx.extra_slack.hex() == (0.0).hex()
+            assert discrepancy_real_mixed(F, G).hex() == want["disc"]
+
+    def test_reads_the_smooth_cdf_once_per_atom(self):
+        # 1,001 atoms, plus the probes of the one Levy search
+        F = standardized_binomial(1000)
+        G, calls = counting_cdf(gaussian_cdf(0.0, 1.0, math.sqrt(1000) + 2.0))
+        real_mixed_context(F, G)
+        assert calls[0] <= 1200
+
+    @pytest.mark.parametrize("call", [kolmogorov, levy])
+    def test_step_metrics_refuse_a_smooth_cdf(self, call):
+        for F, G in ((delta(0.0), gaussian_cdf()), (gaussian_cdf(), delta(0.0)),
+                     (gaussian_cdf(), gaussian_cdf(0.3))):
+            with pytest.raises(TypeError, match="smooth_pair"):
+                call(F, G)
+
+    def test_needs_a_smooth_cdf(self):
+        with pytest.raises(TypeError, match="^smooth_pair:"):
+            smooth_pair(delta(0.0), delta(1.0))
+
+    def test_oracle_checks_cover_every_value(self):
+        sharp = gaussian_cdf()
+        blunt = SmoothRealCdf(sharp.cdf, sharp.density_bound, sharp.support,
+                              eval_tolerance=1e-6)
+        for F, G, field in ((delta(0.0), blunt, "eval_tolerance"),
+                            (delta(11.0), sharp, "support")):
+            for call in (smooth_pair, real_mixed_context):
+                with pytest.raises(ValueError, match=f"^{field}:"):
+                    call(F, G)
+            with pytest.raises(ValueError, match=f"^{field}:"):
+                smooth_pair(G, F)
+
+
 class TestBallGrowth:
     def test_zero_eps_is_zero(self):
         _, mu, _, unif = z10_measures()
@@ -947,10 +1042,11 @@ class TestFigureBoundsOnRandomInstances:
 
 
 class TestSmoothPairs:
-    def test_kolmogorov_grid_brackets_truth(self):
+    def test_kolmogorov_grid_brackets_truth(self, monkeypatch):
+        monkeypatch.setattr(tp, "SMOOTH_MESH", 1e-4)
         A = gaussian_cdf(0.0, 1.0)
         B = gaussian_cdf(0.5, 1.0)
-        value, err = smooth_pair(A, B, mesh=1e-4)["kolmogorov"]
+        value, err = smooth_pair(A, B)["kolmogorov"]
         # equal-variance shift: sup at the midpoint, 2*Phi(delta/2) - 1
         exact = 2 * A(0.25) - 1
         assert abs(value - exact) <= err
@@ -960,7 +1056,7 @@ class TestSmoothPairs:
                  (gaussian_cdf(0.0, 0.8), gaussian_cdf(0.1, 0.8)),
                  (gaussian_cdf(-0.2, 1.0), gaussian_cdf(0.0, 2.0))]
         for A, B in pairs:
-            pair = smooth_pair(A, B, mesh=1e-3)
+            pair = smooth_pair(A, B)
             (k, k_err), (l, l_err) = pair["kolmogorov"], pair["levy"]
             assert l <= k + l_err + k_err
             bound = (1.0 + B.density_bound) * (l + l_err) + k_err

@@ -11,8 +11,7 @@ from metric_atlas.divergences import tv_kernel
 from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
                                   product_walk_direct)
 from metric_atlas.spaces import MASS_TOL, gaussian_cdf
-from metric_atlas.transport import (discrepancy_finite, discrepancy_real_mixed,
-                                    kolmogorov, levy, prokhorov, wasserstein_finite)
+from metric_atlas.transport import discrepancy_finite, prokhorov, wasserstein_finite
 from metric_atlas.walks import (MAX_MODULUS, CdgWalk, ProductWalkParams,
                                 binomial_normal_demo, cdg_discrepancy,
                                 cdg_trace, crossing_time,
@@ -478,12 +477,11 @@ class TestBinomialNormal:
         # normal; n * |sqrt(n) X - c_X| measured 0.0997 (K), 0.0702 (L) and
         # 0.1995 (D) at every n from 10^2 to 10^6
         phi0 = 1.0 / math.sqrt(2.0 * math.pi)
-        F = standardized_binomial(n)
-        G = gaussian_cdf(0.0, 1.0, math.sqrt(n) + 2.0)
-        for value, limit in ((kolmogorov(F, G), phi0),
-                             (levy(F, G), phi0 / (1.0 + phi0)),
-                             (discrepancy_real_mixed(F, G), 2.0 * phi0)):
-            assert abs(math.sqrt(n) * value - limit) <= 0.25 / n
+        out = binomial_normal_demo(n)
+        for key, limit in (("kolmogorov", phi0), ("levy", phi0 / (1.0 + phi0)),
+                           ("disc", 2.0 * phi0)):
+            assert out[f"sqrt_n_{key}"] == math.sqrt(n) * out[key]
+            assert abs(out[f"sqrt_n_{key}"] - limit) <= 0.25 / n
 
     def test_mixed_snapshot_certifies(self):
         for n in (16, 200):
