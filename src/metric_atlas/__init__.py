@@ -13,7 +13,8 @@ from .divergences import (ConvexGenerator, GEN_CHI_SQUARED,
                           product_relative_entropy, relative_entropy,
                           separation, total_variation)
 from .transport import (BallGrowthModulus, ball_growth_at, discrepancy_finite,
-                        discrepancy_real_mixed, kolmogorov, levy, prokhorov,
+                        discrepancy_real, discrepancy_real_mixed,
+                        interval_growth_at, kolmogorov, levy, prokhorov,
                         tightest_ball_growth, wasserstein_finite,
                         wasserstein_real)
 from .bounds import (BoundEdge, CertificationReport, EdgeResult,

@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import divergences as dv
 from . import transport as tp
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, SmoothRealCdf)
+                     RealAtomicDistribution, SmoothRealCdf, _integer)
 
 REL_SLACK = 1e-9
 # Evaluating the ball-growth modulus just above the computed Prokhorov value
@@ -191,6 +191,16 @@ FINITE_METRICS: dict[str, Callable[[DiscreteDistribution, DiscreteDistribution],
 }
 
 
+# The four metrics of two atomic CDFs that are read on the line, looked up
+# late in the same way.
+LINE_METRICS: dict[str, Callable[[RealAtomicDistribution, RealAtomicDistribution], float]] = {
+    "disc": lambda F, G: tp.discrepancy_real(F, G),
+    "wasserstein": lambda F, G: tp.wasserstein_real(F, G),
+    "kolmogorov": lambda F, G: tp.kolmogorov(F, G),
+    "levy": lambda F, G: tp.levy(F, G),
+}
+
+
 def finite_context(mu: DiscreteDistribution, nu: DiscreteDistribution,
                    instance_id: str = "finite") -> MetricContext:
     """The eight metrics and the instance facts of a finite pair; d_min and
@@ -222,19 +232,18 @@ def embed_atomic_pair(F: RealAtomicDistribution, G: RealAtomicDistribution):
 
 def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
                         instance_id: str = "real-atomic") -> MetricContext:
-    """Atomic pair on the line: CDF metrics directly, geometric metrics on
-    the induced collinear space (Prokhorov agrees exactly with the line).
-
-    That space's balls are centered at atoms, so not every interval is one
-    of them: disc and the ball-growth modulus phi are the finite space's,
-    and disc can fall below the sup over intervals on the line, as 1/2
-    against 1 for (delta_0 + delta_1)/2 and (delta_-0.5 + delta_1.5)/2.
-    The catalog's edges hold for them as for any finite space."""
+    """Atomic pair on the line: disc, W, K and L from the two step CDFs
+    (LINE_METRICS), and phi the line's, over intervals and their complements.
+    The weight-based metrics, Prokhorov and the instance facts come from the
+    collinear finite space over the merged atoms, where both measures live
+    and Prokhorov agrees exactly with the line's."""
     _, mu, nu = embed_atomic_pair(F, G)
-    ctx = finite_context(mu, nu, instance_id)
-    return replace(
-        ctx, instance_id=instance_id, kind="real-atomic",
-        values={**ctx.values, "kolmogorov": tp.kolmogorov(F, G), "levy": tp.levy(F, G)})
+    values = {key: metric(mu, nu) for key, metric in FINITE_METRICS.items()
+              if key not in LINE_METRICS}
+    values.update({key: metric(F, G) for key, metric in LINE_METRICS.items()})
+    return MetricContext(instance_id, "real-atomic", values,
+                         nu_dominates_mu=dv.nu_dominates_mu(mu, nu), d_min=mu.space.d_min,
+                         diam=mu.space.diam, phi=functools.partial(tp.interval_growth_at, G))
 
 
 def real_mixed_context(F: RealAtomicDistribution, G: SmoothRealCdf,
@@ -335,10 +344,11 @@ def random_instance(seed: int, index: int, size_range: tuple[int, int] = (4, 10)
     """Deterministic per (seed, index): a space of the requested kind and a
     Dirichlet(1) distribution pair, optionally with zeroed coordinates to
     exercise domination edge cases."""
-    if size_range[1] > 64:
-        raise ValueError("instance size limit is 64")
+    lo, hi = (_integer("size_range", v) for v in size_range)
+    if not 1 <= lo <= hi <= 64:
+        raise ValueError(f"size_range: need 1 <= low <= high <= 64, got {tuple(size_range)!r}")
     rng = np.random.default_rng([seed, index])
-    n = int(rng.integers(size_range[0], size_range[1] + 1))
+    n = int(rng.integers(lo, hi + 1))
     space = _random_space(rng, n, kind)
     mu = DiscreteDistribution(space, _sparse_simplex(rng, space.n, sparsity))
     nu = DiscreteDistribution(space, _sparse_simplex(rng, space.n, sparsity))

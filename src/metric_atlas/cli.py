@@ -22,12 +22,10 @@ import sys
 
 from . import bounds, transport, walks
 from .divergences import relative_entropy, total_variation
-from .spaces import (DiscreteDistribution, RealAtomicDistribution,
-                     distribution_from_json)
+from .spaces import DiscreteDistribution, distribution_from_json
 
 _FINITE_METRICS = {**bounds.FINITE_METRICS, "kl": bounds.FINITE_METRICS["entropy"]}
-_REAL_ONLY = ("kolmogorov", "levy")
-METRIC_NAMES = sorted(set(_FINITE_METRICS) | set(_REAL_ONLY))
+METRIC_NAMES = sorted(set(_FINITE_METRICS) | set(bounds.LINE_METRICS))
 
 
 def _load_distribution(path: str):
@@ -42,26 +40,20 @@ def _load_distribution(path: str):
 
 
 def _compute_metric(metric: str, mu, nu) -> float:
+    """One metric of a pair: two finite measures on their space, or two
+    atomic CDFs on the line, where the weight-based metrics and Prokhorov
+    are read on the collinear space over the merged atoms."""
     finite = isinstance(mu, DiscreteDistribution)
     if finite != isinstance(nu, DiscreteDistribution):
         raise ValueError("inputs: mu and nu must both be finite-space or both real-line")
-    if metric in _REAL_ONLY:
-        if finite:
-            raise ValueError(
-                f"metric: {metric} applies only to distributions on the real line")
-        return {"kolmogorov": transport.kolmogorov,
-                "levy": transport.levy}[metric](mu, nu)
-    if metric not in _FINITE_METRICS:
-        raise ValueError(f"metric: unknown metric {metric!r}")
-    if not finite:
-        if not (isinstance(mu, RealAtomicDistribution)
-                and isinstance(nu, RealAtomicDistribution)):
-            raise ValueError("inputs: expected two atomic real-line distributions")
-        if metric == "wasserstein":
-            return transport.wasserstein_real(mu, nu)
-        _, m, n = bounds.embed_atomic_pair(mu, nu)
-        return _FINITE_METRICS[metric](m, n)
-    return _FINITE_METRICS[metric](mu, nu)
+    if finite:
+        if metric not in _FINITE_METRICS:
+            raise ValueError(f"metric: {metric} applies only to measures on the real line")
+        return _FINITE_METRICS[metric](mu, nu)
+    if metric in bounds.LINE_METRICS:
+        return bounds.LINE_METRICS[metric](mu, nu)
+    _, m, n = bounds.embed_atomic_pair(mu, nu)
+    return _FINITE_METRICS[metric](m, n)
 
 
 def _write(path: str | None, text: str):

@@ -42,7 +42,11 @@ def hellinger_affinity_kernel(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def hellinger_kernel(p: np.ndarray, q: np.ndarray) -> float:
-    return math.sqrt(max(0.0, 2.0 * (1.0 - hellinger_affinity_kernel(p, q))))
+    """sqrt(sum (sqrt p - sqrt q)^2), which is 0 on identical inputs; the
+    equal sqrt(2 (1 - affinity)) reads sqrt(2 delta) there when the mass
+    falls delta short of 1."""
+    diff = np.sqrt(p) - np.sqrt(q)
+    return math.sqrt(_fsum(diff * diff))
 
 
 def relative_entropy_kernel(p: np.ndarray, q: np.ndarray) -> float:
@@ -144,7 +148,8 @@ def hellinger_affinity(mu: DiscreteDistribution, nu: DiscreteDistribution) -> fl
 
 
 def hellinger(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
-    """sqrt(2 (1 - affinity)), in [0, sqrt(2)]."""
+    """sqrt(sum (sqrt mu - sqrt nu)^2) = sqrt(2 (1 - affinity)), in
+    [0, sqrt(2)]."""
     _check_same_space(mu, nu)
     return hellinger_kernel(mu.p, nu.p)
 

@@ -1,6 +1,7 @@
 """Independent brute-force computations used to validate the production
 algorithms. Deliberately slower and structured differently; none of these
-share code with the implementations they check.
+share code with the implementations they check, and the module imports
+nothing of the package but its domain types in `spaces`.
 """
 
 from __future__ import annotations
@@ -95,6 +96,34 @@ def ball_growth_exhaustive(nu: DiscreteDistribution, eps: float) -> float:
     return max(nu.mass(space.fatten(b, eps)) - nu.mass(b) for b in family)
 
 
+def interval_growth_exhaustive(nu: RealAtomicDistribution, eps: float) -> float:
+    """max of nu(B^eps) - nu(B) over closed intervals B = [a, b] of the line
+    and their complements, by trying every pair of ends.
+
+    [a, b] gains the atoms x with 0 < a - x <= eps or 0 < x - b <= eps. Its
+    complement is open, so its eps-fattening is (-inf, a + eps] U
+    [b - eps, inf), and it gains the atoms x of [a, b] with x - a <= eps or
+    b - x <= eps. Both are constant while each end stays on one piece of the
+    line cut at the atoms y and at y - eps, y + eps, so the ends a <= b range
+    over those cuts, the midpoints between them and one point beyond each
+    end. Membership is decided in this distance form, on the float
+    differences, and never by rebuilding an end as y + eps, which can round
+    below or above where x - a crosses eps.
+    """
+    y, w = nu.positions, nu.weights
+    cuts = np.unique(np.concatenate([y - eps, y, y + eps]))
+    ends = np.sort(np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2.0,
+                                   [cuts[0] - 1.0, cuts[-1] + 1.0]]))
+    best = 0.0
+    for i, a in enumerate(ends.tolist()):
+        b = ends[i:, None]
+        grown = (((a - y > 0.0) & (a - y <= eps))
+                 | ((y - b > 0.0) & (y - b <= eps)))
+        shrunk = (a <= y) & (y <= b) & ((y - a <= eps) | (b - y <= eps))
+        best = max(best, float(np.max(grown @ w)), float(np.max(shrunk @ w)))
+    return best
+
+
 def levy_grid_oracle(F: RealAtomicDistribution, G: RealAtomicDistribution,
                      mesh: float = 1e-4) -> tuple[float, float]:
     """Bracket [lo, hi] around the Levy distance, hi - lo <= mesh.
@@ -171,11 +200,8 @@ def mixed_discrepancy_scan_oracle(F: RealAtomicDistribution,
 
 def product_walk_direct(n: int, g: int, t: float) -> dict[str, float]:
     """Distances to uniform for the coordinate-refresh walk, computed on the
-    full g^n-point product space (small cases only)."""
-    from .divergences import (chi_squared_kernel, hellinger_kernel,
-                              relative_entropy_kernel, separation_kernel,
-                              tv_kernel)
-
+    full g^n-point product space (small cases only), each from its
+    definition with exactly rounded sums."""
     if g ** n > 2 ** 20:
         raise ValueError("product_walk_direct: state space too large")
     s = t / n
@@ -185,13 +211,14 @@ def product_walk_direct(n: int, g: int, t: float) -> dict[str, float]:
     dist = np.array([1.0])
     for _ in range(n):
         dist = np.kron(dist, coord)
-    unif = np.full(g ** n, 1.0 / g ** n)
+    u = 1.0 / g ** n
+    pos = dist[dist > 0.0]
     return {
-        "tv": tv_kernel(dist, unif),
-        "entropy": relative_entropy_kernel(dist, unif),
-        "chi2": chi_squared_kernel(dist, unif),
-        "hellinger": hellinger_kernel(dist, unif),
-        "separation": separation_kernel(dist, unif),
+        "tv": 0.5 * math.fsum(np.abs(dist - u).tolist()),
+        "entropy": math.fsum((pos * np.log(pos / u)).tolist()),
+        "chi2": math.fsum(((dist - u) ** 2 / u).tolist()),
+        "hellinger": math.sqrt(math.fsum(((np.sqrt(dist) - math.sqrt(u)) ** 2).tolist())),
+        "separation": float(np.max(1.0 - dist / u)),
     }
 
 

@@ -7,6 +7,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -33,6 +34,28 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _integer(field: str, value) -> int:
+    """value as an int (numpy integers pass), or a ValueError naming the
+    field."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{field}: must be an integer, got {value!r}") from None
+
+
+def _reals(field: str, value) -> np.ndarray:
+    """value as a float array, or a ValueError naming the field when it
+    holds anything but numbers (null, a string, a bool) or nests lists of
+    unequal lengths."""
+    try:
+        a = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{field}: must be a rectangular array of numbers") from None
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{field}: must hold numbers only")
+    return a.astype(float, copy=False)
+
+
 def fsum_largest_first(values: np.ndarray) -> float:
     """math.fsum of non-negative values, taken in descending order. fsum is
     correctly rounded, so the order does not change the sum; but terms that
@@ -54,7 +77,7 @@ class FiniteMetricSpace:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
+        d = _reals("space.d", self.d)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError("space.d: must be a square matrix")
         n = d.shape[0]
@@ -125,21 +148,20 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_matrix(cls, d, labels=None) -> "FiniteMetricSpace":
-        return cls(np.asarray(d, dtype=float),
-                   tuple(labels) if labels is not None else None)
+        return cls(d, tuple(labels) if labels is not None else None)
 
     @classmethod
     def cycle(cls, n: int) -> "FiniteMetricSpace":
         """n-cycle with the graph metric min(|i-j|, n-|i-j|)."""
-        if n < 3:
-            raise ValueError("cycle length must be >= 3")
+        if _integer("space.n", n) < 3:
+            raise ValueError(f"space.n: cycle length must be >= 3, got {n}")
         i = np.arange(n)
         gap = np.abs(i[:, None] - i[None, :])
         return cls(np.minimum(gap, n - gap).astype(float))
 
     @classmethod
     def euclidean(cls, points) -> "FiniteMetricSpace":
-        pts = np.asarray(points, dtype=float)
+        pts = _reals("space.points", points)
         if pts.ndim == 1:
             pts = pts[:, None]
         diff = pts[:, None, :] - pts[None, :, :]
@@ -166,7 +188,7 @@ class DiscreteDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = _reals("distribution.p", self.p)
         if p.ndim != 1 or p.shape[0] != self.space.n:
             raise ValueError("distribution.p: length must match the space")
         if not np.all(np.isfinite(p)):
@@ -209,8 +231,8 @@ class RealAtomicDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.positions, dtype=float)
-        ws = np.asarray(self.weights, dtype=float)
+        xs = _reals("atoms.positions", self.positions)
+        ws = _reals("atoms.weights", self.weights)
         if xs.ndim != 1 or xs.shape != ws.shape or xs.size == 0:
             raise ValueError("atoms: positions and weights must be matching 1-D arrays")
         if not np.all(np.isfinite(xs)):
@@ -248,11 +270,16 @@ class RealAtomicDistribution:
     @classmethod
     def from_pairs(cls, pairs) -> "RealAtomicDistribution":
         """Build from (position, weight) pairs; merges duplicates, drops zeros."""
+        pairs = list(pairs)
+        pos = _reals("atoms.positions", [x for x, _ in pairs])
+        wts = _reals("atoms.weights", [w for _, w in pairs])
+        if pos.ndim != 1 or wts.ndim != 1:
+            raise ValueError("distribution.atoms: each x and w must be a number")
         acc: dict[float, float] = {}
-        for x, w in pairs:
-            if not float(w) >= 0.0:  # before merging, which could hide it
+        for x, w in zip(pos.tolist(), wts.tolist()):
+            if not w >= 0.0:  # before merging, which could hide it
                 raise ValueError(f"atoms.weights: weight {w!r} is negative or NaN")
-            acc[float(x)] = acc.get(float(x), 0.0) + float(w)
+            acc[x] = acc.get(x, 0.0) + w
         xs = sorted(x for x, w in acc.items() if w > 0)
         return cls(np.array(xs), np.array([acc[x] for x in xs]))
 
@@ -297,6 +324,8 @@ class SmoothRealCdf:
 def gaussian_cdf(mean: float = 0.0, sigma: float = 1.0,
                  halfwidth: float = 9.0) -> SmoothRealCdf:
     """Normal CDF via erf, truncated at mean +- halfwidth*sigma."""
+    if not 0.0 < sigma < math.inf:  # also NaN
+        raise ValueError(f"sigma: must be positive and finite, got {sigma!r}")
     if halfwidth < 7.1:
         raise ValueError("halfwidth: too small to push tail mass below 1e-12")
 
@@ -387,7 +416,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
     if kind == "cycle":
         if "n" not in obj:
             raise ValueError("space.n: missing")
-        return FiniteMetricSpace.cycle(int(obj["n"]))
+        return FiniteMetricSpace.cycle(obj["n"])
     if kind == "euclidean":
         if "points" not in obj:
             raise ValueError("space.points: missing")
@@ -415,5 +444,5 @@ def distribution_from_json(obj: dict):
         if "space" not in obj:
             raise ValueError("distribution.space: missing")
         space = space_from_json(obj["space"])
-        return DiscreteDistribution(space, np.asarray(obj["p"], dtype=float))
+        return DiscreteDistribution(space, obj["p"])
     raise ValueError("distribution: needs either 'p' (with 'space') or 'atoms'")

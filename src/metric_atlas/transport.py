@@ -3,12 +3,14 @@ Wasserstein, plus the ball-growth modulus used to bound discrepancy by
 Prokhorov.
 
 Exact algorithms throughout: discrepancy enumerates the finitely many closed
-balls. One transport core, successive shortest paths on dense arrays started
-from tight arcs, serves Prokhorov and Wasserstein. Wasserstein moves only the
-surplus of mu - nu onto its deficit (Kantorovich-Rubinstein duality), with the
-optimal coupling and a 1-Lipschitz function as witnesses; Prokhorov
-binary-searches the distinct distances delta, where by Strassen's equivalence
-its slack is the optimum under the 0/1 cost 1{d > delta}.
+balls, which on the line are the intervals. One transport core, successive
+shortest paths on dense arrays started from tight arcs, serves Prokhorov and
+Wasserstein on a finite space. Wasserstein there moves only the surplus of
+mu - nu onto its deficit (Kantorovich-Rubinstein duality), with the optimal
+coupling and a 1-Lipschitz function as witnesses; on the line it is the
+integral of |F - G|. Prokhorov binary-searches the distinct distances delta,
+where by Strassen's equivalence its slack is the optimum under the 0/1 cost
+1{d > delta}.
 """
 
 from __future__ import annotations
@@ -90,6 +92,14 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
         xs = np.arange(min(a, c), max(b, d) + SMOOTH_MESH, SMOOTH_MESH)
         f = f_left = _oracle_at(F, xs)
     return xs, f, f_left, _oracle_at(G, xs)
+
+
+def discrepancy_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
+    """sup over closed intervals of |mu([a,b]) - nu([a,b])| for two atomic
+    measures, exactly: the interval discrepancy of their step CDFs, read on
+    both sides of the merged atoms."""
+    x = np.union1d(F.positions, G.positions)
+    return _interval_discrepancy(F.cdf(x) - G.cdf(x), F.cdf_left(x) - G.cdf_left(x))
 
 
 def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> float:
@@ -503,6 +513,34 @@ def ball_growth_at(nu: DiscreteDistribution, eps: float) -> float:
         growth = ((dist > 0.0) & (dist <= eps)) @ nu.p
         best = max(best, float(np.max(growth, initial=0.0)))
     return best
+
+
+def interval_growth_at(nu: RealAtomicDistribution, eps: float) -> float:
+    """sup over closed intervals B of the line and their complements of
+    nu(B^eps) - nu(B), B^eps the closed eps-fattening, in O(m log m).
+
+    An interval [a, b] gains nu([a - eps, a)) + nu((b, b + eps]). With y_r
+    the last atom of the left window and y_l the first of the right one,
+    y_r < y_l and the gain is at most L_r + R_l, where L_r = nu([y_r - eps,
+    y_r]) and R_l = nu([y_l, y_l + eps]); the complement of [y_r - eps,
+    y_l + eps] gains exactly that. So intervals are dominated by
+    complements. The complement of [a, b] gains nu([a, a + eps]) +
+    nu([b - eps, b]) when b - a > 2 eps: sliding each window outward onto
+    its outermost atom gives the largest L_r + R_l over atoms r < l, one
+    running max. When b - a <= 2 eps it gains all of [a, b]: the largest
+    C_i = nu([y_i, y_i + 2 eps]).
+
+    A complement is open, so its closure gains the atoms at both ends: the
+    value at eps = 0 is the largest sum of two atom weights (1 for a single
+    atom), not 0.
+    """
+    y = nu.positions
+    before = nu.cdf_left(y)
+    left = nu.cdf(y) - nu.cdf_left(y - eps)
+    right = nu.cdf(y + eps) - before
+    span = nu.cdf(y + 2.0 * eps) - before
+    pairs = np.maximum.accumulate(left)[:-1] + right[1:]
+    return float(max(span.max(), pairs.max(initial=0.0)))
 
 
 def tightest_ball_growth(nu: DiscreteDistribution) -> BallGrowthModulus:

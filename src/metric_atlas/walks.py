@@ -6,7 +6,6 @@ forms, and the standardized Binomial against the normal limit.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -17,7 +16,8 @@ from . import transport as tp
 # patches; CdgWalk.distances no longer calls it.
 from .divergences import tv_kernel  # noqa: F401
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, fsum_largest_first, gaussian_cdf)
+                     RealAtomicDistribution, _integer, fsum_largest_first,
+                     gaussian_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ class CdgWalk:
     """
 
     def __init__(self, p: int):
-        if p < 3 or p % 2 == 0:
+        if _integer("p", p) < 3 or p % 2 == 0:
             raise ValueError(f"p: modulus must be odd and >= 3, got {p}")
         if p > MAX_MODULUS:
             raise ValueError(f"p: modulus must be <= 2^26 - 1 = {MAX_MODULUS} "
@@ -143,15 +143,6 @@ class ProductWalkParams:
     def s(self) -> float:
         """Per-coordinate exposure t/n."""
         return self.t / self.n
-
-
-def _integer(field: str, value) -> int:
-    """value as an int (numpy integers pass), or a ValueError naming the
-    field."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{field}: must be an integer, got {value!r}") from None
 
 
 def _psi(a: float) -> float:

@@ -17,6 +17,14 @@ def random_atomic(rng, max_atoms=8, scale=2.0, positions=None):
     return RealAtomicDistribution(positions, rng.dirichlet(np.ones(m)))
 
 
+def lattice_atomic(rng):
+    """random_atomic on the 0.25 lattice in [-2, 2], where two draws share
+    positions and gaps tie."""
+    m = int(rng.integers(1, 8))
+    return random_atomic(rng, positions=np.sort(
+        rng.choice(np.arange(-8, 9) * 0.25, size=m, replace=False)))
+
+
 def random_pair_on(space, rng, sparsity=0.0):
     def draw():
         p = rng.dirichlet(np.ones(space.n))

@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +14,13 @@ from metric_atlas.bounds import (CertificationReport, EdgeResult, MetricContext,
                                  reports_from_json, reports_to_csv, reports_to_json)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, gaussian_cdf)
-from metric_atlas.transport import discrepancy_finite, tightest_ball_growth
+from metric_atlas import transport as tp
+from metric_atlas.cli import METRIC_NAMES, main
+from metric_atlas.transport import (discrepancy_finite, prokhorov, tightest_ball_growth,
+                                    wasserstein_finite)
 from metric_atlas.walks import standardized_binomial, z10_measures
 
-from conftest import random_pair_on
+from conftest import lattice_atomic, random_atomic, random_pair_on
 
 
 def ids(catalog):
@@ -293,18 +298,92 @@ class TestTightnessWitnesses:
         ctx2 = real_atomic_context(F2, G2)
         assert abs(ctx2.values["disc"] - 2 * ctx2.values["kolmogorov"]) < 1e-12
 
-    def test_real_atomic_disc_is_the_finite_spaces(self):
+    def test_real_atomic_disc_is_the_lines(self):
         # the collinear space's balls are centered at atoms, so [0, 1], where
-        # mu - nu = 1, is not one of them: disc reads 1/2, not the line's 1
+        # mu - nu = 1, is not one of them: its disc reads 1/2, the line's 1
         F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
         G = RealAtomicDistribution.from_pairs([(-0.5, 0.5), (1.5, 0.5)])
         _, mu, nu = embed_atomic_pair(F, G)
         ctx = real_atomic_context(F, G)
-        assert ctx.values["disc"] == discrepancy_finite(mu, nu) == 0.5
+        assert ctx.values["disc"] == 1.0
+        assert discrepancy_finite(mu, nu) == 0.5
         xs, e = np.union1d(F.positions, G.positions), mu.p - nu.p
         line = max(abs(e[(xs >= a) & (xs <= b)].sum()) for a in xs for b in xs)
         assert line == 1.0
         assert evaluate_edges(ctx).passed
+
+
+def _atomic_pairs(n, seed=0):
+    """n pairs of random_atomic draws, every third on the lattice, plus a
+    single atom and a random draw, each against itself."""
+    rng = np.random.default_rng(seed)
+    draw = [lattice_atomic, random_atomic, random_atomic]
+    pairs = [(draw[i % 3](rng), draw[i % 3](rng)) for i in range(n)]
+    point = RealAtomicDistribution.point_mass(0.5)
+    return pairs + [(point, point), (pairs[1][0], pairs[1][0])]
+
+
+class TestRealAtomicOnTheLine:
+    def test_certify_passes(self):
+        for F, G in _atomic_pairs(1000):
+            rep = certify(F, G)
+            assert rep.passed, [r.edge_id for r in rep.failures]
+            assert {r.edge_id for r in rep.results if r.status == "skip"} <= {
+                "K<=(1+c)L", "H<=sqrt(chi2)"}
+
+    def test_line_values_against_the_embedding(self):
+        # the line's intervals include the embedding's balls, and W is the
+        # same transport problem on either side
+        for F, G in _atomic_pairs(200, seed=1):
+            _, mu, nu = embed_atomic_pair(F, G)
+            ctx = real_atomic_context(F, G)
+            assert ctx.values["disc"] >= discrepancy_finite(mu, nu) - 1e-15
+            assert abs(ctx.values["wasserstein"] - wasserstein_finite(mu, nu)[0]) < 1e-12
+            assert ctx.values["prokhorov"] == prokhorov(mu, nu)
+
+    def test_identical_pair_reads_zero(self):
+        F = RealAtomicDistribution.from_pairs([(0.0, 0.25), (0.5, 0.5), (2.0, 0.25)])
+        ctx = real_atomic_context(F, F)
+        assert all(v == 0.0 for v in ctx.values.values()), ctx.values
+        assert evaluate_edges(ctx).passed
+
+    def test_no_finite_geometry_is_read(self, monkeypatch, tmp_path):
+        # certify and compute read D, W and phi on the line: the embedding
+        # serves Prokhorov alone, the one caller of the transport solver
+        calls = {"wasserstein_finite": 0, "discrepancy_finite": 0, "ball_growth_at": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(tp, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(tp, name, counted)
+        callers = []
+        solve = tp._transport
+
+        def traced(*args, **kwargs):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append("prokhorov" in names)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(tp, "_transport", traced)
+        F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
+        G = RealAtomicDistribution.from_pairs([(-0.5, 0.5), (1.5, 0.5)])
+        assert certify(F, G).passed
+        files = []
+        for name, dist in (("f", F), ("g", G)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"atoms": [
+                {"x": x, "w": w} for x, w in zip(dist.positions.tolist(),
+                                                 dist.weights.tolist())]}))
+            files.append(str(path))
+        for metric in METRIC_NAMES:
+            assert main(["compute", "--metric", metric, "--mu", files[0],
+                         "--nu", files[1], "--out", str(tmp_path / "v.txt")]) == 0
+        assert calls == {"wasserstein_finite": 0, "discrepancy_finite": 0,
+                         "ball_growth_at": 0}
+        assert callers and all(callers)
 
 
 class TestMutualConvergence:
@@ -324,6 +403,11 @@ class TestMutualConvergence:
 
 
 class TestRandomInstances:
+    @pytest.mark.parametrize("size_range", [(5, 3), (4.5, 6), (4, "6"), (0, 3), (4, 65)])
+    def test_bad_size_range_names_the_field(self, size_range):
+        with pytest.raises(ValueError, match="^size_range: "):
+            random_instance(0, 0, size_range)
+
     def test_deterministic(self):
         a = random_instance(5, 3, (4, 10), "random-metric", 0.3)
         b = random_instance(5, 3, (4, 10), "random-metric", 0.3)

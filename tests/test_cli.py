@@ -58,6 +58,34 @@ class TestCompute:
                      "--nu", "/nonexistent.json"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"space": {"kind": "cycle", "n": 4.7}, "p": [0.25] * 4}, "space.n"),
+        ({"space": {"kind": "cycle", "n": None}, "p": [0.25] * 4}, "space.n"),
+        ({"space": {"kind": "cycle", "n": 4}, "p": [0.25, "a", 0.25, 0.25]}, "distribution.p"),
+        ({"space": {"kind": "matrix", "d": [[0, 1], [1]]}, "p": [0.5, 0.5]}, "space.d"),
+        ({"space": {"kind": "euclidean", "points": [[0, "a"], [1, 2]]}, "p": [0.5, 0.5]},
+         "space.points"),
+        ({"atoms": [{"x": None, "w": 1.0}]}, "atoms.positions"),
+        ({"atoms": [{"x": 0.0, "w": "one"}]}, "atoms.weights"),
+    ], ids=["n-float", "n-null", "p-string", "d-ragged", "points-string", "x-null",
+            "w-string"])
+    def test_malformed_input_names_field(self, tmp_path, z10_files, capsys, obj, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        mu, _ = z10_files
+        assert main(["compute", "--metric", "tv", "--mu", str(bad), "--nu", mu]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    def test_atomic_disc_is_the_lines(self, tmp_path, capsys):
+        # the interval [0, 1] holds all of mu and none of nu
+        paths = []
+        for name, xs in (("f", (0.0, 1.0)), ("g", (-0.5, 1.5))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"atoms": [{"x": x, "w": 0.5} for x in xs]}))
+            paths.append(str(path))
+        assert main(["compute", "--metric", "disc", "--mu", paths[0], "--nu", paths[1]]) == 0
+        assert capsys.readouterr().out == "1.0\n"
+
     def test_bad_mass_names_field(self, tmp_path, z10_files, capsys):
         bad = tmp_path / "half.json"
         bad.write_text(json.dumps({"space": {"kind": "cycle", "n": 4},

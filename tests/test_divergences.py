@@ -14,6 +14,7 @@ from metric_atlas.divergences import (GEN_CHI_SQUARED, GEN_RELATIVE_ENTROPY,
                                       product_relative_entropy,
                                       relative_entropy, separation,
                                       total_variation)
+from metric_atlas.bounds import certify
 from metric_atlas.oracles import tv_exhaustive, tv_subset_oracle
 from metric_atlas.spaces import DiscreteDistribution, FiniteMetricSpace
 from metric_atlas.walks import z10_measures
@@ -81,6 +82,23 @@ class TestHellinger:
         for _ in range(20):
             mu, nu = random_pair_on(s, rng, sparsity=0.2)
             assert abs(hellinger(mu, nu) - hellinger(nu, mu)) < 1e-14
+
+    def test_identical_reads_zero_when_mass_falls_short(self):
+        # the affinity form read sqrt(2 * 1e-13) here: mass 1 - 1e-13 passes
+        # MASS_TOL, and 1 - sum sqrt(p p) is then 1e-13, not 0
+        mu = DiscreteDistribution(FiniteMetricSpace.cycle(3), [0.5, 0.3, 0.2 - 1e-13])
+        assert hellinger(mu, mu) == 0.0
+
+    def test_certify_passes_on_identical_measures(self):
+        # an H of sqrt(2 delta) > 0 against TV = I = chi2 = 0 broke
+        # H<=sqrt(2TV), H<=sqrt(I) and H<=sqrt(chi2) on 574 of these pairs
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(2, 11))
+            space = FiniteMetricSpace.euclidean(rng.normal(size=(n, 2)))
+            mu = DiscreteDistribution(space, rng.dirichlet(np.ones(n)))
+            report = certify(mu, mu)
+            assert report.passed, [r.edge_id for r in report.failures]
 
 
 class TestRelativeEntropy:

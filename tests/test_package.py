@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -33,3 +34,18 @@ def test_every_name_the_benchmark_traces_resolves(monkeypatch):
     missing = [name for owner, attr, name, _ in workloads.TRACED
                if not callable(getattr(owner, attr, None))]
     assert not missing, missing
+
+
+def test_checkers_import_only_numpy_math_and_spaces():
+    # the oracles and the witness checkers verify the solvers only while
+    # they share no code with them
+    allowed = {"numpy", "math", ".spaces", "__future__"}
+    for name in ("oracles.py", "witness.py"):
+        tree = ast.parse((Path(metric_atlas.__file__).parent / name).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+        assert imported <= allowed, (name, imported - allowed)

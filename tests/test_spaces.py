@@ -377,6 +377,46 @@ class TestJson:
         with pytest.raises(ValueError, match=r"atoms\.weights: .* negative"):
             distribution_from_json({"atoms": [{"x": x, "w": w} for x, w in atoms]})
 
+    @pytest.mark.parametrize("obj, field", [
+        ({"space": {"kind": "cycle", "n": 4.7}, "p": [0.25] * 4}, "space.n"),
+        ({"space": {"kind": "cycle", "n": None}, "p": [0.25] * 4}, "space.n"),
+        ({"space": {"kind": "cycle", "n": "4"}, "p": [0.25] * 4}, "space.n"),
+        ({"space": {"kind": "cycle", "n": 4}, "p": [0.25, "a", 0.25, 0.25]}, "distribution.p"),
+        ({"space": {"kind": "cycle", "n": 4}, "p": [[0.5, 0.25], [0.25]]}, "distribution.p"),
+        ({"space": {"kind": "cycle", "n": 4}, "p": None}, "distribution.p"),
+        ({"space": {"kind": "matrix", "d": [[0, 1], [1]]}, "p": [0.5, 0.5]}, "space.d"),
+        ({"space": {"kind": "matrix", "d": [[0, "1"], [1, 0]]}, "p": [0.5, 0.5]}, "space.d"),
+        ({"space": {"kind": "euclidean", "points": [[0, 1], [2]]}, "p": [0.5, 0.5]},
+         "space.points"),
+        ({"space": {"kind": "euclidean", "points": [[0, None], [1, 2]]}, "p": [0.5, 0.5]},
+         "space.points"),
+        ({"atoms": [{"x": None, "w": 1.0}]}, "atoms.positions"),
+        ({"atoms": [{"x": "0", "w": 1.0}]}, "atoms.positions"),
+        ({"atoms": [{"x": 0.0, "w": "one"}]}, "atoms.weights"),
+        ({"atoms": [{"x": 0.0, "w": [1.0]}]}, "distribution.atoms"),
+    ], ids=["n-float", "n-null", "n-string", "p-string", "p-ragged", "p-null",
+            "d-ragged", "d-string", "points-ragged", "points-null", "x-null", "x-string",
+            "w-string", "w-list"])
+    def test_malformed_field_named(self, obj, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            distribution_from_json(obj)
+
+    @pytest.mark.parametrize("call, field", [
+        (lambda: FiniteMetricSpace.cycle(4.5), "space.n"),
+        (lambda: FiniteMetricSpace.cycle(2), "space.n"),
+        (lambda: FiniteMetricSpace([[0.0, None], [None, 0.0]]), "space.d"),
+        (lambda: FiniteMetricSpace.euclidean([[0.0, 1.0], [2.0]]), "space.points"),
+        (lambda: RealAtomicDistribution.from_pairs([(None, 1.0)]), "atoms.positions"),
+        (lambda: gaussian_cdf(sigma=0), "sigma"),
+        (lambda: gaussian_cdf(sigma=-1), "sigma"),
+        (lambda: gaussian_cdf(sigma=math.nan), "sigma"),
+        (lambda: gaussian_cdf(sigma=math.inf), "sigma"),
+    ], ids=["cycle-float", "cycle-short", "d-null", "points-ragged", "atom-null",
+            "sigma-0", "sigma-negative", "sigma-nan", "sigma-inf"])
+    def test_library_names_the_field(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            call()
+
     def test_missing_fields_named(self):
         with pytest.raises(ValueError, match="distribution.space"):
             distribution_from_json({"p": [1.0]})

@@ -8,8 +8,8 @@ import metric_atlas.transport as tp
 from metric_atlas.bounds import (CAMPAIGN_SPARSITIES, INSTANCE_KINDS, embed_atomic_pair,
                                  random_instance, real_mixed_context, real_smooth_context)
 from metric_atlas.divergences import total_variation
-from metric_atlas.oracles import (ball_growth_exhaustive, levy_grid_oracle,
-                                  mixed_discrepancy_scan_oracle,
+from metric_atlas.oracles import (ball_growth_exhaustive, interval_growth_exhaustive,
+                                  levy_grid_oracle, mixed_discrepancy_scan_oracle,
                                   prokhorov_exhaustive)
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, SmoothRealCdf, gaussian_cdf)
@@ -20,7 +20,7 @@ from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_fini
 from metric_atlas.walks import standardized_binomial, z10_measures
 from metric_atlas.witness import check_wasserstein
 
-from conftest import random_atomic, random_pair_on
+from conftest import lattice_atomic, random_atomic, random_pair_on
 
 
 def delta(x):
@@ -999,6 +999,68 @@ class TestBallGrowth:
                 disc = discrepancy_finite(mu, unif)
                 prok = prokhorov(mu, unif)
                 assert disc <= (prok + 1e-12) + phi.at(prok + 1e-12) + 1e-9
+
+
+def _growth_cases():
+    """Atomic measures with their eps probes: random_atomic draws, lattice
+    draws (ties between gaps) and single atoms; at random eps, lattice
+    multiples, 0, and up to six of the atom gaps and half gaps."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for i in range(150):
+        if i % 3 == 0:
+            nu = lattice_atomic(rng)
+        elif i % 10 == 1:
+            nu = delta(float(rng.normal()))
+        else:
+            nu = random_atomic(rng)
+        gaps = np.abs(nu.positions[:, None] - nu.positions[None, :])[
+            np.triu_indices(nu.m, 1)]
+        gaps = np.concatenate([gaps, gaps / 2.0])
+        probes = rng.uniform(0.0, 3.0, size=4).tolist() + [0.0, 0.25, 0.5, 1.0]
+        on_gaps = rng.choice(gaps, size=min(6, gaps.size), replace=False)
+        cases.append((nu, gaps, probes + on_gaps.tolist()))
+    return cases
+
+
+class TestIntervalGrowth:
+    def test_matches_exhaustive_oracle(self):
+        # equal off the atom gaps; at a gap, y + eps may round to either side
+        # of the next atom, so the value lies between the oracle's just below
+        # and just above
+        on_gap = 0
+        for nu, gaps, probes in _growth_cases():
+            for eps in probes:
+                got = tp.interval_growth_at(nu, eps)
+                if gaps.size and np.min(np.abs(gaps - eps)) <= 1e-9:
+                    on_gap += 1
+                    lo = interval_growth_exhaustive(nu, max(0.0, eps - 1e-9))
+                    hi = interval_growth_exhaustive(nu, eps + 1e-9)
+                    assert lo - 1e-12 <= got <= hi + 1e-12, (nu.positions, eps)
+                else:
+                    want = interval_growth_exhaustive(nu, eps)
+                    assert abs(got - want) <= 1e-12, (nu.positions, nu.weights, eps)
+        assert on_gap > 100
+
+    def test_value_at_zero_is_the_two_largest_weights(self):
+        # a complement of [a, b] is open: its closure gains the atoms at a and b
+        nu = RealAtomicDistribution.from_pairs([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)])
+        assert tp.interval_growth_at(nu, 0.0) == 0.8
+        assert tp.interval_growth_at(delta(2.0), 0.0) == 1.0
+
+    def test_uniform_lattice(self):
+        # uniform on 0..9: an interval's complement gains floor(eps) + 1
+        # atoms at each end, or a middle stretch of floor(2 eps) + 1 atoms
+        nu = RealAtomicDistribution(np.arange(10.0), np.full(10, 0.1))
+        for eps, want in [(0.5, 0.2), (1.0, 0.4), (2.0, 0.6), (4.0, 1.0)]:
+            assert abs(tp.interval_growth_at(nu, eps) - want) < 1e-15
+
+    def test_non_decreasing(self, rng):
+        for _ in range(30):
+            nu = random_atomic(rng)
+            vals = [tp.interval_growth_at(nu, e) for e in np.linspace(0.0, 4.0, 60)]
+            assert all(b >= a for a, b in zip(vals, vals[1:]))
+            assert vals[-1] <= 1.0 + 1e-15
 
 
 class TestFigureBoundsOnRandomInstances:

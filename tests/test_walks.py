@@ -20,6 +20,11 @@ from metric_atlas.walks import (MAX_MODULUS, CdgWalk, ProductWalkParams,
 
 
 class TestCdgWalk:
+    @pytest.mark.parametrize("p", [5.0, "7", None, 7.5])
+    def test_rejects_non_integer_modulus(self, p):
+        with pytest.raises(ValueError, match="^p: must be an integer"):
+            CdgWalk(p)
+
     def test_one_step_from_origin(self):
         walk = CdgWalk(5).step()
         expected = np.array([1, 1, 0, 0, 1]) / 3.0
