@@ -170,9 +170,11 @@ class FiniteMetricSpace:
     @classmethod
     def collinear(cls, positions) -> "FiniteMetricSpace":
         """Points on the real line with the absolute-difference metric."""
-        xs = np.asarray(positions, dtype=float)
+        xs = _reals("space.positions", positions)
+        if xs.ndim != 1 or not np.all(np.isfinite(xs)):
+            raise ValueError("space.positions: must be a 1-D array of finite numbers")
         if np.any(np.diff(xs) <= 0):
-            raise ValueError("positions must be strictly increasing")
+            raise ValueError("space.positions: must be strictly increasing")
         return cls(np.abs(xs[:, None] - xs[None, :]))
 
     def same_as(self, other: "FiniteMetricSpace") -> bool:
@@ -288,9 +290,10 @@ class RealAtomicDistribution:
 class SmoothRealCdf:
     """Oracle-backed continuous CDF with a declared density bound.
 
-    `support` is a truncation interval [a, b] outside which the remaining
-    mass is below 1e-12 on each side; `eval_tolerance` is the guaranteed
-    oracle accuracy. Monotonicity is spot-checked on a grid at construction.
+    `support` is a finite truncation interval [a, b], a < b, outside which
+    the remaining mass is below 1e-12 on each side; `eval_tolerance` is the
+    guaranteed oracle accuracy. Monotonicity is spot-checked on a grid at
+    construction.
     """
 
     cdf: Callable[[float], float]
@@ -300,8 +303,8 @@ class SmoothRealCdf:
 
     def __post_init__(self):
         a, b = self.support
-        if not a < b:
-            raise ValueError("support: empty truncation interval")
+        if not -math.inf < a < b < math.inf:  # also NaN
+            raise ValueError(f"support: must be a finite interval a < b, got {self.support!r}")
         if self.density_bound <= 0 or not math.isfinite(self.density_bound):
             raise ValueError("density_bound: must be positive and finite")
         if not 0.0 <= self.eval_tolerance < math.inf:  # also NaN
@@ -326,8 +329,11 @@ def gaussian_cdf(mean: float = 0.0, sigma: float = 1.0,
     """Normal CDF via erf, truncated at mean +- halfwidth*sigma."""
     if not 0.0 < sigma < math.inf:  # also NaN
         raise ValueError(f"sigma: must be positive and finite, got {sigma!r}")
-    if halfwidth < 7.1:
-        raise ValueError("halfwidth: too small to push tail mass below 1e-12")
+    if not math.isfinite(mean):
+        raise ValueError(f"mean: must be finite, got {mean!r}")
+    if not 7.1 <= halfwidth < math.inf:  # also NaN
+        raise ValueError("halfwidth: must be finite and at least 7.1, to push "
+                         f"tail mass below 1e-12; got {halfwidth!r}")
 
     def cdf(x: float) -> float:
         return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))

@@ -3,12 +3,14 @@ Wasserstein, plus the ball-growth modulus used to bound discrepancy by
 Prokhorov.
 
 Exact algorithms throughout: discrepancy enumerates the finitely many closed
-balls, which on the line are the intervals. One transport core, successive
-shortest paths on dense arrays started from tight arcs, serves Prokhorov and
-Wasserstein on a finite space. Wasserstein there moves only the surplus of
-mu - nu onto its deficit (Kantorovich-Rubinstein duality), with the optimal
-coupling and a 1-Lipschitz function as witnesses; on the line it is the
-integral of |F - G|. Prokhorov binary-searches the distinct distances delta,
+balls, which on the line are the intervals. One transport core serves
+Prokhorov and Wasserstein on a finite space: a primal-dual method on dense
+arrays, started from tight arcs, whose every phase finds one shortest-path
+tree in vectorized rounds and then ships along it to every sink.
+Wasserstein there moves only the surplus of mu - nu onto its deficit
+(Kantorovich-Rubinstein duality), with the optimal coupling and a
+1-Lipschitz function as witnesses; on the line it is the integral of
+|F - G|. Prokhorov binary-searches the distinct distances delta,
 where by Strassen's equivalence its slack is the optimum under the 0/1 cost
 1{d > delta}.
 """
@@ -241,48 +243,53 @@ def smooth_pair(F: RealAtomicDistribution | SmoothRealCdf,
 def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
                flow: np.ndarray, stop_cost: float = math.inf
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Min-cost transportation plan by successive shortest paths.
+    """Min-cost transportation plan by the primal-dual method: each phase
+    finds every shortest distance once, then ships along many paths.
 
     The residual graph is bipartite: a forward arc i -> j of cost
     cost[i, j] for every pair, and a backward arc j -> i of cost -cost[i, j]
     wherever flow[i, j] > _FLOW_EPS. Row and column potentials keep every
-    reduced cost non-negative, so each search is a Dijkstra from the rows
-    with remaining supply. It settles every node at the current minimum
-    distance at once: a block of rows relaxes all columns with one
-    min-reduction, a block of columns relaxes rows through its backward
-    arcs. The search ends at the first settled column with remaining demand,
-    at distance D; adding min(dist, D) to the potentials keeps the reduced
-    costs non-negative without finishing it.
+    reduced cost non-negative, and flow ships only on arcs of reduced cost
+    0, so a backward arc costs 0. Each phase runs from the rows with
+    remaining supply, at distance 0, in vectorized rounds: every column
+    takes its cheapest row through the forward arcs, then every row its
+    cheapest column through the backward arcs, until no row improves. A
+    parent changes only on a strict improvement, so with costs that are
+    non-negative the parents form a tree. Adding the distances to the
+    potentials keeps every reduced cost non-negative and makes every tree
+    arc tight; a row no path reaches (no supply and no flow, which only
+    Prokhorov's full problem has) takes the largest column distance.
+    The phase then walks the tree path to each column that still needs
+    mass, cheapest first, and ships what the path's root, the column and
+    the path's backward arcs allow, skipping a path that an earlier one in
+    the phase left without supply or backward flow. Flow moves only on
+    tight arcs while the potentials stay dual feasible, so a full flow is
+    optimal by LP duality.
 
     Costs must be non-negative, and `flow` may use only arcs of cost zero.
-    The search starts from tight arcs: each column's potential is its
+    The solve starts from tight arcs: each column's potential is its
     cheapest arc, which is 0 wherever `flow` ships, and one greedy pass
-    ships along the arcs at that price. Augmentation then stops once supply
-    or demand is exhausted, or at the first shortest path whose cost reaches
-    `stop_cost`; the potentials telescope along a path of tight arcs, so
-    pot_c[j] - pot_r[i] is that cost. Returns the flow and the column
-    potentials, which with the row potentials satisfy
-    pot_c[j] - pot_r[i] <= cost[i, j], with equality wherever flow ships.
+    ships along the arcs at that price. So with a finite `stop_cost` every
+    column needs an arc of cost 0, as the zero diagonal of Prokhorov's cost
+    gives. A row with remaining supply stays at distance 0 in every phase,
+    so its potential stays 0, and the potentials telescope along a path of
+    tight arcs: pot_c[j] - pot_r[i] is the cost of the path from root i to
+    column j. Shipping stops once supply or demand is exhausted, or at the
+    first path whose cost reaches `stop_cost`; the solve ends after a phase
+    that ships nothing. Returns the flow and the column potentials, which
+    with the row potentials satisfy pot_c[j] - pot_r[i] <= cost[i, j], with
+    equality wherever flow ships.
     """
     n, m = cost.shape
     flow = flow.copy()
     rem_s = supply - flow.sum(axis=1)
     rem_d = demand - flow.sum(axis=0)
-    # one vector per node quantity: rows 0..n-1, then columns n..n+m-1
-    pot = np.zeros(n + m)
-    dist = np.empty(n + m)
-    open_ = np.empty(n + m)  # dist of the unsettled nodes, inf once settled
-    par = np.full(n + m, -1)  # a row's column via a backward arc, a column's row
-    needs = np.zeros(n + m, dtype=bool)
-    pot_r, pot_c = pot[:n], pot[n:]
-    dist_r, dist_c = dist[:n], dist[n:]
-    open_r, open_c = open_[:n], open_[n:]
-    par_r, par_c = par[:n], par[n:]
+    pot_r = np.zeros(n)
     rows_n, cols_m = np.arange(n), np.arange(m)
 
     # price each column at its cheapest arc, then ship greedily along the
     # arcs that meet that price, column by column
-    pot_c[:] = cost.min(axis=0)
+    pot_c = cost.min(axis=0)
     tight = (cost == pot_c) & (rem_s > _FLOW_EPS)[:, None] & (rem_d > _FLOW_EPS)
     rs, rd = rem_s.tolist(), rem_d.tolist()
     for j, i in zip(*(a.tolist() for a in np.nonzero(tight.T))):
@@ -295,56 +302,55 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
 
     for _ in range(16 * (n + m) + 100):
         is_src = rem_s > _FLOW_EPS
-        np.greater(rem_d, _FLOW_EPS, out=needs[n:])
-        if not (is_src.any() and needs.any()):
+        sinks = (rem_d > _FLOW_EPS).nonzero()[0]
+        if not (is_src.any() and sinks.size):
             return flow, pot_c
-        dist.fill(math.inf)
-        dist_r[is_src] = 0.0
-        open_[:] = dist
-        while True:
-            cur = open_.min()
-            if cur == math.inf:
-                raise RuntimeError("transportation network is disconnected")
-            block = (open_ == cur).nonzero()[0]
-            hit = needs[block]
-            if hit.any():
-                j = int(block[hit.argmax()]) - n
+        rc = np.maximum(cost + (pot_r[:, None] - pot_c), 0.0)
+        back = np.where(flow > _FLOW_EPS, 0.0, math.inf)
+        dist_r = np.where(is_src, 0.0, math.inf)
+        dist_c = np.full(m, math.inf)
+        par_r, par_c = np.full(n, -1), np.full(m, -1)
+        while True:  # columns through forward arcs, then rows through backward
+            reach = dist_r[:, None] + rc
+            k = reach.argmin(axis=0)
+            nd = reach[k, cols_m]
+            par_c = np.where(nd < dist_c, k, par_c)
+            dist_c = np.minimum(nd, dist_c)
+            reach = back + dist_c
+            k = reach.argmin(axis=1)
+            nd = reach[rows_n, k]
+            better = nd < dist_r
+            if not better.any():
                 break
-            open_[block] = math.inf
-            split = int(block.searchsorted(n))
-            if split:  # rows relax every column through forward arcs
-                rows = block[:split]
-                rc = cost[rows] + (pot_r[rows, None] - pot_c)
-                k = rc.argmin(axis=0)
-                nd = cur + np.maximum(rc[k, cols_m], 0.0)
-                better = nd < dist_c
-                dist_c[better] = open_c[better] = nd[better]
-                par_c[better] = rows[k[better]]
-            if split < block.size:  # columns relax rows through backward arcs
-                cols = block[split:] - n
-                rc = np.where(flow[:, cols] > _FLOW_EPS,
-                              pot_c[cols] - cost[:, cols] - pot_r[:, None], math.inf)
-                k = rc.argmin(axis=1)
-                nd = cur + np.maximum(rc[rows_n, k], 0.0)
-                better = nd < dist_r
-                dist_r[better] = open_r[better] = nd[better]
-                par_r[better] = cols[k[better]]
-        pot += np.minimum(dist, cur)
+            par_r = np.where(better, k, par_r)
+            dist_r = np.minimum(nd, dist_r)
+        dist_r[dist_r == math.inf] = dist_c.max()
+        pot_r += dist_r
+        pot_c += dist_c
 
-        # walk back to the source: forward arcs fi -> [j] + bj, backward
-        # arcs bj -> fi[:-1], each undoing flow on its pair
-        fi, bj = [int(par_c[j])], []
-        while par_r[fi[-1]] >= 0:
-            bj.append(int(par_r[fi[-1]]))
-            fi.append(int(par_c[bj[-1]]))
-        i = fi[-1]
-        if pot_c[j] - pot_r[i] >= stop_cost:  # the path's cost under `cost`
+        # ship along the tree path to each column that needs mass: forward
+        # arcs fi -> [j] + bj, backward arcs bj -> fi[:-1], each undoing
+        # flow on its pair
+        shipped = False
+        pr, pc = par_r.tolist(), par_c.tolist()
+        for j in sinks[np.argsort(pot_c[sinks], kind="stable")].tolist():
+            fi, bj = [pc[j]], []
+            while pr[fi[-1]] >= 0:
+                bj.append(pr[fi[-1]])
+                fi.append(pc[bj[-1]])
+            i = fi[-1]
+            if pot_c[j] - pot_r[i] >= stop_cost:  # the path's cost under `cost`
+                break
+            amt = min(rem_s[i], rem_d[j], flow[fi[:-1], bj].min(initial=math.inf))
+            if amt <= _FLOW_EPS:  # an earlier path drained the root or an arc
+                continue
+            flow[fi, [j] + bj] += amt
+            flow[fi[:-1], bj] -= amt
+            rem_s[i] -= amt
+            rem_d[j] -= amt
+            shipped = True
+        if not shipped:
             return flow, pot_c
-        amt = min(rem_s[i], rem_d[j], flow[fi[:-1], bj].min(initial=math.inf))
-        flow[fi, [j] + bj] += amt
-        flow[fi[:-1], bj] -= amt
-        rem_s[i] -= amt
-        rem_d[j] -= amt
     raise RuntimeError("transportation solver failed to converge")
 
 
@@ -369,12 +375,14 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
 
     u(delta) is the optimal transportation cost under the 0/1 cost
     1{d > delta}. Shortest paths there cost 0 until the zero-cost arcs carry
-    all they can, then exactly 1, since a direct arc costs at most 1; so the
-    solver stops at the first path of cost 1 and u(delta) is the supply left
-    unshipped. Each probe of the binary search starts from the flow of the
-    largest delta known infeasible, or from the mass the two measures share
-    on each point: either uses only arcs with d <= the new delta, so it costs
-    0 there and is optimal for its value.
+    all they can, then exactly 1, since a direct arc costs at most 1. A
+    solver phase ships along its paths of cost 0 only, and the solve ends at
+    the first phase whose cheapest path costs 1: no zero-cost augmenting path
+    is left, so the flow is a maximum flow on the arcs with d <= delta, and
+    u(delta) is the supply left unshipped. Each probe of the binary search
+    starts from the flow of the largest delta known infeasible, or from the
+    mass the two measures share on each point: either uses only arcs with
+    d <= the new delta, so it costs 0 there and is optimal for its value.
     """
     _check_same_space(mu, nu)
     if mu.space.n == 1:

@@ -265,6 +265,10 @@ def _phi_cdf(x):
                  id="non-monotone-cdf"),
     pytest.param("cdf", lambda: SmoothRealCdf(lambda x: 1.5 * _phi_cdf(x), 0.6, (-9.0, 9.0)),
                  id="cdf-above-one"),
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-math.inf, math.inf)),
+                 id="infinite-support"),
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, math.nan)),
+                 id="nan-support"),
     pytest.param("halfwidth", lambda: gaussian_cdf(0.0, 1.0, halfwidth=5.0),
                  id="gaussian-halfwidth"),
     pytest.param("eval_tolerance", lambda: discrepancy_real_mixed(
@@ -411,8 +415,20 @@ class TestJson:
         (lambda: gaussian_cdf(sigma=-1), "sigma"),
         (lambda: gaussian_cdf(sigma=math.nan), "sigma"),
         (lambda: gaussian_cdf(sigma=math.inf), "sigma"),
+        (lambda: gaussian_cdf(mean=math.nan), "mean"),
+        (lambda: gaussian_cdf(mean=math.inf), "mean"),
+        (lambda: gaussian_cdf(halfwidth=math.nan), "halfwidth"),
+        (lambda: gaussian_cdf(halfwidth=math.inf), "halfwidth"),
+        (lambda: FiniteMetricSpace.collinear(["0", "1"]), "space.positions"),
+        (lambda: FiniteMetricSpace.collinear([0.0, math.nan]), "space.positions"),
+        (lambda: FiniteMetricSpace.collinear([0.0, math.inf]), "space.positions"),
+        (lambda: FiniteMetricSpace.collinear([[0.0, 1.0], [2.0, 3.0]]), "space.positions"),
+        (lambda: FiniteMetricSpace.collinear([0.0, 2.0, 1.0]), "space.positions"),
+        (lambda: FiniteMetricSpace.collinear([0.0, 1.0, 1.0]), "space.positions"),
     ], ids=["cycle-float", "cycle-short", "d-null", "points-ragged", "atom-null",
-            "sigma-0", "sigma-negative", "sigma-nan", "sigma-inf"])
+            "sigma-0", "sigma-negative", "sigma-nan", "sigma-inf", "mean-nan", "mean-inf",
+            "halfwidth-nan", "halfwidth-inf", "positions-string", "positions-nan",
+            "positions-inf", "positions-2d", "positions-unsorted", "positions-tied"])
     def test_library_names_the_field(self, call, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             call()

@@ -796,6 +796,123 @@ class TestWassersteinBlock:
             assert all(call == ((n, n), 1.0) for call in transport_solves.calls)
 
 
+def _w_against_lp_and_witness(d, mu_p, nu_p):
+    mu, nu = _pair(FiniteMetricSpace.from_matrix(d), np.array(mu_p), np.array(nu_p))
+    w, coupling, f = wasserstein_finite(mu, nu)
+    check_wasserstein(mu, nu, w, coupling, f)
+    assert abs(w - _lp_transport_cost(mu.space.d, mu.p, nu.p)) <= 1e-12
+    return w
+
+
+def _check_transport(cost, supply, demand, flow, stop_cost):
+    """The solver's flow from `flow` at `stop_cost`, checked and returned:
+    marginals kept and, run to the end, the LP's optimum met both by its
+    cost and by the dual value of its column potentials; stopped at 1 on a
+    0/1 cost, only zero-cost arcs used and the supply left equal to the
+    LP's optimum."""
+    out, v = _transport(cost, supply, demand, flow, stop_cost)
+    assert np.all(out >= 0.0)
+    assert np.all(out.sum(axis=1) <= supply + 1e-12)
+    assert np.all(out.sum(axis=0) <= demand + 1e-12)
+    lp = _lp_transport_cost(cost, supply, demand)
+    if stop_cost == math.inf:
+        assert np.allclose(out.sum(axis=1), supply, rtol=0.0, atol=1e-12)
+        assert np.allclose(out.sum(axis=0), demand, rtol=0.0, atol=1e-12)
+        primal = float(np.sum(out * cost))
+        # u_i = min_j cost - v: a feasible dual, so its value meets the
+        # optimum only when v is optimal
+        dual = float(np.min(cost - v, axis=1) @ supply + v @ demand)
+        scale = 1e-10 * max(1.0, float(cost.max()))
+        assert abs(primal - lp) <= scale and abs(dual - lp) <= scale
+    else:
+        assert float(np.sum(out * cost)) == 0.0
+        assert abs(float(supply.sum() - out.sum()) - lp) <= 1e-10
+    return out
+
+
+# Points A, B, D, X, Y, Z: A and B sit near X, A nearer Y and Z, D far off.
+_SKIP_SPACE = [[0, 2, 6, 2, 3, 3],
+               [2, 0, 6, 2, 5, 5],
+               [6, 6, 0, 7, 7, 7],
+               [2, 2, 7, 0, 3, 3],
+               [3, 5, 7, 3, 0, 2],
+               [3, 5, 7, 3, 2, 0]]
+
+
+class TestTransportPhases:
+    """Problems built so that a phase of the solver takes one of its paths:
+    each is checked against the LP, and W's against its witness."""
+
+    @pytest.mark.parametrize("mu_p, want", [
+        ([0.3, 0.1, 0.6, 0.0, 0.0, 0.0], 5.2),
+        ([0.3, 0.7, 0.0, 0.0, 0.0, 0.0], 3.8),
+    ], ids=["root-runs-dry", "backward-arc-empties"])
+    def test_phase_skips_a_path_an_earlier_one_drained(self, mu_p, want):
+        """nu = 0.2 X + 0.4 Y + 0.4 Z. The tight-arc start ships all of A,
+        0.2 to X and 0.1 to Y, so Y and Z still need mass. The first phase
+        reaches both from B at the same cost, through X and back along A-X
+        to A. Y's path takes all of B's 0.1 (root-runs-dry) or all 0.2 of
+        A-X (backward-arc-empties), so Z's path is skipped, and the next
+        phase serves Y and Z from D or B directly."""
+        assert abs(_w_against_lp_and_witness(_SKIP_SPACE, mu_p,
+                                             [0.0, 0.0, 0.0, 0.2, 0.4, 0.4]) - want) <= 1e-12
+
+    def test_tree_path_passes_a_column_that_needs_mass(self):
+        """Points A, B, X, Y; mu = (A + B)/2, nu = 0.6 X + 0.4 Y. The
+        tight-arc start ships all of A onto X, leaving X short 0.1 and Y
+        short 0.4. The one phase reaches Y from B through X and back along
+        A-X, at cost 3 - 2 + 1 = 2, below X's own path at 3, so Y ships
+        first, through X while X still needs mass."""
+        d = [[0, 4, 2, 1], [4, 0, 3, 5], [2, 3, 0, 3], [1, 5, 3, 0]]
+        w = _w_against_lp_and_witness(d, [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.6, 0.4])
+        assert abs(w - 2.1) <= 1e-12
+
+    def test_prokhorov_probe_ships_only_zero_cost_paths(self):
+        """Points 0..4 on the line, the probe at delta = 1 from the shared
+        mass. Rows 0 and 1 keep 1/6 each, columns 3 and 4 need 1/6 each.
+        The one phase holds a path of cost 0 to column 3, from row 1
+        through column 2 and back along the shared mass at point 2, and only
+        a path of cost 1 to column 4. The first ships; the second, and the
+        next phase, stop the solve with u(1) = 1/6 unshipped."""
+        x = np.arange(5.0)
+        mu, nu = np.array([1, 1, 2, 0, 2]) / 6.0, np.array([0, 0, 2, 1, 3]) / 6.0
+        cost = (np.abs(x[:, None] - x) > 1.0).astype(float)
+        flow = _check_transport(cost, mu, nu, np.diag(np.minimum(mu, nu)), 1.0)
+        assert abs(1.0 - flow.sum() - 1.0 / 6.0) <= 1e-15
+        s = FiniteMetricSpace.collinear(x)
+        a, b = _pair(s, mu, nu)
+        assert abs(prokhorov(a, b) - prokhorov_exhaustive(a, b)) <= 1e-12
+
+    def test_seeded_problems_match_lp(self):
+        """200 problems with unequal row and column counts up to 64, real or
+        integer (tied) costs and some rows or columns without mass: each run
+        to the end from zero flow, and as a probe under the 0/1 cost
+        1{cost > its median}, stopped at 1 from the diagonal warm flow.
+        Every row and column has an arc of cost 0, as a distance matrix's
+        diagonal gives Prokhorov's probes."""
+        rng = np.random.default_rng(1818)
+        for t in range(200):
+            n, m = (int(k) for k in rng.integers(1, 65, size=2))
+            if t % 2:
+                cost = rng.integers(0, 4, size=(n, m)).astype(float)
+            else:
+                cost = rng.exponential(size=(n, m))
+            k, r = min(n, m), np.arange(max(n, m))
+            cost[r % n, r % m] = 0.0
+            supply, demand = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            if t % 4 >= 2:
+                supply[rng.random(n) < 0.3] = 0.0
+                demand[rng.random(m) < 0.3] = 0.0
+                if supply.sum() == 0.0 or demand.sum() == 0.0:
+                    continue
+                supply, demand = supply / supply.sum(), demand / demand.sum()
+            _check_transport(cost, supply, demand, np.zeros((n, m)), math.inf)
+            warm = np.zeros((n, m))
+            warm[np.arange(k), np.arange(k)] = np.minimum(supply[:k], demand[:k])
+            probe = (cost > np.median(cost)).astype(float)
+            _check_transport(probe, supply, demand, warm, 1.0)
+
+
 class TestMixedDiscrepancy:
     def test_point_mass_against_normal(self):
         assert abs(discrepancy_real_mixed(delta(0.0), gaussian_cdf()) - 1.0) < 1e-12
