@@ -69,8 +69,10 @@ def _interval_discrepancy(r: np.ndarray, l: np.ndarray) -> float:
     return float(max(closed.max(), open_.max()))
 
 
-# Grid step on which two smooth CDFs are read.
+# Grid step on which two smooth CDFs are read, and the most points the grid
+# may hold.
 SMOOTH_MESH = 1e-3
+SMOOTH_GRID_CAP = 10**7
 
 
 def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
@@ -80,7 +82,8 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
     For an atomic F the points are its atoms, and G's oracle must hold the
     1e-9 budget and its truncation interval must cover them. For a smooth F
     they are a grid of step SMOOTH_MESH over both truncation intervals, with
-    F's one value standing for both sides.
+    F's one value standing for both sides; a grid of more than
+    SMOOTH_GRID_CAP points raises ValueError.
     """
     if isinstance(F, RealAtomicDistribution):
         if G.eval_tolerance > 1e-9:
@@ -91,7 +94,12 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
         f, f_left = F.cdf(xs), F.cdf_left(xs)
     else:
         (a, b), (c, d) = F.support, G.support
-        xs = np.arange(min(a, c), max(b, d) + SMOOTH_MESH, SMOOTH_MESH)
+        lo, hi = min(a, c), max(b, d) + SMOOTH_MESH
+        points = math.ceil((hi - lo) / SMOOTH_MESH)  # the length np.arange gives
+        if points > SMOOTH_GRID_CAP:
+            raise ValueError(f"support: the truncation intervals span {points} grid "
+                             f"points of step {SMOOTH_MESH}, above {SMOOTH_GRID_CAP}")
+        xs = np.arange(lo, hi, SMOOTH_MESH)
         f = f_left = _oracle_at(F, xs)
     return xs, f, f_left, _oracle_at(G, xs)
 
@@ -237,7 +245,7 @@ def smooth_pair(F: RealAtomicDistribution | SmoothRealCdf,
 
 
 # ---------------------------------------------------------------------------
-# Transport core: successive shortest paths on dense arrays
+# Transport core: primal-dual phases on dense arrays
 # ---------------------------------------------------------------------------
 
 def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
@@ -271,12 +279,13 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     cheapest arc, which is 0 wherever `flow` ships, and one greedy pass
     ships along the arcs at that price. So with a finite `stop_cost` every
     column needs an arc of cost 0, as the zero diagonal of Prokhorov's cost
-    gives. A row with remaining supply stays at distance 0 in every phase,
-    so its potential stays 0, and the potentials telescope along a path of
-    tight arcs: pot_c[j] - pot_r[i] is the cost of the path from root i to
-    column j. Shipping stops once supply or demand is exhausted, or at the
-    first path whose cost reaches `stop_cost`; the solve ends after a phase
-    that ships nothing. Returns the flow and the column potentials, which
+    gives; a `cost` without one raises ValueError. A row with remaining
+    supply stays at distance 0 in every phase, so its potential stays 0,
+    and the potentials telescope along a path of tight arcs: pot_c[j] -
+    pot_r[i] is the cost of the path from root i to column j. Shipping
+    stops once supply or demand is exhausted, or at the first path whose
+    cost reaches `stop_cost`; the solve ends after a phase that ships
+    nothing. Returns the flow and the column potentials, which
     with the row potentials satisfy pot_c[j] - pot_r[i] <= cost[i, j], with
     equality wherever flow ships.
     """
@@ -290,6 +299,8 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     # price each column at its cheapest arc, then ship greedily along the
     # arcs that meet that price, column by column
     pot_c = cost.min(axis=0)
+    if stop_cost < math.inf and pot_c.max(initial=0.0) > 0.0:
+        raise ValueError("cost: with a finite stop_cost every column needs an arc of cost 0")
     tight = (cost == pot_c) & (rem_s > _FLOW_EPS)[:, None] & (rem_d > _FLOW_EPS)
     rs, rd = rem_s.tolist(), rem_d.tolist()
     for j, i in zip(*(a.tolist() for a in np.nonzero(tight.T))):
@@ -514,11 +525,40 @@ def _ball_distances(d: np.ndarray):
 
 
 def ball_growth_at(nu: DiscreteDistribution, eps: float) -> float:
-    """max over balls and ball complements of nu(B^eps) - nu(B)."""
+    """max over balls and ball complements of nu(B^eps) - nu(B).
+
+    Below the smallest distance no set gains a point, so the value is 0.
+    Otherwise, per block of centers: the balls around center c are the
+    prefixes B_k of its stable distance order that end on a tie group, k <=
+    n - 2, and their complements S_k the matching suffixes. With reach[j, x]
+    = d(order[j], x) <= eps, first[x] is the first position j that reaches
+    x and last[x] the last one, so x lies in B_k^eps iff first[x] <= k and
+    in S_k^eps iff last[x] > k. One bincount of nu over both and a cumsum
+    along k give every set's fattened mass: B_k gains nu(first <= k) -
+    nu(B_k), and S_k gains nu(B_k) - nu(last <= k). Memory is one boolean
+    (center, point, point) array per block.
+    """
+    space, p = nu.space, nu.p
+    if eps < space.d_min:
+        return 0.0
+    d, n = space.d, space.n
+    within = d <= eps
+    step = min(n, max(1, _BLOCK_CELLS // (n * n)))
+    offsets = n * np.arange(2 * step)[:, None]  # one bincount row per (side, center)
+    weights = np.tile(p, 2 * step)
     best = 0.0
-    for dist in _ball_distances(nu.space.d):
-        # the points at distance 0 from a set are its members
-        growth = ((dist > 0.0) & (dist <= eps)) @ nu.p
+    for c0 in range(0, n, step):
+        block = d[c0:c0 + step]
+        m = block.shape[0]
+        order = np.argsort(block, axis=1, kind="stable")
+        reach = within[order]  # reach[c, j, x]: the j-th nearest point of c reaches x
+        pos = np.concatenate([reach.argmax(axis=1), n - 1 - reach[:, ::-1].argmax(axis=1)])
+        cells = (pos + offsets[:2 * m]).ravel()
+        # mass[c, k] = nu(first <= k), mass[m + c, k] = nu(last <= k)
+        mass = np.bincount(cells, weights[:cells.size], cells.size).reshape(2 * m, n).cumsum(axis=1)
+        inside = p[order].cumsum(axis=1)
+        ends = np.diff(np.sort(block, axis=1), axis=1) > 0  # last of a tie group
+        growth = np.maximum(mass[:m] - inside, inside - mass[m:])[:, :-1][ends]
         best = max(best, float(np.max(growth, initial=0.0)))
     return best
 

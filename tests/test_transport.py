@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,22 @@ class TestSmoothGrid:
         assert f_calls[0] == grid_size  # the search probes G only
         assert len(search_calls) == 1
         assert g_calls[0] - search_calls[0] == grid_size
+
+    @pytest.mark.parametrize("halfwidth", [5001.0, 1e9])
+    def test_a_grid_above_the_cap_names_support(self, halfwidth):
+        # 2 * 5001 / SMOOTH_MESH + 1 is just above 10^7 points; 1e9 would
+        # ask for 14.6 TiB
+        with pytest.raises(ValueError, match="^support: "):
+            smooth_pair(gaussian_cdf(), gaussian_cdf(0.0, 1.0, halfwidth))
+
+    def test_cap_admits_a_grid_of_exactly_its_size(self, monkeypatch):
+        F, G = gaussian_cdf(), gaussian_cdf(0.5)
+        points = np.arange(-9.0, 9.5 + tp.SMOOTH_MESH, tp.SMOOTH_MESH).size
+        monkeypatch.setattr(tp, "SMOOTH_GRID_CAP", points)
+        assert smooth_pair(F, G)["kolmogorov"][0] > 0.19
+        monkeypatch.setattr(tp, "SMOOTH_GRID_CAP", points - 1)
+        with pytest.raises(ValueError, match="^support: "):
+            smooth_pair(F, G)
 
 
 class TestProkhorov:
@@ -883,6 +900,18 @@ class TestTransportPhases:
         a, b = _pair(s, mu, nu)
         assert abs(prokhorov(a, b) - prokhorov_exhaustive(a, b)) <= 1e-12
 
+    def test_finite_stop_cost_needs_a_zero_arc_in_every_column(self):
+        """Two rows, three columns, zero arcs only on the leading diagonal.
+        Column 2 has no arc of cost 0, so the greedy start would ship to it
+        at cost 1 before any stop test: the probe is refused, and the full
+        solve, which has no stop test, is not."""
+        cost = np.ones((2, 3))
+        cost[[0, 1], [0, 1]] = 0.0
+        supply, demand = np.full(2, 0.5), np.full(3, 1.0 / 3.0)
+        with pytest.raises(ValueError, match="^cost: "):
+            _transport(cost, supply, demand, np.zeros((2, 3)), 1.0)
+        _check_transport(cost, supply, demand, np.zeros((2, 3)), math.inf)
+
     def test_seeded_problems_match_lp(self):
         """200 problems with unequal row and column counts up to 64, real or
         integer (tied) costs and some rows or columns without mass: each run
@@ -1086,6 +1115,70 @@ class TestBallGrowth:
                 want = ball_growth_exhaustive(nu, eps)
                 assert abs(ball_growth_at(nu, eps) - want) <= 1e-12
                 assert abs(val - want) <= 1e-12
+
+    @pytest.mark.parametrize("cells", [tp._BLOCK_CELLS, 50], ids=["one-block", "1-3-centers"])
+    def test_matches_the_running_minima_read(self, cells, monkeypatch):
+        """510 random instances, n from 1 to 64 (every tenth above 16), each
+        kind and sparsity, and a point mass on every fifth space, read at 0,
+        above the diameter, and at each distinct distance and one ulp either
+        side: every one up to 16 of them, 16 spread over the range above.
+        The reference is the read by running minima over the sorted distance
+        rows. With 50 cells a block holds 1 to 3 centers; that run takes
+        every tenth instance, all of n <= 16, since above n = 7 a block
+        holds one center at any n."""
+        step = 1 if cells == tp._BLOCK_CELLS else 10
+        monkeypatch.setattr(tp, "_BLOCK_CELLS", cells)
+        kinds, reads = ("euclidean", "random-metric", "cycle"), 0
+        for i in range(step // 2, 510, step):
+            n = 1 + i % 16 if i % 10 else 17 + (i // 10) % 48
+            inst = random_instance(19, i, (n, n), kinds[i % 3], 0.3 if i % 2 else 0.0)
+            dd = inst.space.distinct_distances
+            if dd.size > 16:
+                dd = dd[np.linspace(0, dd.size - 1, 16).astype(int)]
+            eps = np.concatenate([[0.0, 2.0 * inst.space.diam + 1.0], dd,
+                                  np.nextafter(dd, 0.0), np.nextafter(dd, np.inf)])
+            measures = [inst.nu]
+            if i % 5 == 0:
+                measures.append(DiscreteDistribution.point_mass(inst.space, n // 2))
+            for nu in measures:
+                sets = np.concatenate(list(tp._ball_distances(nu.space.d)))
+                for e in eps.tolist():
+                    want = float(np.max(((sets > 0.0) & (sets <= e)) @ nu.p, initial=0.0))
+                    assert abs(ball_growth_at(nu, e) - want) <= 1e-12, (inst.instance_id, e)
+                    reads += 1
+        assert reads > 15_000 // step
+
+    def test_below_the_smallest_distance_sorts_nothing(self, monkeypatch):
+        inst = random_instance(19, 3, (12, 12), "euclidean")
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        d_min = inst.space.d_min
+        assert ball_growth_at(inst.nu, float(np.nextafter(d_min, 0.0))) == 0.0
+        assert not calls
+        assert ball_growth_at(inst.nu, d_min) > 0.0 and calls
+
+    def test_peak_memory_at_n_320(self):
+        """One read holds a boolean (center, point, point) block, not float
+        distances from every ball: under 1 MB at n = 320 (5.7 MB read by
+        running minima)."""
+        rng = np.random.default_rng(320)
+        s = FiniteMetricSpace.euclidean(rng.normal(size=(320, 2)))
+        nu = DiscreteDistribution(s, rng.dirichlet(np.ones(320)))
+        eps = float(np.median(s.distinct_distances)) / 3.0
+        tracemalloc.start()
+        try:
+            value = ball_growth_at(nu, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value <= 1.0
+        assert peak < 1_000_000
 
     def test_modulus_step_structure(self):
         s = FiniteMetricSpace.cycle(10)
