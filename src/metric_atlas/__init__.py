@@ -15,13 +15,12 @@ from .divergences import (ConvexGenerator, GEN_CHI_SQUARED,
 from .transport import (BallGrowthModulus, ball_growth_at, discrepancy_finite,
                         discrepancy_real, discrepancy_real_mixed,
                         interval_growth_at, kolmogorov, levy, prokhorov,
-                        tightest_ball_growth, wasserstein_finite,
-                        wasserstein_real)
+                        prokhorov_real, tightest_ball_growth,
+                        wasserstein_finite, wasserstein_real)
 from .bounds import (BoundEdge, CertificationReport, EdgeResult,
                      MetricContext, certification_campaign, certify,
-                     edge_catalog, embed_atomic_pair, evaluate_edges,
-                     random_instance, reports_from_json, reports_to_csv,
-                     reports_to_json)
+                     edge_catalog, evaluate_edges, random_instance,
+                     reports_from_json, reports_to_csv, reports_to_json)
 from .walks import (CdgWalk, ProductWalkParams, binomial_normal_demo,
                     cdg_discrepancy, crossing_time, dudley_instance,
                     product_walk_crossing_times, product_walk_distances,

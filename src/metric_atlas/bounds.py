@@ -191,10 +191,11 @@ FINITE_METRICS: dict[str, Callable[[DiscreteDistribution, DiscreteDistribution],
 }
 
 
-# The four metrics of two atomic CDFs that are read on the line, looked up
+# The five metrics of two atomic CDFs that are read on the line, looked up
 # late in the same way.
 LINE_METRICS: dict[str, Callable[[RealAtomicDistribution, RealAtomicDistribution], float]] = {
     "disc": lambda F, G: tp.discrepancy_real(F, G),
+    "prokhorov": lambda F, G: tp.prokhorov_real(F, G),
     "wasserstein": lambda F, G: tp.wasserstein_real(F, G),
     "kolmogorov": lambda F, G: tp.kolmogorov(F, G),
     "levy": lambda F, G: tp.levy(F, G),
@@ -217,33 +218,26 @@ def finite_context(mu: DiscreteDistribution, nu: DiscreteDistribution,
     )
 
 
-def embed_atomic_pair(F: RealAtomicDistribution, G: RealAtomicDistribution):
-    """Collinear finite space over the merged atoms, with both densities."""
-    grid = np.union1d(F.positions, G.positions)
-    space = FiniteMetricSpace.collinear(grid)
-    idx_f = np.searchsorted(grid, F.positions)
-    idx_g = np.searchsorted(grid, G.positions)
-    p = np.zeros(grid.size)
-    q = np.zeros(grid.size)
-    p[idx_f] = F.weights
-    q[idx_g] = G.weights
-    return space, DiscreteDistribution(space, p), DiscreteDistribution(space, q)
-
-
 def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
                         instance_id: str = "real-atomic") -> MetricContext:
-    """Atomic pair on the line: disc, W, K and L from the two step CDFs
-    (LINE_METRICS), and phi the line's, over intervals and their complements.
-    The weight-based metrics, Prokhorov and the instance facts come from the
-    collinear finite space over the merged atoms, where both measures live
-    and Prokhorov agrees exactly with the line's."""
-    _, mu, nu = embed_atomic_pair(F, G)
-    values = {key: metric(mu, nu) for key, metric in FINITE_METRICS.items()
-              if key not in LINE_METRICS}
+    """Atomic pair on the line: LINE_METRICS from the two step CDFs, and phi
+    the line's, over intervals and their complements. The weight-based
+    metrics read the two weight vectors on the merged atoms; nu dominates
+    mu when every atom of F is one of G, d_min is the smallest gap of the
+    merged atoms and diam the span from the first to the last."""
+    grid = np.union1d(F.positions, G.positions)
+    p, q = np.zeros(grid.size), np.zeros(grid.size)
+    p[np.searchsorted(grid, F.positions)] = F.weights
+    q[np.searchsorted(grid, G.positions)] = G.weights
+    values = {"tv": dv.tv_kernel(p, q), "hellinger": dv.hellinger_kernel(p, q),
+              "entropy": dv.relative_entropy_kernel(p, q),
+              "chi2": dv.chi_squared_kernel(p, q), "separation": dv.separation_kernel(p, q)}
     values.update({key: metric(F, G) for key, metric in LINE_METRICS.items()})
     return MetricContext(instance_id, "real-atomic", values,
-                         nu_dominates_mu=dv.nu_dominates_mu(mu, nu), d_min=mu.space.d_min,
-                         diam=mu.space.diam, phi=functools.partial(tp.interval_growth_at, G))
+                         nu_dominates_mu=grid.size == G.m,
+                         d_min=float(np.diff(grid).min(initial=math.inf)),
+                         diam=float(grid[-1] - grid[0]),
+                         phi=functools.partial(tp.interval_growth_at, G))
 
 
 def real_mixed_context(F: RealAtomicDistribution, G: SmoothRealCdf,

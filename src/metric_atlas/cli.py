@@ -41,8 +41,7 @@ def _load_distribution(path: str):
 
 def _compute_metric(metric: str, mu, nu) -> float:
     """One metric of a pair: two finite measures on their space, or two
-    atomic CDFs on the line, where the weight-based metrics and Prokhorov
-    are read on the collinear space over the merged atoms."""
+    atomic CDFs on the line, read from `bounds.real_atomic_context`."""
     finite = isinstance(mu, DiscreteDistribution)
     if finite != isinstance(nu, DiscreteDistribution):
         raise ValueError("inputs: mu and nu must both be finite-space or both real-line")
@@ -50,10 +49,7 @@ def _compute_metric(metric: str, mu, nu) -> float:
         if metric not in _FINITE_METRICS:
             raise ValueError(f"metric: {metric} applies only to measures on the real line")
         return _FINITE_METRICS[metric](mu, nu)
-    if metric in bounds.LINE_METRICS:
-        return bounds.LINE_METRICS[metric](mu, nu)
-    _, m, n = bounds.embed_atomic_pair(mu, nu)
-    return _FINITE_METRICS[metric](m, n)
+    return bounds.real_atomic_context(mu, nu).values["entropy" if metric == "kl" else metric]
 
 
 def _write(path: str | None, text: str):
@@ -70,8 +66,6 @@ def _parse_size_range(raw: str) -> tuple[int, int]:
         lo_i, hi_i = int(lo), int(hi)
     except ValueError:
         raise ValueError(f"size: expected LO..HI, got {raw!r}") from None
-    if not 2 <= lo_i <= hi_i:
-        raise ValueError(f"size: invalid range {raw!r}")
     return lo_i, hi_i
 
 
@@ -138,8 +132,8 @@ def _cmd_walk_product(args) -> int:
         if args.steps < 2:
             raise ValueError("steps: need at least 2 grid points")
         horizon = args.horizon if args.horizon is not None else 2.0 * args.n ** 2
-        if not math.isfinite(horizon):  # the grid would hold 0 * inf = NaN
-            raise ValueError(f"horizon: must be finite, got {horizon}")
+        if not 0.0 <= horizon < math.inf:  # also NaN; 0 * inf would be NaN
+            raise ValueError(f"horizon: must be finite and non-negative, got {horizon}")
         times = [horizon * k / (args.steps - 1) for k in range(args.steps)]
     g = args.g if args.g is not None else 2 ** args.n
     rows = walks.product_walk_trace(args.n, g, times)

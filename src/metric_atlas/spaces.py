@@ -167,16 +167,6 @@ class FiniteMetricSpace:
         diff = pts[:, None, :] - pts[None, :, :]
         return cls(np.sqrt((diff * diff).sum(axis=-1)))
 
-    @classmethod
-    def collinear(cls, positions) -> "FiniteMetricSpace":
-        """Points on the real line with the absolute-difference metric."""
-        xs = _reals("space.positions", positions)
-        if xs.ndim != 1 or not np.all(np.isfinite(xs)):
-            raise ValueError("space.positions: must be a 1-D array of finite numbers")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("space.positions: must be strictly increasing")
-        return cls(np.abs(xs[:, None] - xs[None, :]))
-
     def same_as(self, other: "FiniteMetricSpace") -> bool:
         return self.d.shape == other.d.shape and bool(
             np.all(np.abs(self.d - other.d) <= SAME_SPACE_TOL))

@@ -12,7 +12,8 @@ Wasserstein there moves only the surplus of mu - nu onto its deficit
 1-Lipschitz function as witnesses; on the line it is the integral of
 |F - G|. Prokhorov binary-searches the distinct distances delta,
 where by Strassen's equivalence its slack is the optimum under the 0/1 cost
-1{d > delta}.
+1{d > delta}; on the line, shipping each atom in order to the leftmost mass
+it reaches finds that optimum without the solver.
 """
 
 from __future__ import annotations
@@ -146,14 +147,16 @@ def kolmogorov(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
 
 
 def _bisect(feasible, tol: float) -> float:
-    """Smallest feasible eps in [0, 1] of a monotone predicate, to `tol`:
-    0.0 when feasible(0.0), else the upper end of the last bracket (1.0 when
-    nothing below it is feasible)."""
+    """Smallest feasible eps in [0, 1] of a monotone predicate, to `tol` or
+    to adjacent floats: 0.0 when feasible(0.0), else the upper end of the
+    last bracket (1.0 when nothing below it is feasible)."""
     if feasible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if feasible(mid):
             hi = mid
         else:
@@ -429,6 +432,34 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
             lo = mid + 1
             warm = cache[mid][1]
     return max(float(deltas[lo]), u(lo))
+
+
+def prokhorov_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
+    """Prokhorov distance of two atomic measures on the line, exactly: the
+    smallest float eps with u(eps) <= eps, u(delta) the F mass a maximum flow
+    along the pairs with |x - y| <= delta (in float, as a distance matrix
+    holds it) leaves unshipped. Both ends of an atom's reach move right with
+    it, so shipping each F atom, in order, to the leftmost G mass it reaches
+    is a maximum flow (Glover, 1967). One pointer skips the G atoms drained
+    or out of reach of every later atom: a probe is O(m_F + m_G).
+    """
+    xs, ys, p, q = (a.tolist() for a in (F.positions, G.positions, F.weights, G.weights))
+
+    def unshipped(delta: float) -> float:
+        left, j, total = q.copy(), 0, 0.0
+        for x, need in zip(xs, p):
+            while j < len(ys) and (left[j] <= 0.0 or x - ys[j] > delta):
+                j += 1
+            k = j
+            while need > 0.0 and k < len(ys) and abs(x - ys[k]) <= delta:
+                amt = min(need, left[k])
+                left[k] -= amt
+                need -= amt
+                k += 1
+            total += need
+        return total
+
+    return _bisect(lambda eps: unshipped(eps) <= eps, 0.0)
 
 
 # ---------------------------------------------------------------------------

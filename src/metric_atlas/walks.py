@@ -134,8 +134,13 @@ class ProductWalkParams:
     def __post_init__(self):
         if _integer("n", self.n) < 1:
             raise ValueError(f"n: need at least 1 coordinate, got {self.n}")
-        if _integer("g", self.g) < 2:
-            raise ValueError(f"g: group size must be >= 2, got {self.g}")
+        g = _integer("g", self.g)
+        if g < 2:
+            raise ValueError(f"g: group size must be >= 2, got {g}")
+        # psi(g - 1) / g is the entropy per coordinate at t = 0; a g of more
+        # than 1023 bits would overflow on its way to a float
+        if g.bit_length() > 1023 or math.isinf(_psi(g - 1.0)):
+            raise ValueError(f"g: g log g overflows a float, got a g of {g.bit_length()} bits")
         if not self.t >= 0:  # also NaN; +inf is the stationary limit
             raise ValueError(f"t: time must be non-negative, got {self.t}")
 
@@ -194,7 +199,7 @@ def _entropy(n: int, g: int, u: float) -> float:
     n/g * [psi((g-1)u) + (g-1) psi(-u)] with psi(a) = (1+a) log1p(a) - a:
     the linear terms of q log(gq) sum to zero and are left out, so the value
     keeps its relative accuracy as it decays like chi-squared/2 towards 0."""
-    return n * (_psi((g - 1.0) * u) + (g - 1.0) * _psi(-u)) / g
+    return n * ((_psi((g - 1.0) * u) + (g - 1.0) * _psi(-u)) / g)
 
 
 def _tv_log_counts(n: int, g: int) -> list[float]:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from metric_atlas import transport, walks
-from metric_atlas.spaces import DiscreteDistribution, RealAtomicDistribution
+from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
+                                 RealAtomicDistribution)
 
 
 def random_atomic(rng, max_atoms=8, scale=2.0, positions=None):
@@ -23,6 +24,18 @@ def lattice_atomic(rng):
     m = int(rng.integers(1, 8))
     return random_atomic(rng, positions=np.sort(
         rng.choice(np.arange(-8, 9) * 0.25, size=m, replace=False)))
+
+
+def embed_atomic_pair(F, G):
+    """Two atomic CDFs as measures on the finite space of their merged atoms,
+    a reference for the line's reads: the euclidean distances of points on
+    the line are the absolute differences, bit for bit."""
+    grid = np.union1d(F.positions, G.positions)
+    space = FiniteMetricSpace.euclidean(grid)
+    p, q = np.zeros(grid.size), np.zeros(grid.size)
+    p[np.searchsorted(grid, F.positions)] = F.weights
+    q[np.searchsorted(grid, G.positions)] = G.weights
+    return space, DiscreteDistribution(space, p), DiscreteDistribution(space, q)
 
 
 def random_pair_on(space, rng, sparsity=0.0):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 import metric_atlas as ma
-from metric_atlas.bounds import certification_campaign, embed_atomic_pair, random_instance
+from metric_atlas.bounds import certification_campaign, random_instance
 from metric_atlas.divergences import (GEN_CHI_SQUARED, GEN_RELATIVE_ENTROPY,
                                       GEN_SQUARED_HELLINGER, GEN_TOTAL_VARIATION,
                                       chi_squared_kernel, relative_entropy_kernel)
@@ -18,6 +18,8 @@ from metric_atlas.oracles import (cdg_disc_window_oracle,
                                   prokhorov_exhaustive)
 from metric_atlas.spaces import DiscreteDistribution, RealAtomicDistribution
 from metric_atlas.walks import CdgWalk
+
+from conftest import embed_atomic_pair
 
 
 def timed(fn):
@@ -69,7 +71,7 @@ def test_acceptance_02_dudley_sequence():
 
 def test_acceptance_03_nested_uniforms():
     from metric_atlas.spaces import FiniteMetricSpace
-    s = FiniteMetricSpace.collinear(np.arange(1.0, 11.0))
+    s = FiniteMetricSpace.euclidean(np.arange(1.0, 11.0))
     u10 = DiscreteDistribution.uniform(s)
     u9 = DiscreteDistribution(s, np.array([1 / 9] * 9 + [0.0]))
 

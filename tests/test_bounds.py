@@ -1,17 +1,17 @@
 import json
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from metric_atlas.bounds import (CertificationReport, EdgeResult, MetricContext,
-                                 certification_campaign, certify, edge_catalog,
-                                 embed_atomic_pair, evaluate_edges, finite_context,
+from metric_atlas.bounds import (FINITE_METRICS, CertificationReport, EdgeResult,
+                                 MetricContext, certification_campaign, certify,
+                                 edge_catalog, evaluate_edges, finite_context,
                                  random_instance, real_atomic_context,
                                  real_mixed_context, real_smooth_context,
                                  reports_from_json, reports_to_csv, reports_to_json)
+from metric_atlas.divergences import nu_dominates_mu
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, gaussian_cdf)
 from metric_atlas import transport as tp
@@ -20,7 +20,7 @@ from metric_atlas.transport import (discrepancy_finite, prokhorov, tightest_ball
                                     wasserstein_finite)
 from metric_atlas.walks import standardized_binomial, z10_measures
 
-from conftest import lattice_atomic, random_atomic, random_pair_on
+from conftest import embed_atomic_pair, lattice_atomic, random_atomic, random_pair_on
 
 
 def ids(catalog):
@@ -183,7 +183,7 @@ class TestEvaluation:
         assert rep.passed
 
     def test_nested_uniforms_entropy_vacuous(self):
-        s = FiniteMetricSpace.collinear(np.arange(1.0, 11.0))
+        s = FiniteMetricSpace.euclidean(np.arange(1.0, 11.0))
         u10 = DiscreteDistribution.uniform(s)
         u9 = DiscreteDistribution(s, np.array([1 / 9] * 9 + [0.0]))
         rep = certify(u10, u9)
@@ -299,7 +299,7 @@ class TestTightnessWitnesses:
         assert abs(ctx2.values["disc"] - 2 * ctx2.values["kolmogorov"]) < 1e-12
 
     def test_real_atomic_disc_is_the_lines(self):
-        # the collinear space's balls are centered at atoms, so [0, 1], where
+        # the merged atoms' space has balls centered at atoms, so [0, 1], where
         # mu - nu = 1, is not one of them: its disc reads 1/2, the line's 1
         F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
         G = RealAtomicDistribution.from_pairs([(-0.5, 0.5), (1.5, 0.5)])
@@ -332,14 +332,19 @@ class TestRealAtomicOnTheLine:
                 "K<=(1+c)L", "H<=sqrt(chi2)"}
 
     def test_line_values_against_the_embedding(self):
-        # the line's intervals include the embedding's balls, and W is the
-        # same transport problem on either side
+        # the line's intervals include the embedding's balls, W and P are the
+        # same transport problems on either side, and the weight-based
+        # metrics and instance facts read the same merged weights and gaps
         for F, G in _atomic_pairs(200, seed=1):
-            _, mu, nu = embed_atomic_pair(F, G)
+            space, mu, nu = embed_atomic_pair(F, G)
             ctx = real_atomic_context(F, G)
             assert ctx.values["disc"] >= discrepancy_finite(mu, nu) - 1e-15
             assert abs(ctx.values["wasserstein"] - wasserstein_finite(mu, nu)[0]) < 1e-12
-            assert ctx.values["prokhorov"] == prokhorov(mu, nu)
+            assert abs(ctx.values["prokhorov"] - prokhorov(mu, nu)) <= 1e-15
+            for key in ("tv", "hellinger", "entropy", "chi2", "separation"):
+                assert ctx.values[key] == FINITE_METRICS[key](mu, nu), key
+            assert (ctx.d_min, ctx.diam) == (space.d_min, space.diam)
+            assert ctx.nu_dominates_mu is nu_dominates_mu(mu, nu)
 
     def test_identical_pair_reads_zero(self):
         F = RealAtomicDistribution.from_pairs([(0.0, 0.25), (0.5, 0.5), (2.0, 0.25)])
@@ -347,27 +352,24 @@ class TestRealAtomicOnTheLine:
         assert all(v == 0.0 for v in ctx.values.values()), ctx.values
         assert evaluate_edges(ctx).passed
 
-    def test_no_finite_geometry_is_read(self, monkeypatch, tmp_path):
-        # certify and compute read D, W and phi on the line: the embedding
-        # serves Prokhorov alone, the one caller of the transport solver
-        calls = {"wasserstein_finite": 0, "discrepancy_finite": 0, "ball_growth_at": 0}
+    def test_no_finite_geometry_is_read(self, monkeypatch, tmp_path, transport_solves):
+        # certify and compute read every value and phi on the line: no finite
+        # space is built and the transport solver never runs
+        calls = dict.fromkeys(("wasserstein_finite", "discrepancy_finite", "ball_growth_at",
+                               "prokhorov"), 0)
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(tp, name)):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(tp, name, counted)
-        callers = []
-        solve = tp._transport
+        spaces = []
+        post_init = FiniteMetricSpace.__post_init__
 
-        def traced(*args, **kwargs):
-            frame, names = sys._getframe(1), set()
-            while frame is not None:
-                names.add(frame.f_code.co_name)
-                frame = frame.f_back
-            callers.append("prokhorov" in names)
-            return solve(*args, **kwargs)
+        def counted_space(space):
+            spaces.append(space)
+            post_init(space)
 
-        monkeypatch.setattr(tp, "_transport", traced)
+        monkeypatch.setattr(FiniteMetricSpace, "__post_init__", counted_space)
         F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
         G = RealAtomicDistribution.from_pairs([(-0.5, 0.5), (1.5, 0.5)])
         assert certify(F, G).passed
@@ -381,9 +383,9 @@ class TestRealAtomicOnTheLine:
         for metric in METRIC_NAMES:
             assert main(["compute", "--metric", metric, "--mu", files[0],
                          "--nu", files[1], "--out", str(tmp_path / "v.txt")]) == 0
-        assert calls == {"wasserstein_finite": 0, "discrepancy_finite": 0,
-                         "ball_growth_at": 0}
-        assert callers and all(callers)
+        assert calls == dict.fromkeys(calls, 0)
+        assert transport_solves.count == 0
+        assert spaces == []
 
 
 class TestMutualConvergence:

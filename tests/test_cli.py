@@ -125,6 +125,12 @@ class TestCertify:
         assert main(["certify", "--trials", "2", "--size", "big"]) == 1
         assert "size" in capsys.readouterr().err
 
+    def test_size_range_is_checked_by_the_library_alone(self, tmp_path, capsys):
+        assert main(["certify", "--trials", "6", "--size", "1..1",
+                     "--out", str(tmp_path / "report.csv")]) == 0
+        assert main(["certify", "--trials", "2", "--size", "2..100"]) == 1
+        assert capsys.readouterr().err.startswith("error: size_range: ")
+
     def test_bad_trials(self, capsys):
         assert main(["certify", "--trials", "0"]) == 1
         assert "trials" in capsys.readouterr().err
@@ -181,7 +187,10 @@ class TestWalks:
         (["--times", "0,abc"], "error: times: not a number: 'abc'"),
         (["--horizon", "nan"], "error: horizon: "),
         (["--horizon", "inf"], "error: horizon: "),
-    ], ids=["times-nan", "times-not-a-number", "horizon-nan", "horizon-inf"])
+        (["--horizon", "-5"], "error: horizon: "),
+        (["--n", "1100"], "error: g: "),
+    ], ids=["times-nan", "times-not-a-number", "horizon-nan", "horizon-inf",
+            "horizon-negative", "g-overflows"])
     def test_product_rejects_bad_time(self, tmp_path, capsys, args, message):
         out = tmp_path / "prod.csv"
         assert main(["walk-product", "--n", "3", *args, "--out", str(out)]) == 1

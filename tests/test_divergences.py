@@ -44,7 +44,7 @@ class TestTotalVariation:
         assert total_variation(mu, nu) == 1.0
 
     def test_nested_uniforms(self):
-        s = FiniteMetricSpace.collinear(np.arange(10.0))
+        s = FiniteMetricSpace.euclidean(np.arange(10.0))
         u10 = DiscreteDistribution.uniform(s)
         u9 = DiscreteDistribution(s, np.array([1 / 9] * 9 + [0.0]))
         assert abs(total_variation(u10, u9) - 0.1) < 1e-15
@@ -147,7 +147,7 @@ class TestSeparation:
         assert separation(mu, unif) == 1.0
 
     def test_argument_order_on_nested_uniforms(self):
-        s = FiniteMetricSpace.collinear(np.arange(10.0))
+        s = FiniteMetricSpace.euclidean(np.arange(10.0))
         u10 = DiscreteDistribution.uniform(s)
         u9 = DiscreteDistribution(s, np.array([1 / 9] * 9 + [0.0]))
         # literal formula: small in one order, 1 in the non-dominated order

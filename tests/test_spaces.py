@@ -419,16 +419,9 @@ class TestJson:
         (lambda: gaussian_cdf(mean=math.inf), "mean"),
         (lambda: gaussian_cdf(halfwidth=math.nan), "halfwidth"),
         (lambda: gaussian_cdf(halfwidth=math.inf), "halfwidth"),
-        (lambda: FiniteMetricSpace.collinear(["0", "1"]), "space.positions"),
-        (lambda: FiniteMetricSpace.collinear([0.0, math.nan]), "space.positions"),
-        (lambda: FiniteMetricSpace.collinear([0.0, math.inf]), "space.positions"),
-        (lambda: FiniteMetricSpace.collinear([[0.0, 1.0], [2.0, 3.0]]), "space.positions"),
-        (lambda: FiniteMetricSpace.collinear([0.0, 2.0, 1.0]), "space.positions"),
-        (lambda: FiniteMetricSpace.collinear([0.0, 1.0, 1.0]), "space.positions"),
     ], ids=["cycle-float", "cycle-short", "d-null", "points-ragged", "atom-null",
             "sigma-0", "sigma-negative", "sigma-nan", "sigma-inf", "mean-nan", "mean-inf",
-            "halfwidth-nan", "halfwidth-inf", "positions-string", "positions-nan",
-            "positions-inf", "positions-2d", "positions-unsorted", "positions-tied"])
+            "halfwidth-nan", "halfwidth-inf"])
     def test_library_names_the_field(self, call, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             call()

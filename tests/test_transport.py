@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metric_atlas.transport as tp
-from metric_atlas.bounds import (CAMPAIGN_SPARSITIES, INSTANCE_KINDS, embed_atomic_pair,
-                                 random_instance, real_mixed_context, real_smooth_context)
+from metric_atlas.bounds import (CAMPAIGN_SPARSITIES, INSTANCE_KINDS, evaluate_edges,
+                                 random_instance, real_atomic_context, real_mixed_context,
+                                 real_smooth_context)
 from metric_atlas.divergences import total_variation
 from metric_atlas.oracles import (ball_growth_exhaustive, interval_growth_exhaustive,
                                   levy_grid_oracle, mixed_discrepancy_scan_oracle,
@@ -16,12 +17,13 @@ from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution, SmoothRealCdf, gaussian_cdf)
 from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_finite,
                                     discrepancy_real_mixed, kolmogorov, levy,
-                                    prokhorov, smooth_pair, tightest_ball_growth,
-                                    wasserstein_finite, wasserstein_real)
+                                    prokhorov, prokhorov_real, smooth_pair,
+                                    tightest_ball_growth, wasserstein_finite,
+                                    wasserstein_real)
 from metric_atlas.walks import standardized_binomial, z10_measures
 from metric_atlas.witness import check_wasserstein
 
-from conftest import lattice_atomic, random_atomic, random_pair_on
+from conftest import embed_atomic_pair, lattice_atomic, random_atomic, random_pair_on
 
 
 def delta(x):
@@ -499,6 +501,44 @@ class TestProkhorov:
         assert prokhorov_exhaustive(mu, nu) == expected
 
 
+class TestProkhorovReal:
+    def test_matches_exhaustive_oracle(self, rng):
+        draw = [lattice_atomic, random_atomic, random_atomic]
+        checked = 0
+        for i in range(90):
+            F, G = draw[i % 3](rng), draw[i % 3](rng)
+            space, mu, nu = embed_atomic_pair(F, G)
+            if space.n <= 12:
+                assert abs(prokhorov_real(F, G) - prokhorov_exhaustive(mu, nu)) <= 1e-12
+                checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.0])
+    def test_point_masses(self, a):
+        assert prokhorov_real(delta(0.0), delta(a)) == min(a, 1.0)
+
+    def test_identity(self, rng):
+        for draw in (lattice_atomic, random_atomic):
+            F = draw(rng)
+            assert prokhorov_real(F, F) == 0.0
+
+    def test_symmetric(self, rng):
+        draw = [lattice_atomic, random_atomic, random_atomic]
+        for i in range(60):
+            F, G = draw[i % 3](rng), draw[i % 3](rng)
+            assert abs(prokhorov_real(F, G) - prokhorov_real(G, F)) <= 1e-15
+
+    def test_beyond_the_embedding(self, rng):
+        # 5,000 atoms a side out of 7,500 shared positions: the merged
+        # space's distance matrix alone would take about 350 MB
+        pool = np.sort(rng.normal(size=7500))
+        F, G = (RealAtomicDistribution(np.sort(rng.choice(pool, 5000, replace=False)),
+                                       rng.dirichlet(np.ones(5000))) for _ in range(2))
+        ctx = real_atomic_context(F, G)
+        assert ctx.values["levy"] <= ctx.values["prokhorov"] <= ctx.values["tv"] < 1.0
+        assert evaluate_edges(ctx).passed
+
+
 class TestWasserstein:
     def test_single_route(self):
         mu, nu = bern_pair(0.0, 1.0, d=0.75)
@@ -697,7 +737,7 @@ class TestTransportAgainstLP:
 
 
 def _collinear_point_masses(xs, i, j):
-    s = FiniteMetricSpace.collinear(xs)
+    s = FiniteMetricSpace.euclidean(xs)
     return DiscreteDistribution.point_mass(s, i), DiscreteDistribution.point_mass(s, j)
 
 
@@ -896,7 +936,7 @@ class TestTransportPhases:
         cost = (np.abs(x[:, None] - x) > 1.0).astype(float)
         flow = _check_transport(cost, mu, nu, np.diag(np.minimum(mu, nu)), 1.0)
         assert abs(1.0 - flow.sum() - 1.0 / 6.0) <= 1e-15
-        s = FiniteMetricSpace.collinear(x)
+        s = FiniteMetricSpace.euclidean(x)
         a, b = _pair(s, mu, nu)
         assert abs(prokhorov(a, b) - prokhorov_exhaustive(a, b)) <= 1e-12
 

@@ -262,6 +262,21 @@ class TestProductWalk:
             else:
                 assert d["chi2"] == math.inf
 
+    @pytest.mark.parametrize("n", [1, 10**4])
+    def test_entropy_at_time_zero_is_finite_up_to_the_largest_g(self, n):
+        lo, hi = 2, 2 ** 1024  # the largest accepted g lies in [lo, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                ProductWalkParams(n, mid, 0.0)
+                lo = mid
+            except ValueError:
+                hi = mid
+        with pytest.raises(ValueError, match="^g: "):
+            ProductWalkParams(n, lo + 1, 0.0)
+        entropy = product_walk_distances(ProductWalkParams(n, lo, 0.0))["entropy"]
+        assert abs(entropy - n * math.log(lo)) <= 1e-12 * n * math.log(lo)
+
     def test_long_time_everything_vanishes(self):
         d = product_walk_distances(ProductWalkParams(8, 256, 1e5))
         for v in d.values():
