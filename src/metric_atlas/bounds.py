@@ -201,6 +201,16 @@ LINE_METRICS: dict[str, Callable[[RealAtomicDistribution, RealAtomicDistribution
     "levy": lambda F, G: tp.levy(F, G),
 }
 
+# The five weight-based metrics of two atomic CDFs, read on the two weight
+# vectors over their merged atoms (`merged_weights`), looked up late too.
+WEIGHT_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
+    "tv": lambda p, q: dv.tv_kernel(p, q),
+    "hellinger": lambda p, q: dv.hellinger_kernel(p, q),
+    "entropy": lambda p, q: dv.relative_entropy_kernel(p, q),
+    "chi2": lambda p, q: dv.chi_squared_kernel(p, q),
+    "separation": lambda p, q: dv.separation_kernel(p, q),
+}
+
 
 def finite_context(mu: DiscreteDistribution, nu: DiscreteDistribution,
                    instance_id: str = "finite") -> MetricContext:
@@ -218,6 +228,17 @@ def finite_context(mu: DiscreteDistribution, nu: DiscreteDistribution,
     )
 
 
+def merged_weights(F: RealAtomicDistribution, G: RealAtomicDistribution
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The merged atoms of F and G, sorted, and the two weight vectors on
+    them (zero where a distribution has no atom)."""
+    grid = np.union1d(F.positions, G.positions)
+    p, q = np.zeros(grid.size), np.zeros(grid.size)
+    p[np.searchsorted(grid, F.positions)] = F.weights
+    q[np.searchsorted(grid, G.positions)] = G.weights
+    return grid, p, q
+
+
 def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
                         instance_id: str = "real-atomic") -> MetricContext:
     """Atomic pair on the line: LINE_METRICS from the two step CDFs, and phi
@@ -225,13 +246,8 @@ def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
     metrics read the two weight vectors on the merged atoms; nu dominates
     mu when every atom of F is one of G, d_min is the smallest gap of the
     merged atoms and diam the span from the first to the last."""
-    grid = np.union1d(F.positions, G.positions)
-    p, q = np.zeros(grid.size), np.zeros(grid.size)
-    p[np.searchsorted(grid, F.positions)] = F.weights
-    q[np.searchsorted(grid, G.positions)] = G.weights
-    values = {"tv": dv.tv_kernel(p, q), "hellinger": dv.hellinger_kernel(p, q),
-              "entropy": dv.relative_entropy_kernel(p, q),
-              "chi2": dv.chi_squared_kernel(p, q), "separation": dv.separation_kernel(p, q)}
+    grid, p, q = merged_weights(F, G)
+    values = {key: kernel(p, q) for key, kernel in WEIGHT_KERNELS.items()}
     values.update({key: metric(F, G) for key, metric in LINE_METRICS.items()})
     return MetricContext(instance_id, "real-atomic", values,
                          nu_dominates_mu=grid.size == G.m,

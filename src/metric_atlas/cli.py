@@ -41,7 +41,8 @@ def _load_distribution(path: str):
 
 def _compute_metric(metric: str, mu, nu) -> float:
     """One metric of a pair: two finite measures on their space, or two
-    atomic CDFs on the line, read from `bounds.real_atomic_context`."""
+    atomic CDFs on the line, each read as `bounds.real_atomic_context` reads
+    it and nothing else read."""
     finite = isinstance(mu, DiscreteDistribution)
     if finite != isinstance(nu, DiscreteDistribution):
         raise ValueError("inputs: mu and nu must both be finite-space or both real-line")
@@ -49,7 +50,11 @@ def _compute_metric(metric: str, mu, nu) -> float:
         if metric not in _FINITE_METRICS:
             raise ValueError(f"metric: {metric} applies only to measures on the real line")
         return _FINITE_METRICS[metric](mu, nu)
-    return bounds.real_atomic_context(mu, nu).values["entropy" if metric == "kl" else metric]
+    key = "entropy" if metric == "kl" else metric
+    if key in bounds.LINE_METRICS:
+        return bounds.LINE_METRICS[key](mu, nu)
+    _, p, q = bounds.merged_weights(mu, nu)
+    return bounds.WEIGHT_KERNELS[key](p, q)
 
 
 def _write(path: str | None, text: str):

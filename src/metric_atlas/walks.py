@@ -24,10 +24,10 @@ from .spaces import (DiscreteDistribution, FiniteMetricSpace,
 # Doubling walk on Z_p:  X_k = 2 X_{k-1} + e_k (mod p), e uniform on {-1,0,1}
 # ---------------------------------------------------------------------------
 
-# A step, and its distances to uniform, hold 3 float64 vectors of length p at
-# their peak (the law and 2 new vectors; peak RSS measured at p = 2^22 - 1
-# and 2^24 - 1): 1.6 GB at p = 2^26 - 1. The cap leaves room in 8 GB of memory
-# for a caller's own copies of the law.
+# A step, and its distances to uniform, hold the half law and 2 new vectors of
+# its length, (p + 1) / 2, at their peak: 0.8 GB at p = 2^26 - 1. The cap
+# leaves room in 8 GB of memory for a caller's own full-length copies of the
+# law (`CdgWalk.dist` builds one).
 MAX_MODULUS = 2 ** 26 - 1
 
 
@@ -38,6 +38,10 @@ class CdgWalk:
     uniform is stationary. `p` must be odd so that 2 is invertible and the
     closed balls of the cycle metric are exactly the odd-length arcs, and at
     most MAX_MODULUS so that a step fits in memory.
+
+    The walk starts at the point mass at 0 and its noise is symmetric, so
+    its law is symmetric under x -> -x at every step. It is kept as `half`,
+    the law on {0, ..., (p - 1) / 2}; `dist` builds the full law from it.
     """
 
     def __init__(self, p: int):
@@ -45,43 +49,65 @@ class CdgWalk:
             raise ValueError(f"p: modulus must be odd and >= 3, got {p}")
         if p > MAX_MODULUS:
             raise ValueError(f"p: modulus must be <= 2^26 - 1 = {MAX_MODULUS} "
-                             f"(a step holds about 3 vectors of length p), got {p}")
+                             f"(a step holds about 1.5 vectors of length p), got {p}")
         self.p = p
         self.step_count = 0
-        self.dist = np.zeros(p)
-        self.dist[0] = 1.0
+        self.half = np.zeros((p + 1) // 2)
+        self.half[0] = 1.0
 
     @classmethod
     def mersenne(cls, t: int) -> "CdgWalk":
         """Walk on p = 2^t - 1."""
         return cls(2 ** t - 1)
 
+    @property
+    def dist(self) -> np.ndarray:
+        """The full law on Z_p, a new vector: dist[x] = dist[p - x]."""
+        return np.concatenate((self.half, self.half[:0:-1]))
+
     def step(self) -> "CdgWalk":
-        # x -> 2x mod p is a perfect shuffle for odd p: x < (p+1)/2 lands on
-        # 2x (the even points), the rest on 2x - p (the odd points).
-        d, half = self.dist, (self.p + 1) // 2
-        g = np.empty_like(d)
-        g[0::2] = d[:half]
-        g[1::2] = d[half:]
-        # dist[i] = (g[i] + g[i-1]) + g[i+1] around the cycle, added slice by
-        # slice into one buffer so that no shifted copy of g is made.
-        dist = np.empty_like(g)
-        np.add(g[1:], g[:-1], out=dist[1:])
-        dist[0] = g[0] + g[-1]
-        dist[:-1] += g[1:]
-        dist[-1] += g[0]
-        dist /= 3.0
-        self.dist = dist
+        # x -> 2x mod p is a perfect shuffle for odd p: g[2x mod p] = dist[x].
+        # g is symmetric too, and is read on 0..H from the half law h
+        # (H = (p + 1) / 2): g[j] = h[j / 2] for even j and h[(p - j) / 2] for
+        # odd j, the latter running down from h[H - 1].
+        h = self.half
+        size = h.size
+        g = np.empty(size + 1)
+        g[0::2] = h[:size // 2 + 1]
+        g[1::2] = h[::-1][:(size + 1) // 2]
+        # new[i] = ((g[i-1] + g[i+1]) + g[i]) / 3 with g[-1] = g[1]. The order
+        # is symmetric in i-1 and i+1, so the full law in this order is
+        # exactly symmetric and its half is this one, bit for bit.
+        new = np.empty(size)
+        np.add(g[:-2], g[2:], out=new[1:])
+        new[0] = g[1] + g[1]
+        new += g[:-1]
+        new /= 3.0
+        self.half = new
         self.step_count += 1
         return self
 
     def distances(self) -> dict[str, float]:
-        """Total variation and discrepancy to the uniform distribution, from
-        one deviation vector dist - 1/p. tv is numpy's pairwise sum of |dev|,
-        within about log2(p) * eps * sum|dev| of the exactly rounded sum."""
-        dev = self.dist - 1.0 / self.p
-        disc = _cycle_range(dev)
-        return {"tv": 0.5 * float(np.abs(dev, out=dev).sum()), "disc": disc}
+        """Total variation and discrepancy to the uniform distribution, read
+        from the half deviation dev = half - 1/p.
+
+        tv = |dev[0]| / 2 + sum of |dev[1:]|, numpy's pairwise sum, within
+        about log2(p) * eps * sum|dev| of the exactly rounded sum. disc is
+        the range of the cut-point sums Z (see `cdg_discrepancy`): one
+        half-length prefix sum gives Z_1..Z_H, and since the mass sums to 1
+        and the law is symmetric, every other cut point is
+        Z_c = dev[0] - Z_{p-c+1}.
+        """
+        dev = self.half - 1.0 / self.p
+        z = np.cumsum(dev)
+        inner = z[1:-1]  # Z_2 .. Z_{H-1}, the cut points that are mirrored
+        in_lo, in_hi = inner.min(initial=math.inf), inner.max(initial=-math.inf)
+        dev0 = dev[0]
+        disc = (max(0.0, z[0], z[-1], in_hi, dev0 - in_lo)
+                - min(0.0, z[0], z[-1], in_lo, dev0 - in_hi))
+        np.abs(dev, out=dev)
+        tv = 0.5 * dev[0] + dev[1:].sum()
+        return {"tv": float(tv), "disc": float(disc)}
 
 
 def cdg_discrepancy(dist: np.ndarray) -> float:
@@ -94,10 +120,9 @@ def cdg_discrepancy(dist: np.ndarray) -> float:
     the sup over balls of |excess| is the range max Z - min Z (the circular
     Kuiper statistic).
     """
-    p = dist.shape[0]
-    if p % 2 == 0:
-        raise ValueError("cycle length must be odd")
-    return _cycle_range(dist - 1.0 / p)
+    if dist.ndim != 1 or dist.size < 3 or dist.size % 2 == 0:
+        raise ValueError(f"dist: need a 1-D vector of odd length >= 3, got shape {dist.shape}")
+    return _cycle_range(dist - 1.0 / dist.size)
 
 
 def _cycle_range(dev: np.ndarray) -> float:
@@ -344,7 +369,7 @@ def dudley_instance(n: float):
     """Distributions ((n-1) delta_0 + delta_n)/n and delta_0 on the two-point
     space {0, n}: Prokhorov-close yet at Wasserstein distance one."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError(f"n: need n >= 2, got {n}")
     space = FiniteMetricSpace.from_matrix([[0.0, float(n)], [float(n), 0.0]],
                                           labels=("0", str(n)))
     p_n = DiscreteDistribution(space, np.array([(n - 1.0) / n, 1.0 / n]))

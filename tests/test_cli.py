@@ -1,10 +1,13 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from metric_atlas.bounds import reports_from_json
-from metric_atlas.cli import main
+from metric_atlas import bounds
+from metric_atlas.bounds import real_atomic_context, reports_from_json
+from metric_atlas.cli import METRIC_NAMES, main
+from metric_atlas.spaces import distribution_from_json
 
 
 @pytest.fixture
@@ -85,6 +88,38 @@ class TestCompute:
             paths.append(str(path))
         assert main(["compute", "--metric", "disc", "--mu", paths[0], "--nu", paths[1]]) == 0
         assert capsys.readouterr().out == "1.0\n"
+
+    @pytest.mark.parametrize("shared", [0, 4, 7], ids=["disjoint", "overlap", "nested"])
+    def test_atomic_metrics_equal_the_contexts_bit_for_bit(self, tmp_path, capsys, shared):
+        # F has 7 atoms, `shared` of them also atoms of G (nested: G holds all of F)
+        rng = np.random.default_rng(shared)
+        xs = rng.permutation(np.arange(16) * 0.37)
+        objs = {"f": xs[:7], "g": xs[7 - shared:13]}
+        paths, dists = [], []
+        for name, positions in objs.items():
+            w = rng.random(positions.size) + 0.1
+            obj = {"atoms": [{"x": float(x), "w": float(v)}
+                             for x, v in zip(positions, w / w.sum())]}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            paths.append(str(path))
+            dists.append(distribution_from_json(obj))
+        values = real_atomic_context(*dists).values
+        for metric in METRIC_NAMES:
+            assert main(["compute", "--metric", metric, "--mu", paths[0], "--nu", paths[1]]) == 0
+            got = float(capsys.readouterr().out)
+            assert got == values["entropy" if metric == "kl" else metric], metric
+
+    def test_atomic_tv_reads_nothing_else(self, monkeypatch, atom_files, capsys):
+        def unasked(*args):
+            raise AssertionError("a metric that was not asked for was read")
+        for key in bounds.LINE_METRICS:
+            monkeypatch.setitem(bounds.LINE_METRICS, key, unasked)
+        for key in set(bounds.WEIGHT_KERNELS) - {"tv"}:
+            monkeypatch.setitem(bounds.WEIGHT_KERNELS, key, unasked)
+        f, g = atom_files
+        assert main(["compute", "--metric", "tv", "--mu", f, "--nu", g]) == 0
+        assert capsys.readouterr().out == "0.5\n"
 
     def test_bad_mass_names_field(self, tmp_path, z10_files, capsys):
         bad = tmp_path / "half.json"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,20 +53,21 @@ class TestCdgWalk:
 
     def test_uniform_is_stationary(self):
         walk = CdgWalk(7)
-        walk.dist = np.full(7, 1 / 7)
+        walk.half = np.full(4, 1 / 7)
         walk.step()
         assert np.allclose(walk.dist, 1 / 7, atol=1e-15)
 
     @pytest.mark.parametrize("p", [5, 21, 1023, 1025, 2187, 4095])
     def test_step_matches_index_map(self, p):
-        # Reference: the gather through ((y - s) * 2^-1) mod p, s in {0, 1, -1}.
+        # Reference: the gather through ((y - s) * 2^-1) mod p, s in {0, 1, -1},
+        # summed as (left + right) + centre.
         inv_two = pow(2, -1, p)
         y = np.arange(p)
         idx = [((y - shift) * inv_two) % p for shift in (0, 1, -1)]
         walk = CdgWalk(p)
-        ref = walk.dist.copy()
+        ref = walk.dist
         for _ in range(3 * math.ceil(math.log2(p))):
-            ref = (ref[idx[0]] + ref[idx[1]] + ref[idx[2]]) / 3.0
+            ref = ((ref[idx[1]] + ref[idx[2]]) + ref[idx[0]]) / 3.0
             walk.step()
             assert np.array_equal(walk.dist, ref), (p, walk.step_count)
 
@@ -91,34 +93,56 @@ class TestCdgWalk:
 
     def test_uniform_distances_vanish(self):
         walk = CdgWalk(9)
-        walk.dist = np.full(9, 1 / 9)
+        walk.half = np.full(5, 1 / 9)
         d = walk.distances()
         assert d["tv"] < 1e-14 and d["disc"] < 1e-14
 
-    @pytest.mark.parametrize("p", [3, 5, 101, 4099, 2 ** 16 - 1])
+    @pytest.mark.parametrize("p", [3, 5, 101, 1025, 2187, 4099, 2 ** 16 - 1, 2 ** 16 + 1])
     def test_step_matches_rolled_form_bit_for_bit(self, p):
-        # Reference: the shuffle, then (g + roll(g, 1)) + roll(g, -1).
+        # Reference: the full-vector step, the shuffle, then
+        # (roll(g, 1) + roll(g, -1)) + g. It is exactly symmetric, and its
+        # half is the walk's.
         half = (p + 1) // 2
         walk = CdgWalk(p)
-        ref = walk.dist.copy()
+        ref = walk.dist
         for _ in range(2 * math.ceil(math.log2(p))):
             g = np.empty_like(ref)
             g[0::2], g[1::2] = ref[:half], ref[half:]
-            ref = g + np.roll(g, 1)
-            ref += np.roll(g, -1)
+            ref = np.roll(g, 1) + np.roll(g, -1)
+            ref += g
             ref /= 3.0
             walk.step()
+            assert np.array_equal(ref[1:], ref[:0:-1]), (p, walk.step_count)
+            assert np.array_equal(walk.half, ref[:half]), (p, walk.step_count)
             assert np.array_equal(walk.dist, ref), (p, walk.step_count)
 
     @pytest.mark.parametrize("p", [3, 5, 101, 4099, 2 ** 16 - 1])
     def test_distances_match_the_standalone_kernels(self, p):
         walk = CdgWalk(p)
-        for _ in range(2 * math.ceil(math.log2(p))):
+        # exact law times 3^k: the number of noise paths from 0 to each point
+        counts = np.zeros(p, dtype=object)
+        counts[0] = 1
+        half = (p + 1) // 2
+        for k in range(1, 2 * math.ceil(math.log2(p)) + 1):
             walk.step()
             d = walk.distances()
-            assert d["disc"] == cdg_discrepancy(walk.dist), (p, walk.step_count)
+            assert abs(d["disc"] - cdg_discrepancy(walk.dist)) <= 1e-13, (p, k)
             tv = tv_kernel(walk.dist, np.full(p, 1.0 / p))
-            assert abs(d["tv"] - tv) <= 1e-14, (p, walk.step_count)
+            assert abs(d["tv"] - tv) <= 1e-14, (p, k)
+            if p <= 4099:
+                g = np.empty_like(counts)
+                g[0::2], g[1::2] = counts[:half], counts[half:]
+                counts = g + np.roll(g, 1) + np.roll(g, -1)
+                z = np.cumsum(p * counts[:-1] - 3 ** k)
+                exact = Fraction(int(max(z.max(), 0) - min(z.min(), 0)), p * 3 ** k)
+                assert abs(Fraction(d["disc"]) - exact) <= 4e-15, (p, k)
+
+    def test_first_step_disc_is_exact_at_t20(self):
+        # The law is 1/3 on each of p - 1, 0, 1, the ball of radius 1 about 0:
+        # disc = 1 - 3/p.
+        p = 2 ** 20 - 1
+        disc = CdgWalk(p).step().distances()["disc"]
+        assert abs(disc - (1 - 3 / p)) <= 2 * np.spacing(1 - 3 / p)
 
     def test_step_and_distances_allocate_about_two_vectors(self):
         p = 2 ** 16 - 1
@@ -131,7 +155,7 @@ class TestCdgWalk:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2.5 * 8 * p, (call.__name__, peak / (8 * p))
+            assert peak <= 1.25 * 8 * p, (call.__name__, peak / (8 * p))
 
     @pytest.mark.parametrize("p", [2 ** 16 - 1, 65539, 2 ** 20 - 1])
     def test_law_matches_fourier_oracle(self, p):
@@ -144,6 +168,13 @@ class TestCdgWalk:
 
 
 class TestCdgDiscrepancy:
+    @pytest.mark.parametrize("dist", [np.full(4, 0.25), np.full((3, 3), 1 / 9),
+                                      np.array([1.0]), np.zeros(0)],
+                             ids=["even", "2-d", "one-entry", "empty"])
+    def test_rejects_a_vector_that_is_no_odd_cycle(self, dist):
+        with pytest.raises(ValueError, match="^dist: "):
+            cdg_discrepancy(dist)
+
     def test_point_mass(self):
         v = np.zeros(5)
         v[0] = 1.0
@@ -515,6 +546,11 @@ class TestBinomialNormal:
 
 
 class TestDudley:
+    @pytest.mark.parametrize("n", [1, 1.5, -3])
+    def test_rejects_n_below_two(self, n):
+        with pytest.raises(ValueError, match="^n: "):
+            dudley_instance(n)
+
     def test_paper_values(self):
         for n in (2, 10):
             _, p_n, target = dudley_instance(n)
