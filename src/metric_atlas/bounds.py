@@ -304,7 +304,8 @@ def certify(mu, nu, instance_id: str = "instance") -> CertificationReport:
         return evaluate_edges(real_mixed_context(mu, nu, instance_id))
     if isinstance(mu, SmoothRealCdf) and isinstance(nu, SmoothRealCdf):
         return evaluate_edges(real_smooth_context(mu, nu, instance_id))
-    raise ValueError("unsupported instance combination")
+    raise ValueError(f"mu, nu: unsupported instance combination "
+                     f"{type(mu).__name__} and {type(nu).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +337,7 @@ def _random_space(rng: np.random.Generator, n: int, kind: str) -> FiniteMetricSp
         for k in range(n):  # shortest-path closure keeps the triangle inequality
             w = np.minimum(w, w[:, [k]] + w[[k], :])
         return FiniteMetricSpace(w)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    raise ValueError(f"kind: unknown instance kind {kind!r}")
 
 
 def _sparse_simplex(rng: np.random.Generator, n: int, sparsity: float) -> np.ndarray:
@@ -354,9 +355,13 @@ def random_instance(seed: int, index: int, size_range: tuple[int, int] = (4, 10)
     """Deterministic per (seed, index): a space of the requested kind and a
     Dirichlet(1) distribution pair, optionally with zeroed coordinates to
     exercise domination edge cases."""
+    if np.shape(size_range) != (2,):
+        raise ValueError(f"size_range: need a (low, high) pair, got {size_range!r}")
     lo, hi = (_integer("size_range", v) for v in size_range)
     if not 1 <= lo <= hi <= 64:
-        raise ValueError(f"size_range: need 1 <= low <= high <= 64, got {tuple(size_range)!r}")
+        raise ValueError(f"size_range: need 1 <= low <= high <= 64, got {(lo, hi)!r}")
+    if not 0.0 <= sparsity <= 1.0:  # also NaN
+        raise ValueError(f"sparsity: need 0 <= sparsity <= 1, got {sparsity!r}")
     rng = np.random.default_rng([seed, index])
     n = int(rng.integers(lo, hi + 1))
     space = _random_space(rng, n, kind)
@@ -373,7 +378,7 @@ def certification_campaign(trials: int, seed: int = 0,
     CAMPAIGN_SPARSITIES."""
     mix = [(kind, sparsity) for sparsity in CAMPAIGN_SPARSITIES for kind in INSTANCE_KINDS]
     reports = []
-    for i in range(trials):
+    for i in range(_integer("trials", trials)):
         kind, sparsity = mix[i % len(mix)]
         inst = random_instance(seed, i, size_range, kind, sparsity)
         ctx = finite_context(inst.mu, inst.nu, inst.instance_id)

@@ -18,6 +18,7 @@ it reaches finds that optimum without the solver.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -146,13 +147,13 @@ def kolmogorov(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
     return float(np.max(np.abs(F.cdf(grid) - G.cdf(grid))))
 
 
-def _bisect(feasible, tol: float) -> float:
-    """Smallest feasible eps in [0, 1] of a monotone predicate, to `tol` or
-    to adjacent floats: 0.0 when feasible(0.0), else the upper end of the
-    last bracket (1.0 when nothing below it is feasible)."""
+def _bisect(feasible, tol: float, hi: float = 1.0) -> float:
+    """Smallest feasible eps in [0, hi] of a monotone predicate, to `tol`; at
+    tol = 0, the first float at which it holds: 0.0 when feasible(0.0), else
+    the upper end of the last bracket (`hi` when nothing below it is)."""
     if feasible(0.0):
         return 0.0
-    lo, hi = 0.0, 1.0
+    lo = 0.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if not lo < mid < hi:  # lo and hi are adjacent floats
@@ -403,35 +404,27 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
         return 0.0
     d = mu.space.d
     deltas = np.concatenate(([0.0], mu.space.distinct_distances))
-    K = deltas.size - 1
 
-    warm = np.diag(np.minimum(mu.p, nu.p))  # shared mass stays put
+    shared = np.diag(np.minimum(mu.p, nu.p))  # shared mass stays put
     # at delta = 0 the solver ships nothing beyond the shared mass
-    tv = max(0.0, float(np.sum(mu.p - warm.sum(axis=1))))
-    cache = {0: (tv, warm)}  # k -> (u(d_k), its flow)
+    tv = max(0.0, float(np.sum(mu.p - shared.sum(axis=1))))
+    cache = {0: (tv, shared)}  # k -> (u(d_k), its flow)
 
     def u(k: int) -> float:
         if k not in cache:
+            # every index probed below k was infeasible; start from the largest
+            warm = cache[max(j for j in cache if j < k)][1]
             flow, _ = _transport((d > deltas[k]).astype(float), mu.p, nu.p,
                                  flow=warm, stop_cost=1.0)
             unshipped = float(np.sum(mu.p - flow.sum(axis=1)))
             cache[k] = (max(0.0, unshipped), flow)
         return cache[k][0]
 
-    def valid(k: int) -> bool:
-        nxt = float(deltas[k + 1]) if k < K else math.inf
-        return u(k) < nxt
-
-    # valid(hi) holds: u(d_hi) <= u(0) = TV < d_{hi+1}, or hi = K
-    lo, hi = 0, int(np.searchsorted(deltas, tv, side="right")) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if valid(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-            warm = cache[mid][1]
-    return max(float(deltas[lo]), u(lo))
+    # interval hi is valid: u(d_hi) <= u(0) = TV < d_{hi+1}, or d_hi is the
+    # largest distance; so only the k < hi, which have a d_{k+1}, are searched
+    hi = int(np.searchsorted(deltas, tv, side="right")) - 1
+    k = bisect.bisect_left(range(hi), True, key=lambda j: u(j) < float(deltas[j + 1]))
+    return max(float(deltas[k]), u(k))
 
 
 def prokhorov_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
@@ -521,10 +514,15 @@ class BallGrowthModulus:
         object.__setattr__(self, "values", _frozen(self.values))
 
     def at(self, eps: float) -> float:
-        if eps < 0:
-            raise ValueError("eps must be non-negative")
+        _check_eps(eps)
         k = int(np.searchsorted(self.breakpoints, eps, side="right")) - 1
         return float(self.values[max(k, 0)])
+
+
+def _check_eps(eps: float) -> None:
+    """A ValueError naming eps when it is NaN or negative; 0 and +inf pass."""
+    if not eps >= 0.0:
+        raise ValueError(f"eps: must be non-negative, got {eps!r}")
 
 
 # Centers are processed in blocks of at most this many (center, point, point)
@@ -569,6 +567,7 @@ def ball_growth_at(nu: DiscreteDistribution, eps: float) -> float:
     nu(B_k), and S_k gains nu(B_k) - nu(last <= k). Memory is one boolean
     (center, point, point) array per block.
     """
+    _check_eps(eps)
     space, p = nu.space, nu.p
     if eps < space.d_min:
         return 0.0
@@ -613,6 +612,7 @@ def interval_growth_at(nu: RealAtomicDistribution, eps: float) -> float:
     value at eps = 0 is the largest sum of two atom weights (1 for a single
     atom), not 0.
     """
+    _check_eps(eps)
     y = nu.positions
     before = nu.cdf_left(y)
     left = nu.cdf(y) - nu.cdf_left(y - eps)

@@ -257,23 +257,13 @@ def _tv(log_counts: list[float], log_gq0: float, log_gq1: float) -> float:
 
 
 def crossing_time(params_at, threshold: float, t_hi: float) -> float:
-    """First time a decreasing distance curve drops to the threshold, by
-    bisection on [0, t_hi] that halves until lo and hi are adjacent floats,
-    at most 80 steps, where t_hi is a time by which the curve is known to be
-    at or below it: for the product walk, a chi-squared crossing through the
-    catalog edge `TV<=sqrt(chi2)/2` or `I<=log1p(chi2)`."""
-    if params_at(0.0) <= threshold:
-        return 0.0
-    lo, hi = 0.0, t_hi
-    for _ in range(80):
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:  # no float left between: no step moves lo or hi
-            break
-        if params_at(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    """First float time in [0, t_hi] at which a decreasing distance curve is
+    at or below the threshold, by `transport._bisect` closing on adjacent
+    floats; t_hi when no earlier time is. t_hi is a time by which the curve
+    is known to be at or below it: for the product walk, a chi-squared
+    crossing through the catalog edge `TV<=sqrt(chi2)/2` or
+    `I<=log1p(chi2)`."""
+    return tp._bisect(lambda t: params_at(t) <= threshold, 0.0, t_hi)
 
 
 def product_walk_crossing_times(n: int, g: int,

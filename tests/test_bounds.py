@@ -217,6 +217,13 @@ class TestEvaluation:
         with pytest.raises(TypeError):
             certify(mu, unif, space=FiniteMetricSpace(mu.space.d * 0.01))
 
+    def test_unsupported_pair_names_both_types(self):
+        _, mu, _, _ = z10_measures()
+        F = RealAtomicDistribution.from_pairs([(0.0, 0.5), (1.0, 0.5)])
+        with pytest.raises(ValueError, match="^mu, nu: .*DiscreteDistribution and "
+                                             "RealAtomicDistribution"):
+            certify(mu, F)
+
     def test_both_argument_orders_certify(self, rng):
         s = FiniteMetricSpace.euclidean(rng.normal(size=(6, 2)))
         for i in range(15):
@@ -409,6 +416,23 @@ class TestRandomInstances:
     def test_bad_size_range_names_the_field(self, size_range):
         with pytest.raises(ValueError, match="^size_range: "):
             random_instance(0, 0, size_range)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"sparsity": math.nan}, "sparsity"),
+        ({"sparsity": -1.0}, "sparsity"),
+        ({"sparsity": 2.0}, "sparsity"),
+        ({"kind": "bogus"}, "kind"),
+        ({"size_range": (3,)}, "size_range"),
+        ({"size_range": 5}, "size_range"),
+    ], ids=["sparsity-nan", "sparsity-negative", "sparsity-above-one", "kind",
+            "size_range-one-entry", "size_range-scalar"])
+    def test_bad_fields_name_the_field(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            random_instance(0, 0, **kwargs)
+
+    def test_campaign_rejects_fractional_trials(self):
+        with pytest.raises(ValueError, match="^trials: "):
+            certification_campaign(2.5)
 
     def test_deterministic(self):
         a = random_instance(5, 3, (4, 10), "random-metric", 0.3)

@@ -186,7 +186,9 @@ class TestWalks:
         assert "odd" in capsys.readouterr().err
 
     def test_cdg_needs_p_or_t(self, capsys):
-        assert main(["walk-cdg", "--steps", "5"]) == 1
+        for args in ([], ["--p", "7", "--t", "3"]):  # neither, both
+            assert main(["walk-cdg", *args, "--steps", "5"]) == 1
+            assert capsys.readouterr().err.startswith("error: p, t: ")
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_cdg_rejects_bad_steps(self, tmp_path, capsys, steps):

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import metric_atlas
 
 SRC = str(Path(metric_atlas.__file__).resolve().parents[1])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_runtime_imports_no_scipy():
@@ -24,6 +27,21 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_quick_tour_runs_as_written():
+    tour = README.read_text().split("## Library quick tour", 1)[1]
+    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)  # the block's own check_wasserstein call and assert run too
+    ma, mu, unif = ns["ma"], ns["mu"], ns["unif"]
+    # the values the block's comments state
+    assert ma.total_variation(mu, unif) == pytest.approx(0.5, abs=1e-12)
+    assert round(ma.relative_entropy(mu, unif), 4) == 1.0751
+    assert ma.discrepancy_finite(mu, unif) == pytest.approx(0.5, abs=1e-12)
+    assert ma.prokhorov(mu, unif) == pytest.approx(0.5, abs=1e-12)
+    assert ns["value"] == pytest.approx(1.5, abs=1e-12)
+    assert ns["report"].passed
 
 
 def test_every_name_the_benchmark_traces_resolves(monkeypatch):

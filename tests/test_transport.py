@@ -1313,6 +1313,28 @@ class TestIntervalGrowth:
             assert vals[-1] <= 1.0 + 1e-15
 
 
+_CYCLE5 = DiscreteDistribution.uniform(FiniteMetricSpace.cycle(5))
+_PHI_READS = {
+    "ball_growth_at": lambda eps: ball_growth_at(_CYCLE5, eps),
+    "interval_growth_at": lambda eps: tp.interval_growth_at(
+        RealAtomicDistribution.from_pairs([(0.0, 0.2), (1.0, 0.5), (3.0, 0.3)]), eps),
+    "BallGrowthModulus.at": lambda eps: tightest_ball_growth(_CYCLE5).at(eps),
+}
+
+
+@pytest.mark.parametrize("read", list(_PHI_READS.values()), ids=list(_PHI_READS))
+@pytest.mark.parametrize("eps", [math.nan, -1.0, -math.inf, -5e-324],
+                         ids=["nan", "-1", "-inf", "-subnormal"])
+def test_phi_reads_reject_a_bad_eps(read, eps):
+    with pytest.raises(ValueError, match="^eps: "):
+        read(eps)
+
+
+@pytest.mark.parametrize("read", list(_PHI_READS.values()), ids=list(_PHI_READS))
+def test_phi_reads_take_zero_and_infinity(read):
+    assert 0.0 <= read(0.0) <= read(math.inf) <= 1.0
+
+
 class TestFigureBoundsOnRandomInstances:
     """Inequality sweeps over random finite instances and atomic pairs."""
 

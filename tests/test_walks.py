@@ -440,20 +440,32 @@ class TestProductWalk:
     ], ids=["exp", "reciprocal", "gaussian-tail", "step", "step-near-0",
             "constant-below", "constant-above", "t_hi-zero", "above-at-t_hi",
             "t_hi-subnormal"])
-    def test_crossing_time_equals_the_80_step_loop(self, curve, threshold, t_hi):
-        def bisect_80(params_at):
-            if params_at(0.0) <= threshold:
-                return 0.0
-            lo, hi = 0.0, t_hi
-            for _ in range(80):
-                mid = (lo + hi) / 2.0
-                if params_at(mid) > threshold:
-                    lo = mid
-                else:
-                    hi = mid
-            return (lo + hi) / 2.0
+    def test_crossing_time_is_the_first_float_at_or_below(self, curve, threshold, t_hi):
+        # on step-near-0 this reads exactly 1e-200: a bracket of 1e300 takes
+        # about 1700 halvings to close on adjacent floats
+        r = crossing_time(curve, threshold, t_hi)
+        if curve(t_hi) <= threshold:
+            assert 0.0 <= r <= t_hi and curve(r) <= threshold
+            assert r == 0.0 or curve(math.nextafter(r, 0.0)) > threshold
+        else:
+            assert r == t_hi
 
-        assert crossing_time(curve, threshold, t_hi) == bisect_80(curve)
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40, 64])
+    def test_distance_at_a_crossing_is_at_or_below_the_threshold(self, n):
+        for g in sorted({2, 3, 2 ** n}):
+            for thr in (1e-100, 1e-3, 0.01, 0.25, 0.5):
+                got = product_walk_crossing_times(n, g, thr)
+                for key in ("tv", "entropy"):
+                    value = product_walk_distances(ProductWalkParams(n, g, got[key]))[key]
+                    if (n, g, thr, key) == (1, 2, 1e-3, "tv"):
+                        # TV = sqrt(chi2)/2 with equality at n = 1, g = 2, and
+                        # TV at the bracket's end rounds one ulp above 1e-3:
+                        # nothing below the end holds, so the end is returned
+                        ratio = math.expm1(math.log1p(4.0 * thr * thr)) / (g - 1.0)
+                        assert got[key] == -0.5 * math.log(ratio)
+                        assert value == math.nextafter(thr, 1.0)
+                        continue
+                    assert value <= thr, (g, thr, key, value)
 
     def test_crossing_probes_read_one_distance_each(self, walk_probes):
         walks.product_walk_crossing_times(40, 2 ** 40)
