@@ -376,9 +376,11 @@ def certification_campaign(trials: int, seed: int = 0,
                            ) -> list[CertificationReport]:
     """Seeded campaign cycling through INSTANCE_KINDS, then through
     CAMPAIGN_SPARSITIES."""
+    if _integer("trials", trials) < 1:
+        raise ValueError(f"trials: must be >= 1, got {trials}")
     mix = [(kind, sparsity) for sparsity in CAMPAIGN_SPARSITIES for kind in INSTANCE_KINDS]
     reports = []
-    for i in range(_integer("trials", trials)):
+    for i in range(trials):
         kind, sparsity = mix[i % len(mix)]
         inst = random_instance(seed, i, size_range, kind, sparsity)
         ctx = finite_context(inst.mu, inst.nu, inst.instance_id)

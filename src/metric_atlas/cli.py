@@ -24,8 +24,7 @@ from . import bounds, transport, walks
 from .divergences import relative_entropy, total_variation
 from .spaces import DiscreteDistribution, distribution_from_json
 
-_FINITE_METRICS = {**bounds.FINITE_METRICS, "kl": bounds.FINITE_METRICS["entropy"]}
-METRIC_NAMES = sorted(set(_FINITE_METRICS) | set(bounds.LINE_METRICS))
+METRIC_NAMES = sorted(set(bounds.FINITE_METRICS) | set(bounds.LINE_METRICS) | {"kl"})
 
 
 def _load_distribution(path: str):
@@ -46,11 +45,11 @@ def _compute_metric(metric: str, mu, nu) -> float:
     finite = isinstance(mu, DiscreteDistribution)
     if finite != isinstance(nu, DiscreteDistribution):
         raise ValueError("inputs: mu and nu must both be finite-space or both real-line")
-    if finite:
-        if metric not in _FINITE_METRICS:
-            raise ValueError(f"metric: {metric} applies only to measures on the real line")
-        return _FINITE_METRICS[metric](mu, nu)
     key = "entropy" if metric == "kl" else metric
+    if finite:
+        if key not in bounds.FINITE_METRICS:
+            raise ValueError(f"metric: {metric} applies only to measures on the real line")
+        return bounds.FINITE_METRICS[key](mu, nu)
     if key in bounds.LINE_METRICS:
         return bounds.LINE_METRICS[key](mu, nu)
     _, p, q = bounds.merged_weights(mu, nu)
@@ -113,8 +112,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_walk_cdg(args) -> int:
-    if args.steps < 1:
-        raise ValueError("steps: must be >= 1")
     if (args.p is None) == (args.t is None):
         raise ValueError("p, t: give exactly one of --p or --t")
     if args.p is not None:
@@ -221,8 +218,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "trials", 1) < 1:
-            raise ValueError("trials: must be >= 1")
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

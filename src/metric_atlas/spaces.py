@@ -43,6 +43,13 @@ def _integer(field: str, value) -> int:
         raise ValueError(f"{field}: must be an integer, got {value!r}") from None
 
 
+def _non_negative(field: str, value: float) -> None:
+    """A ValueError naming the field when value is NaN or negative; 0 and
+    +inf pass."""
+    if not value >= 0.0:
+        raise ValueError(f"{field}: must be non-negative, got {value!r}")
+
+
 def _reals(field: str, value) -> np.ndarray:
     """value as a float array, or a ValueError naming the field when it
     holds anything but numbers (null, a string, a bool) or nests lists of
@@ -132,14 +139,12 @@ class FiniteMetricSpace:
 
     def ball(self, center: int, radius: float) -> frozenset[int]:
         """Closed ball {y : d(center, y) <= radius}."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        _non_negative("radius", radius)
         return frozenset(np.nonzero(self.d[center] <= radius)[0].tolist())
 
     def fatten(self, points, eps: float) -> frozenset[int]:
         """eps-fattening {x : min_{y in points} d(x, y) <= eps}."""
-        if eps < 0:
-            raise ValueError("eps must be non-negative")
+        _non_negative("eps", eps)
         idx = sorted(points)
         if not idx:
             return frozenset()

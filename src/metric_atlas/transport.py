@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import (Coupling, DiscreteDistribution, RealAtomicDistribution,
-                     SmoothRealCdf, _check_same_space, _frozen)
+                     SmoothRealCdf, _check_same_space, _frozen, _non_negative)
 
 _FLOW_EPS = 1e-12
 
@@ -155,7 +155,7 @@ def _bisect(feasible, tol: float, hi: float = 1.0) -> float:
         return 0.0
     lo = 0.0
     while hi - lo > tol:
-        mid = (lo + hi) / 2.0
+        mid = lo + (hi - lo) / 2.0  # lo + hi can overflow near the float max
         if not lo < mid < hi:  # lo and hi are adjacent floats
             break
         if feasible(mid):
@@ -258,40 +258,40 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     """Min-cost transportation plan by the primal-dual method: each phase
     finds every shortest distance once, then ships along many paths.
 
-    The residual graph is bipartite: a forward arc i -> j of cost
-    cost[i, j] for every pair, and a backward arc j -> i of cost -cost[i, j]
-    wherever flow[i, j] > _FLOW_EPS. Row and column potentials keep every
-    reduced cost non-negative, and flow ships only on arcs of reduced cost
-    0, so a backward arc costs 0. Each phase runs from the rows with
-    remaining supply, at distance 0, in vectorized rounds: every column
-    takes its cheapest row through the forward arcs, then every row its
-    cheapest column through the backward arcs, until no row improves. A
-    parent changes only on a strict improvement, so with costs that are
-    non-negative the parents form a tree. Adding the distances to the
-    potentials keeps every reduced cost non-negative and makes every tree
-    arc tight; a row no path reaches (no supply and no flow, which only
-    Prokhorov's full problem has) takes the largest column distance.
-    The phase then walks the tree path to each column that still needs
-    mass, cheapest first, and ships what the path's root, the column and
-    the path's backward arcs allow, skipping a path that an earlier one in
-    the phase left without supply or backward flow. Flow moves only on
-    tight arcs while the potentials stay dual feasible, so a full flow is
-    optimal by LP duality.
-
-    Costs must be non-negative, and `flow` may use only arcs of cost zero.
-    The solve starts from tight arcs: each column's potential is its
-    cheapest arc, which is 0 wherever `flow` ships, and one greedy pass
-    ships along the arcs at that price. So with a finite `stop_cost` every
-    column needs an arc of cost 0, as the zero diagonal of Prokhorov's cost
-    gives; a `cost` without one raises ValueError. A row with remaining
-    supply stays at distance 0 in every phase, so its potential stays 0,
-    and the potentials telescope along a path of tight arcs: pot_c[j] -
-    pot_r[i] is the cost of the path from root i to column j. Shipping
-    stops once supply or demand is exhausted, or at the first path whose
-    cost reaches `stop_cost`; the solve ends after a phase that ships
-    nothing. Returns the flow and the column potentials, which
+    The contract: costs are non-negative, `flow` uses only arcs of cost 0,
+    and shipping stops at the first path whose cost reaches `stop_cost`.
+    The solve ends once supply or demand is exhausted, or after a phase
+    that ships nothing. Returns the flow and the column potentials, which
     with the row potentials satisfy pot_c[j] - pot_r[i] <= cost[i, j], with
     equality wherever flow ships.
+
+    The residual graph is bipartite: a forward arc i -> j of cost
+    cost[i, j] for every pair, and a backward arc j -> i of cost -cost[i, j]
+    wherever flow[i, j] > _FLOW_EPS. Potentials keep every reduced cost
+    non-negative, and flow ships only on arcs of reduced cost 0, so a
+    backward arc costs 0. The solve starts from tight arcs: each column is
+    priced at its cheapest arc, 0 wherever `flow` ships, and one greedy pass
+    ships along the arcs at a price below `stop_cost`. Each phase runs from
+    the rows with remaining supply, at distance 0, in vectorized rounds:
+    every column takes its cheapest row through the forward arcs, then every
+    row its cheapest column through the backward arcs, until no row
+    improves. A parent changes only on a strict improvement, so with
+    non-negative costs the parents form a tree. Adding the distances to the
+    potentials keeps every reduced cost non-negative and makes every tree
+    arc tight. A row with remaining supply stays at distance 0, so its
+    potential stays 0 and, through its finite arcs, every column's stays
+    finite; along a path of tight arcs pot_c[j] - pot_r[i] is the cost of
+    the path from root i to column j. A row with neither supply nor flow is
+    dead: a path starts only at a row with supply and enters a row only
+    along a backward arc, which needs flow, so no path of this phase or a
+    later one reaches it. Its potential becomes inf, which only makes its
+    reduced costs inf: row potentials are never returned, and the stop test
+    reads one only at a root. The phase then walks the tree path to each
+    column that still needs mass, cheapest first, and ships what the path's
+    root, the column and the path's backward arcs allow, skipping a path
+    that an earlier one in the phase left without supply or backward flow.
+    Flow moves only on tight arcs while the potentials stay dual feasible,
+    so a full flow is optimal by LP duality.
     """
     n, m = cost.shape
     flow = flow.copy()
@@ -301,11 +301,10 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     rows_n, cols_m = np.arange(n), np.arange(m)
 
     # price each column at its cheapest arc, then ship greedily along the
-    # arcs that meet that price, column by column
+    # arcs that meet that price below the stop, column by column
     pot_c = cost.min(axis=0)
-    if stop_cost < math.inf and pot_c.max(initial=0.0) > 0.0:
-        raise ValueError("cost: with a finite stop_cost every column needs an arc of cost 0")
-    tight = (cost == pot_c) & (rem_s > _FLOW_EPS)[:, None] & (rem_d > _FLOW_EPS)
+    tight = ((cost == pot_c) & (pot_c < stop_cost)
+             & (rem_s > _FLOW_EPS)[:, None] & (rem_d > _FLOW_EPS))
     rs, rd = rem_s.tolist(), rem_d.tolist()
     for j, i in zip(*(a.tolist() for a in np.nonzero(tight.T))):
         amt = min(rs[i], rd[j])
@@ -339,7 +338,6 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
                 break
             par_r = np.where(better, k, par_r)
             dist_r = np.minimum(nd, dist_r)
-        dist_r[dist_r == math.inf] = dist_c.max()
         pot_r += dist_r
         pot_c += dist_c
 
@@ -389,19 +387,19 @@ def prokhorov(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
     and no transport problem is solved at all.
 
     u(delta) is the optimal transportation cost under the 0/1 cost
-    1{d > delta}. Shortest paths there cost 0 until the zero-cost arcs carry
-    all they can, then exactly 1, since a direct arc costs at most 1. A
-    solver phase ships along its paths of cost 0 only, and the solve ends at
-    the first phase whose cheapest path costs 1: no zero-cost augmenting path
-    is left, so the flow is a maximum flow on the arcs with d <= delta, and
-    u(delta) is the supply left unshipped. Each probe of the binary search
-    starts from the flow of the largest delta known infeasible, or from the
-    mass the two measures share on each point: either uses only arcs with
-    d <= the new delta, so it costs 0 there and is optimal for its value.
+    1{d > delta}, solved by `_transport` stopped at 1. Shortest paths there
+    cost 0 until the zero-cost arcs carry all they can, then exactly 1,
+    since a direct arc costs at most 1. So the solve ends at the first path
+    of cost 1 with no zero-cost augmenting path left: the flow is a maximum
+    flow on the arcs with d <= delta, and u(delta) is the supply left
+    unshipped. Each probe starts from the flow of the largest delta known
+    infeasible, or from the mass the two measures share on each point:
+    either uses only arcs with d <= the new delta, as the solver's contract
+    asks. A point mu leaves empty carries no supply and no flow, a dead row
+    that no path reaches, so it changes no probe. On one point there is no
+    d_1, TV = 0, and the search returns u(0) = 0.
     """
     _check_same_space(mu, nu)
-    if mu.space.n == 1:
-        return 0.0
     d = mu.space.d
     deltas = np.concatenate(([0.0], mu.space.distinct_distances))
 
@@ -514,15 +512,9 @@ class BallGrowthModulus:
         object.__setattr__(self, "values", _frozen(self.values))
 
     def at(self, eps: float) -> float:
-        _check_eps(eps)
+        _non_negative("eps", eps)
         k = int(np.searchsorted(self.breakpoints, eps, side="right")) - 1
         return float(self.values[max(k, 0)])
-
-
-def _check_eps(eps: float) -> None:
-    """A ValueError naming eps when it is NaN or negative; 0 and +inf pass."""
-    if not eps >= 0.0:
-        raise ValueError(f"eps: must be non-negative, got {eps!r}")
 
 
 # Centers are processed in blocks of at most this many (center, point, point)
@@ -567,7 +559,7 @@ def ball_growth_at(nu: DiscreteDistribution, eps: float) -> float:
     nu(B_k), and S_k gains nu(B_k) - nu(last <= k). Memory is one boolean
     (center, point, point) array per block.
     """
-    _check_eps(eps)
+    _non_negative("eps", eps)
     space, p = nu.space, nu.p
     if eps < space.d_min:
         return 0.0
@@ -612,7 +604,7 @@ def interval_growth_at(nu: RealAtomicDistribution, eps: float) -> float:
     value at eps = 0 is the largest sum of two atom weights (1 for a single
     atom), not 0.
     """
-    _check_eps(eps)
+    _non_negative("eps", eps)
     y = nu.positions
     before = nu.cdf_left(y)
     left = nu.cdf(y) - nu.cdf_left(y - eps)

@@ -134,6 +134,8 @@ def _cycle_range(dev: np.ndarray) -> float:
 
 def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
     """Rows (step, tv, disc) for steps 1..steps from the point mass at 0."""
+    if _integer("steps", steps) < 1:  # checked before the walk allocates
+        raise ValueError(f"steps: must be >= 1, got {steps}")
     walk = CdgWalk(p)
     rows = []
     for _ in range(steps):

@@ -434,6 +434,11 @@ class TestRandomInstances:
         with pytest.raises(ValueError, match="^trials: "):
             certification_campaign(2.5)
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_campaign_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="^trials: must be >= 1"):
+            certification_campaign(trials)
+
     def test_deterministic(self):
         a = random_instance(5, 3, (4, 10), "random-metric", 0.3)
         b = random_instance(5, 3, (4, 10), "random-metric", 0.3)

@@ -110,6 +110,21 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError):
             path3().fatten({0}, -1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf],
+                             ids=["nan", "negative", "-inf"])
+    @pytest.mark.parametrize("read, field", [
+        (lambda s, r: s.ball(0, r), "radius"),
+        (lambda s, r: s.fatten({0}, r), "eps"),
+    ], ids=["ball", "fatten"])
+    def test_bad_radius_names_the_field(self, read, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: must be non-negative"):
+            read(FiniteMetricSpace.cycle(5), value)
+
+    def test_radius_takes_zero_and_infinity(self):
+        c = FiniteMetricSpace.cycle(5)
+        assert c.ball(0, 0.0) == c.fatten({0}, 0.0) == {0}
+        assert c.ball(0, math.inf) == c.fatten({0}, math.inf) == set(range(5))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), e1=st.floats(0, 3), bump=st.floats(0, 3))
     def test_fatten_monotone_in_eps(self, seed, e1, bump):

@@ -940,26 +940,43 @@ class TestTransportPhases:
         a, b = _pair(s, mu, nu)
         assert abs(prokhorov(a, b) - prokhorov_exhaustive(a, b)) <= 1e-12
 
-    def test_finite_stop_cost_needs_a_zero_arc_in_every_column(self):
+    def test_a_column_without_a_zero_arc_is_left_to_the_stop(self):
         """Two rows, three columns, zero arcs only on the leading diagonal.
-        Column 2 has no arc of cost 0, so the greedy start would ship to it
-        at cost 1 before any stop test: the probe is refused, and the full
-        solve, which has no stop test, is not."""
+        Column 2 has no arc of cost 0, so the tight-arc start leaves it,
+        and the one phase reaches it only at cost 1: the probe ships the
+        2/3 its zero arcs carry and stops, and the full solve, which has no
+        stop, ships the rest."""
         cost = np.ones((2, 3))
         cost[[0, 1], [0, 1]] = 0.0
         supply, demand = np.full(2, 0.5), np.full(3, 1.0 / 3.0)
-        with pytest.raises(ValueError, match="^cost: "):
-            _transport(cost, supply, demand, np.zeros((2, 3)), 1.0)
+        flow = _check_transport(cost, supply, demand, np.zeros((2, 3)), 1.0)
+        assert abs(flow.sum() - 2.0 / 3.0) <= 1e-15
         _check_transport(cost, supply, demand, np.zeros((2, 3)), math.inf)
+
+    def test_a_row_with_surplus_below_the_flow_tolerance_is_dead(self):
+        """Points 0..3 on the line; mu's surplus at point 1 is 1e-14, below
+        _FLOW_EPS, so W's block row for it has neither supply nor flow: no
+        path reaches it, and its potential turns inf without touching the
+        value, the coupling or f."""
+        mu_p = [0.5, 0.25 + 1e-14, 0.25 - 1e-14, 0.0]
+        nu_p = [0.0, 0.25, 0.25, 0.5]
+        assert 0.0 < mu_p[1] - nu_p[1] <= tp._FLOW_EPS
+        d = np.abs(np.arange(4.0)[:, None] - np.arange(4.0))
+        assert _w_against_lp_and_witness(d, mu_p, nu_p) == 1.5
 
     def test_seeded_problems_match_lp(self):
         """200 problems with unequal row and column counts up to 64, real or
         integer (tied) costs and some rows or columns without mass: each run
         to the end from zero flow, and as a probe under the 0/1 cost
-        1{cost > its median}, stopped at 1 from the diagonal warm flow.
-        Every row and column has an arc of cost 0, as a distance matrix's
-        diagonal gives Prokhorov's probes."""
+        1{cost > its median}, stopped at 1 from the diagonal warm flow,
+        where every row and column has an arc of cost 0 as a distance
+        matrix's diagonal gives Prokhorov's probes. Each is also stopped at
+        1 from zero flow under a 0/1 cost with no forced zero arc, where a
+        column has none with probability 1/2: most problems have such a
+        column, which only the stop keeps the solve from shipping to."""
         rng = np.random.default_rng(1818)
+        free_rng = np.random.default_rng(2323)
+        lacking = 0
         for t in range(200):
             n, m = (int(k) for k in rng.integers(1, 65, size=2))
             if t % 2:
@@ -980,6 +997,10 @@ class TestTransportPhases:
             warm[np.arange(k), np.arange(k)] = np.minimum(supply[:k], demand[:k])
             probe = (cost > np.median(cost)).astype(float)
             _check_transport(probe, supply, demand, warm, 1.0)
+            free = (free_rng.random((n, m)) >= 1.0 - 0.5 ** (1.0 / n)).astype(float)
+            lacking += bool(free.min(axis=0).max() > 0.0)
+            _check_transport(free, supply, demand, np.zeros((n, m)), 1.0)
+        assert lacking >= 150
 
 
 class TestMixedDiscrepancy:

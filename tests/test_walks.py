@@ -26,6 +26,15 @@ class TestCdgWalk:
         with pytest.raises(ValueError, match="^p: must be an integer"):
             CdgWalk(p)
 
+    @pytest.mark.parametrize("steps", [0, -2])
+    def test_trace_rejects_bad_steps_before_allocating(self, monkeypatch, steps):
+        def no_walk(p):
+            raise AssertionError("CdgWalk built before the steps check")
+
+        monkeypatch.setattr(walks, "CdgWalk", no_walk)
+        with pytest.raises(ValueError, match="^steps: must be >= 1"):
+            cdg_trace(7, steps)
+
     def test_one_step_from_origin(self):
         walk = CdgWalk(5).step()
         expected = np.array([1, 1, 0, 0, 1]) / 3.0
@@ -379,6 +388,11 @@ class TestProductWalk:
         assert crossing_time(lambda t: math.exp(-t), 0.25, 10.0) == pytest.approx(
             math.log(4), abs=1e-6)
         assert crossing_time(lambda t: 0.1, 0.25, 10.0) == 0.0
+
+    def test_crossing_time_near_the_float_max(self):
+        # lo + hi overflows here; the midpoint lo + (hi - lo) / 2 does not
+        assert crossing_time(lambda t: 1.0 if t < 1.5e308 else 0.0, 0.5,
+                             1.7e308) == 1.5e308
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40, 64])
     def test_crossings_match_sweep_then_bisect(self, n):
