@@ -355,6 +355,9 @@ def random_instance(seed: int, index: int, size_range: tuple[int, int] = (4, 10)
     """Deterministic per (seed, index): a space of the requested kind and a
     Dirichlet(1) distribution pair, optionally with zeroed coordinates to
     exercise domination edge cases."""
+    for field, value in (("seed", seed), ("index", index)):
+        if _integer(field, value) < 0:  # numpy seeds with non-negative integers only
+            raise ValueError(f"{field}: must be non-negative, got {value!r}")
     if np.shape(size_range) != (2,):
         raise ValueError(f"size_range: need a (low, high) pair, got {size_range!r}")
     lo, hi = (_integer("size_range", v) for v in size_range)

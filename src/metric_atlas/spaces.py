@@ -36,11 +36,21 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 def _integer(field: str, value) -> int:
     """value as an int (numpy integers pass), or a ValueError naming the
-    field."""
+    field; a bool is not taken for 0 or 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{field}: must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{field}: must be an integer, got {value!r}")
+
+
+def _index(field: str, value, n: int) -> int:
+    """value as a point index in 0..n-1, or a ValueError naming the field."""
+    i = _integer(field, value)
+    if not 0 <= i < n:
+        raise ValueError(f"{field}: point index {i} is outside 0..{n - 1}")
+    return i
 
 
 def _non_negative(field: str, value: float) -> None:
@@ -140,12 +150,13 @@ class FiniteMetricSpace:
     def ball(self, center: int, radius: float) -> frozenset[int]:
         """Closed ball {y : d(center, y) <= radius}."""
         _non_negative("radius", radius)
-        return frozenset(np.nonzero(self.d[center] <= radius)[0].tolist())
+        row = self.d[_index("center", center, self.n)]
+        return frozenset(np.nonzero(row <= radius)[0].tolist())
 
     def fatten(self, points, eps: float) -> frozenset[int]:
         """eps-fattening {x : min_{y in points} d(x, y) <= eps}."""
         _non_negative("eps", eps)
-        idx = sorted(points)
+        idx = sorted(_index("points", x, self.n) for x in points)
         if not idx:
             return frozenset()
         near = (self.d[idx, :] <= eps).any(axis=0)
@@ -201,7 +212,8 @@ class DiscreteDistribution:
         return np.nonzero(self.p > 0.0)[0]
 
     def mass(self, points) -> float:
-        idx = sorted(points)
+        """The mass of a set of point indices, each counted once."""
+        idx = sorted({_index("points", x, self.space.n) for x in points})
         return float(math.fsum(self.p[idx].tolist())) if idx else 0.0
 
     @classmethod
@@ -211,7 +223,7 @@ class DiscreteDistribution:
     @classmethod
     def point_mass(cls, space: FiniteMetricSpace, i: int) -> "DiscreteDistribution":
         p = np.zeros(space.n)
-        p[i] = 1.0
+        p[_index("i", i, space.n)] = 1.0
         return cls(space, p)
 
 
@@ -288,7 +300,8 @@ class SmoothRealCdf:
     `support` is a finite truncation interval [a, b], a < b, outside which
     the remaining mass is below 1e-12 on each side; `eval_tolerance` is the
     guaranteed oracle accuracy. Monotonicity is spot-checked on a grid at
-    construction.
+    construction. `cdf_left`, the left limit, is the oracle itself, so a
+    smooth CDF is read through the same two calls as a step one.
     """
 
     cdf: Callable[[float], float]
@@ -314,6 +327,8 @@ class SmoothRealCdf:
             raise ValueError("cdf: oracle is not non-decreasing on the check grid")
         if any(v < -1e-12 or v > 1 + 1e-12 for v in vals):
             raise ValueError("cdf: oracle leaves [0, 1]")
+        # an atomless CDF's left limit is its value
+        object.__setattr__(self, "cdf_left", self.cdf)
 
     def __call__(self, x: float) -> float:
         return float(self.cdf(x))

@@ -3,7 +3,11 @@ Wasserstein, plus the ball-growth modulus used to bound discrepancy by
 Prokhorov.
 
 Exact algorithms throughout: discrepancy enumerates the finitely many closed
-balls, which on the line are the intervals. One transport core serves
+balls, which on the line are the intervals. A pair on the line is read once,
+with both one-sided values of each CDF, at the merged atoms of two step
+CDFs, at the atoms of a step CDF against a smooth one, or on a grid for two
+smooth ones; Kolmogorov, Levy, the interval discrepancy and Wasserstein are
+each one formula over that reading. One transport core serves
 Prokhorov and Wasserstein on a finite space: a primal-dual method on dense
 arrays, started from tight arcs, whose every phase finds one shortest-path
 tree in vectorized rounds and then ships along it to every sink.
@@ -50,25 +54,26 @@ def discrepancy_finite(mu: DiscreteDistribution, nu: DiscreteDistribution) -> fl
     return float(np.max(np.abs(csum[ends])))
 
 
-def _oracle_at(G: SmoothRealCdf, xs: np.ndarray) -> np.ndarray:
-    """The smooth CDF G at each of xs, one oracle call per point."""
-    return np.array([G(x) for x in xs.tolist()])
+def _interval_discrepancy(f, f_left, g, g_left) -> float:
+    """sup over intervals of |mu(I) - nu(I)| from the values f_left <= f of
+    the CDF F of mu and g_left <= g of the CDF G of nu at increasing points.
 
-
-def _interval_discrepancy(r: np.ndarray, l: np.ndarray) -> float:
-    """sup over intervals of |mu(I) - nu(I)| from r = F - G and l = F(.-) -
-    G(.-) at increasing points, F and G the CDFs of mu and nu.
-
-    Both are padded with 0 on each side, where F and G agree far out. An
-    interval that mu outweighs is best closed on points i <= j, worth
-    r_j - l_i; one that nu outweighs is best open between points i < j,
-    worth r_i - l_j. Each is a running max over prefixes.
+    r = F - G and l = F(.-) - G(.-) are padded with 0 on each side, where F
+    and G agree far out. An interval that mu outweighs is best closed on
+    points i <= j, worth r_j - l_i; one that nu outweighs is best open
+    between points i < j, worth r_i - l_j. Each is a running max over
+    prefixes.
     """
-    r = np.concatenate(([0.0], r, [0.0]))
-    l = np.concatenate(([0.0], l, [0.0]))
+    r = np.concatenate(([0.0], f - g, [0.0]))
+    l = np.concatenate(([0.0], f_left - g_left, [0.0]))
     closed = r + np.maximum.accumulate(-l)
     open_ = -l[1:] + np.maximum.accumulate(r)[:-1]
     return float(max(closed.max(), open_.max()))
+
+
+def _kolmogorov(f, f_left, g, g_left) -> float:
+    """sup |F - G| from the values of F and G on both sides of the points."""
+    return float(max(np.abs(f - g).max(), np.abs(f_left - g_left).max()))
 
 
 # Grid step on which two smooth CDFs are read, and the most points the grid
@@ -77,16 +82,21 @@ SMOOTH_MESH = 1e-3
 SMOOTH_GRID_CAP = 10**7
 
 
-def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
-    """The points a pair against the smooth G is read at, F's values on
-    either side of each, and G's values there, one oracle call per point.
+def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution | SmoothRealCdf):
+    """The one reading of a pair on the line: increasing points xs, and the
+    values on both sides of each, f_left <= f of F and g_left <= g of G.
 
-    For an atomic F the points are its atoms, and G's oracle must hold the
-    1e-9 budget and its truncation interval must cover them. For a smooth F
-    they are a grid of step SMOOTH_MESH over both truncation intervals, with
-    F's one value standing for both sides; a grid of more than
-    SMOOTH_GRID_CAP points raises ValueError.
+    Two step CDFs are read exactly at their merged atoms, between which both
+    are constant. Against a smooth G, one oracle call per point gives g,
+    which stands for both sides. For an atomic F the points are its atoms,
+    and G's oracle must hold the 1e-9 budget and its truncation interval
+    must cover them. For a smooth F they are a grid of step SMOOTH_MESH over
+    both truncation intervals, with F's one value standing for both sides
+    too; a grid of more than SMOOTH_GRID_CAP points raises ValueError.
     """
+    if isinstance(G, RealAtomicDistribution):
+        xs = np.union1d(F.positions, G.positions)
+        return xs, F.cdf(xs), F.cdf_left(xs), G.cdf(xs), G.cdf_left(xs)
     if isinstance(F, RealAtomicDistribution):
         if G.eval_tolerance > 1e-9:
             raise ValueError("eval_tolerance: cdf oracle tolerance exceeds the 1e-9 budget")
@@ -102,49 +112,40 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: SmoothRealCdf):
             raise ValueError(f"support: the truncation intervals span {points} grid "
                              f"points of step {SMOOTH_MESH}, above {SMOOTH_GRID_CAP}")
         xs = np.arange(lo, hi, SMOOTH_MESH)
-        f = f_left = _oracle_at(F, xs)
-    return xs, f, f_left, _oracle_at(G, xs)
+        f = f_left = np.array([F(x) for x in xs.tolist()])
+    g = np.array([G(x) for x in xs.tolist()])
+    return xs, f, f_left, g, g
+
+
+def _check_steps(name: str, F, G) -> None:
+    if not all(isinstance(H, RealAtomicDistribution) for H in (F, G)):
+        raise TypeError(f"{name}: takes two atomic CDFs; against a smooth CDF, "
+                        "smooth_pair reads K, L and disc")
 
 
 def discrepancy_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
     """sup over closed intervals of |mu([a,b]) - nu([a,b])| for two atomic
     measures, exactly: the interval discrepancy of their step CDFs, read on
     both sides of the merged atoms."""
-    x = np.union1d(F.positions, G.positions)
-    return _interval_discrepancy(F.cdf(x) - G.cdf(x), F.cdf_left(x) - G.cdf_left(x))
+    _check_steps("discrepancy_real", F, G)
+    return _interval_discrepancy(*_read(F, G)[1:])
 
 
 def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> float:
     """sup over closed intervals of |mu([a,b]) - nu([a,b])| for atomic mu
     against an atomless nu, exactly: the `disc` of `smooth_pair`."""
-    _, f, f_left, g = _read(mu, nu)
-    return _interval_discrepancy(f - g, f_left - g)
+    return _interval_discrepancy(*_read(mu, nu)[1:])
 
 
 # ---------------------------------------------------------------------------
 # Kolmogorov and Levy on the line
 # ---------------------------------------------------------------------------
 
-def _gap(f, f_left, g) -> np.ndarray:
-    """Per-point vertical gap max(f - g, g - f_left) of the one-sided
-    values f_left <= f of one CDF to the values g of the other. It is the
-    point's Kolmogorov term, and the point's Levy condition holds at eps =
-    its gap (L <= K, point by point)."""
-    return np.maximum(f - g, g - f_left)
-
-
-def _check_steps(name: str, F, G) -> None:
-    if not all(isinstance(H, RealAtomicDistribution) for H in (F, G)):
-        raise TypeError(f"{name}: takes two atomic CDFs; use smooth_pair "
-                        "against a smooth CDF")
-
-
 def kolmogorov(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
-    """sup_x |F(x) - G(x)| of two step CDFs, compared at the merged atom
-    positions. Against a smooth CDF, `smooth_pair` reads it."""
+    """sup_x |F(x) - G(x)| of two step CDFs, compared on both sides of the
+    merged atoms. Against a smooth CDF, `smooth_pair` reads it."""
     _check_steps("kolmogorov", F, G)
-    grid = np.union1d(F.positions, G.positions)
-    return float(np.max(np.abs(F.cdf(grid) - G.cdf(grid))))
+    return _kolmogorov(*_read(F, G)[1:])
 
 
 def _bisect(feasible, tol: float, hi: float = 1.0) -> float:
@@ -165,18 +166,22 @@ def _bisect(feasible, tol: float, hi: float = 1.0) -> float:
     return hi
 
 
-def _levy_search(xs: np.ndarray, f, f_left, G, g, tol: float) -> float:
-    """Levy distance, bisected to `tol`, of the values f_left <= f at xs
-    against the CDF G, a step or a smooth one, whose values at xs are g.
+def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
+    """Levy distance, bisected to `tol`, of F against the CDF G, a step or a
+    smooth one, from their reading by `_read`.
 
-    The condition at x, f(x) <= G(x+eps) + eps and G(x-eps) - eps <=
-    f_left(x), is monotone in eps, so L is the largest per-point root. The
-    points are visited in decreasing gap; once a gap is at most the best
-    root so far, no later point can raise it. A point is bisected only when
-    its condition fails at the best root, and only above it; its probes
-    read G through `G.cdf`.
+    The condition at x, F(x) <= G(x+eps) + eps and G((x-eps)-) - eps <=
+    F(x-), is monotone in eps, so L is the largest per-point root. F is a
+    step between the points (a smooth F's grid reads it as one), whose
+    start binds the first half and whose end, at G's left limit, the second:
+    at the points it is exactly the Levy condition. A root is at most the
+    point's gap max(f - g, g_left - f_left), and the points are visited in
+    decreasing gap; once a gap is at most the best root so far, no later
+    point can raise it. A point is bisected only when its condition fails
+    at the best root, and only above it; its probes read G through `G.cdf`
+    and `G.cdf_left`.
     """
-    gap = _gap(f, f_left, g)
+    gap = np.maximum(f - g, g_left - f_left)
     best = 0.0
     for i in np.argsort(gap)[::-1].tolist():
         if gap[i] <= best:
@@ -185,7 +190,7 @@ def _levy_search(xs: np.ndarray, f, f_left, G, g, tol: float) -> float:
 
         def ok(eps: float) -> bool:
             return not (fx > G.cdf(x + eps) + eps + 1e-15
-                        or G.cdf(x - eps) - eps > fx_left + 1e-15)
+                        or G.cdf_left(x - eps) - eps > fx_left + 1e-15)
 
         if not ok(best):
             best = _bisect(lambda e: e > best and ok(e), tol)
@@ -194,21 +199,12 @@ def _levy_search(xs: np.ndarray, f, f_left, G, g, tol: float) -> float:
 
 def levy(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
     """Levy distance of two step CDFs, bisected to an absolute tolerance of
-    1e-12. Against a smooth CDF, `smooth_pair` reads it.
-
-    L is the largest per-point root of the Levy condition, each bounded by
-    the point's Kolmogorov gap, so only the points that can still bind are
-    bisected. Both conditions are constant between jump points, so the
-    points are the piece starts: F's atoms against G and G's atoms against
-    F, each with its CDF's value on both sides. Every probe is a dyadic
-    point of the same halving of [0, 1], so the value equals one joint
-    bisection over all points bit for bit.
-    """
+    1e-12: one `_levy_search` over the merged atoms, whose every probe is a
+    dyadic point of the same halving of [0, 1], so the value equals one
+    joint bisection over all points bit for bit. Against a smooth CDF,
+    `smooth_pair` reads it."""
     _check_steps("levy", F, G)
-    u, v = F.positions, G.positions
-    f, g = F.cdf(u), G.cdf(v)
-    return max(_levy_search(u, f, f, G, G.cdf(u), 1e-12),
-               _levy_search(v, g, g, F, F.cdf(v), 1e-12))
+    return _levy_search(G, *_read(F, G), 1e-12)
 
 
 def smooth_pair(F: RealAtomicDistribution | SmoothRealCdf,
@@ -218,33 +214,32 @@ def smooth_pair(F: RealAtomicDistribution | SmoothRealCdf,
     values. One of F and G may be atomic; the three metrics are symmetric,
     so the atomic one is taken as F.
 
-    Both CDFs are read once at the same points: F's atoms, with both
-    one-sided values, or for a smooth F a grid of step SMOOTH_MESH over both
-    truncation intervals. G is read again only where the Levy search probes
-    it. K is the largest per-point gap, L the largest per-point root of the
-    Levy condition, and disc the interval discrepancy of F - G on both sides
-    of the points. Against an atomic F these are exact, and L is bisected to
-    1e-12. For two smooth CDFs a sup read off the grid is within err =
-    (c_F + c_G) * SMOOTH_MESH + tol_F + tol_G of the true one, disc (a
-    spread of two extremes) within 2 err, and L is bisected to
-    SMOOTH_MESH / 4. L's bisection tolerance joins its error when L > 0.
+    Both CDFs are read once by `_read` at the same points: F's atoms, or for
+    a smooth F a grid of step SMOOTH_MESH over both truncation intervals. G
+    is read again only where the Levy search probes it. K, L and disc are
+    each one formula over that reading, as for two step CDFs. Against an
+    atomic F these are exact, and L is bisected to 1e-12. For two smooth
+    CDFs a sup read off the grid is within err = (c_F + c_G) * SMOOTH_MESH
+    + tol_F + tol_G of the true one, disc (a spread of two extremes) within
+    2 err, and L is bisected to SMOOTH_MESH / 4. L's bisection tolerance
+    joins its error when L > 0.
     """
     if isinstance(F, SmoothRealCdf) and isinstance(G, RealAtomicDistribution):
         F, G = G, F
     if not isinstance(G, SmoothRealCdf):
         raise TypeError("smooth_pair: needs a smooth CDF; use kolmogorov and "
                         "levy for two atomic ones")
-    xs, f, f_left, g = _read(F, G)
+    reading = _read(F, G)
     err, tol = 0.0, 1e-12
     if isinstance(F, SmoothRealCdf):
         err = ((F.density_bound + G.density_bound) * SMOOTH_MESH
                + F.eval_tolerance + G.eval_tolerance)
         tol = SMOOTH_MESH / 4.0
-    levy_value = _levy_search(xs, f, f_left, G, g, tol)
+    levy_value = _levy_search(G, *reading, tol)
     return {
-        "kolmogorov": (float(np.max(_gap(f, f_left, g))), err),
+        "kolmogorov": (_kolmogorov(*reading[1:]), err),
         "levy": (levy_value, err + tol if levy_value > 0 else err),
-        "disc": (_interval_discrepancy(f - g, f_left - g), 2.0 * err),
+        "disc": (_interval_discrepancy(*reading[1:]), 2.0 * err),
     }
 
 
@@ -434,6 +429,7 @@ def prokhorov_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> floa
     is a maximum flow (Glover, 1967). One pointer skips the G atoms drained
     or out of reach of every later atom: a probe is O(m_F + m_G).
     """
+    _check_steps("prokhorov_real", F, G)
     xs, ys, p, q = (a.tolist() for a in (F.positions, G.positions, F.weights, G.weights))
 
     def unshipped(delta: float) -> float:
@@ -487,10 +483,11 @@ def wasserstein_finite(mu: DiscreteDistribution, nu: DiscreteDistribution
 
 
 def wasserstein_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
-    """Integral of |F - G| over the merged breakpoint grid, exactly."""
-    grid = np.union1d(F.positions, G.positions)
-    x = grid[:-1]
-    return math.fsum((np.abs(F.cdf(x) - G.cdf(x)) * np.diff(grid)).tolist())
+    """Integral of |F - G| over the merged atoms, exactly: F - G is constant
+    from each atom to the next."""
+    _check_steps("wasserstein_real", F, G)
+    xs, f, _, g, _ = _read(F, G)
+    return math.fsum((np.abs(f - g)[:-1] * np.diff(xs)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +601,8 @@ def interval_growth_at(nu: RealAtomicDistribution, eps: float) -> float:
     value at eps = 0 is the largest sum of two atom weights (1 for a single
     atom), not 0.
     """
+    if not isinstance(nu, RealAtomicDistribution):
+        raise TypeError(f"nu: must be atomic on the line, got {type(nu).__name__}")
     _non_negative("eps", eps)
     y = nu.positions
     before = nu.cdf_left(y)

@@ -412,7 +412,8 @@ class TestMutualConvergence:
 
 
 class TestRandomInstances:
-    @pytest.mark.parametrize("size_range", [(5, 3), (4.5, 6), (4, "6"), (0, 3), (4, 65)])
+    @pytest.mark.parametrize("size_range", [(5, 3), (4.5, 6), (4, "6"), (0, 3), (4, 65),
+                                            (True, 5)])
     def test_bad_size_range_names_the_field(self, size_range):
         with pytest.raises(ValueError, match="^size_range: "):
             random_instance(0, 0, size_range)
@@ -429,6 +430,25 @@ class TestRandomInstances:
     def test_bad_fields_name_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             random_instance(0, 0, **kwargs)
+
+    @pytest.mark.parametrize("seed, index, field", [
+        (True, 0, "seed"), (0.5, 0, "seed"), (-1, 0, "seed"), (np.float64(2.0), 0, "seed"),
+        (0, True, "index"), (0, 2.5, "index"), (0, -3, "index"), (0, "1", "index"),
+    ], ids=["seed-bool", "seed-fraction", "seed-negative", "seed-numpy-float",
+            "index-bool", "index-fraction", "index-negative", "index-str"])
+    def test_bad_seed_or_index_names_the_field(self, seed, index, field):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            random_instance(seed, index)
+
+    def test_numpy_integer_seed_and_index_accepted(self):
+        a = random_instance(np.int64(5), np.int32(3))
+        assert a.instance_id == random_instance(5, 3).instance_id
+        assert np.array_equal(a.mu.p, random_instance(5, 3).mu.p)
+
+    @pytest.mark.parametrize("trials", [True, False])
+    def test_campaign_rejects_a_bool_for_trials(self, trials):
+        with pytest.raises(ValueError, match="^trials: must be an integer"):
+            certification_campaign(trials)
 
     def test_campaign_rejects_fractional_trials(self):
         with pytest.raises(ValueError, match="^trials: "):

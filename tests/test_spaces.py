@@ -120,6 +120,25 @@ class TestFiniteMetricSpace:
         with pytest.raises(ValueError, match=f"^{field}: must be non-negative"):
             read(FiniteMetricSpace.cycle(5), value)
 
+    @pytest.mark.parametrize("index", [-1, 5, 7, 1.0, True, None],
+                             ids=["negative", "n", "above-n", "float", "bool", "none"])
+    @pytest.mark.parametrize("read, field", [
+        (lambda s, i: s.ball(i, 1.0), "center"),
+        (lambda s, i: s.fatten({0, i}, 1.0), "points"),
+        (lambda s, i: DiscreteDistribution.uniform(s).mass({0, i}), "points"),
+        (lambda s, i: DiscreteDistribution.point_mass(s, i), "i"),
+    ], ids=["ball", "fatten", "mass", "point_mass"])
+    def test_point_index_outside_the_space_names_the_field(self, read, field, index):
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            read(FiniteMetricSpace.cycle(5), index)
+
+    def test_numpy_integer_indices_accepted(self):
+        c = FiniteMetricSpace.cycle(5)
+        last = np.int64(4)
+        assert c.ball(last, 1.0) == c.fatten({last}, 1.0) == {3, 4, 0}
+        assert abs(DiscreteDistribution.uniform(c).mass(np.arange(3)) - 0.6) < 1e-15
+        assert DiscreteDistribution.point_mass(c, np.int32(4)).p.tolist() == [0, 0, 0, 0, 1]
+
     def test_radius_takes_zero_and_infinity(self):
         c = FiniteMetricSpace.cycle(5)
         assert c.ball(0, 0.0) == c.fatten({0}, 0.0) == {0}
@@ -168,6 +187,10 @@ class TestDistributions:
         assert d.mass(set()) == 0.0
         assert abs(d.mass(d.space.ball(1, 1.0)) - 1.0) < 1e-15
         assert abs(d.mass({0, 2}) - 0.7) < 1e-15
+
+    def test_mass_counts_a_repeated_point_once(self):
+        d = DiscreteDistribution(path3(), np.array([0.5, 0.3, 0.2]))
+        assert d.mass([2, 2, np.int64(2)]) == 0.2
 
     def test_atomic_positions_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -1121,12 +1121,17 @@ class TestOneReaderAgainstSmooth:
         real_mixed_context(F, G)
         assert calls[0] <= 1200
 
-    @pytest.mark.parametrize("call", [kolmogorov, levy])
+    @pytest.mark.parametrize("call", [kolmogorov, levy, tp.discrepancy_real,
+                                      prokhorov_real, wasserstein_real])
     def test_step_metrics_refuse_a_smooth_cdf(self, call):
         for F, G in ((delta(0.0), gaussian_cdf()), (gaussian_cdf(), delta(0.0)),
                      (gaussian_cdf(), gaussian_cdf(0.3))):
             with pytest.raises(TypeError, match="smooth_pair"):
                 call(F, G)
+
+    def test_interval_growth_refuses_a_smooth_cdf(self):
+        with pytest.raises(TypeError, match="^nu: "):
+            tp.interval_growth_at(gaussian_cdf(), 0.1)
 
     def test_needs_a_smooth_cdf(self):
         with pytest.raises(TypeError, match="^smooth_pair:"):
@@ -1143,6 +1148,23 @@ class TestOneReaderAgainstSmooth:
                     call(F, G)
             with pytest.raises(ValueError, match=f"^{field}:"):
                 smooth_pair(G, F)
+
+
+class TestOneReaderOfStepPairs:
+    @pytest.mark.parametrize("call, searches", [
+        (kolmogorov, 0), (levy, 1), (tp.discrepancy_real, 0), (wasserstein_real, 0)])
+    def test_reads_the_pair_once(self, call, searches, monkeypatch):
+        calls = {"_read": 0, "_levy_search": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(tp, name), _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(tp, name, counted)
+        F = RealAtomicDistribution(np.array([-1.0, 0.25, 2.0]), np.array([0.2, 0.5, 0.3]))
+        G = RealAtomicDistribution(np.array([0.0, 0.25, 1.5]), np.array([0.5, 0.1, 0.4]))
+        assert call(F, G) > 0.0
+        assert calls == {"_read": 1, "_levy_search": searches}
 
 
 class TestBallGrowth:

@@ -21,7 +21,7 @@ from metric_atlas.walks import (MAX_MODULUS, CdgWalk, ProductWalkParams,
 
 
 class TestCdgWalk:
-    @pytest.mark.parametrize("p", [5.0, "7", None, 7.5])
+    @pytest.mark.parametrize("p", [5.0, "7", None, 7.5, True])
     def test_rejects_non_integer_modulus(self, p):
         with pytest.raises(ValueError, match="^p: must be an integer"):
             CdgWalk(p)
@@ -275,8 +275,12 @@ class TestProductWalk:
         (lambda: product_walk_crossing_times(3, 4.5), "g"),
         (lambda: standardized_binomial(10.5), "n"),
         (lambda: standardized_binomial(16.0), "n"),
+        (lambda: standardized_binomial(True), "n"),
+        (lambda: ProductWalkParams(True, 4, 1.0), "n"),
+        (lambda: cdg_trace(7, True), "steps"),
     ], ids=["params-g", "params-n", "params-g-str", "params-n-integral-float",
-            "crossing-n", "crossing-g", "binomial", "binomial-integral-float"])
+            "crossing-n", "crossing-g", "binomial", "binomial-integral-float",
+            "binomial-bool", "params-n-bool", "trace-steps-bool"])
     def test_rejects_non_integer_sizes(self, call, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             call()
