@@ -3,8 +3,7 @@ machine-checked catalog of inter-metric bounds and exact random-walk
 convergence experiments."""
 
 from .spaces import (Coupling, DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, SmoothRealCdf, gaussian_cdf,
-                     product_distribution, product_pair, product_space)
+                     RealAtomicDistribution, SmoothRealCdf, gaussian_cdf)
 from .divergences import (ConvexGenerator, GEN_CHI_SQUARED,
                           GEN_RELATIVE_ENTROPY, GEN_SQUARED_HELLINGER,
                           GEN_TOTAL_VARIATION, chi_squared, f_divergence,

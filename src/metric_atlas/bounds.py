@@ -6,7 +6,8 @@ Metric value keys: tv, hellinger, entropy, chi2, separation, disc,
 prokhorov, wasserstein, kolmogorov, levy. An edge `A<=h(B)` passes when
 lhs <= h(rhs) + 1e-9 * max(1, h(rhs)) (+ any declared grid slack); a +inf
 right-hand side passes vacuously, while +inf on the left against a finite
-bound fails loudly (that would be an implementation bug, not a near miss).
+bound fails loudly (that would be an implementation bug, not a near miss), as
+does a NaN on either side, with slack NaN.
 """
 
 from __future__ import annotations
@@ -160,7 +161,9 @@ def evaluate_edges(ctx: MetricContext) -> CertificationReport:
         lhs = ctx.values[edge.lhs]
         rhs = ctx.values[edge.rhs]
         h = edge.transform(rhs, ctx)
-        if math.isinf(h):
+        if math.isnan(lhs) or math.isnan(h):  # NaN compares False: it would pass below
+            status, slack = "fail", math.nan
+        elif math.isinf(h):
             status, slack = "pass", math.inf
         elif math.isinf(lhs):
             status, slack = "fail", -math.inf
@@ -417,6 +420,8 @@ def reports_to_json(reports: Sequence[CertificationReport]) -> str:
     def num(x):
         if x is None:
             return None
+        if math.isnan(x):
+            return "nan"
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return x
@@ -447,6 +452,8 @@ def reports_from_json(text: str) -> list[CertificationReport]:
             return math.inf
         if x == "-inf":
             return -math.inf
+        if x == "nan":
+            return math.nan
         return float(x)
 
     payload = json.loads(text)

@@ -1,4 +1,5 @@
-"""Domain types: finite metric spaces, distributions, couplings, real-line CDFs.
+"""Domain types: finite metric spaces, each its distance matrix alone,
+distributions, couplings, real-line CDFs, and their JSON readers.
 
 Everything here is immutable after construction (arrays are frozen), so
 instances can be shared freely across threads.
@@ -19,8 +20,6 @@ MARGINAL_TOL = 1e-10    # coupling marginal deviation tolerance
 TRIANGLE_TOL = 1e-12    # slack for float-valued metrics (euclidean, shortest-path closures)
 TRIANGLE_CHECK_LIMIT = 512  # the O(n^3) triangle validation is only run up to this size
 SAME_SPACE_TOL = 1e-12  # largest entrywise distance gap between spaces taken as one
-
-PRODUCT_SIZE_LIMIT = 10**6
 
 # The triangle check takes the middle points j in blocks of at most this many
 # (j, i, k) cells: small spaces take one vectorized pass, large ones O(n^2)
@@ -91,7 +90,6 @@ class FiniteMetricSpace:
     """
 
     d: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         d = _reals("space.d", self.d)
@@ -120,8 +118,6 @@ class FiniteMetricSpace:
                     j, i, k = np.argwhere(viol)[0]
                     raise ValueError(
                         f"space.d: triangle inequality fails at ({i},{j0 + j},{k})")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("space.labels: length mismatch")
         object.__setattr__(self, "d", _frozen(d))
 
     @property
@@ -129,23 +125,23 @@ class FiniteMetricSpace:
         return self.d.shape[0]
 
     @cached_property
-    def diam(self) -> float:
-        return float(self.d.max())
-
-    @cached_property
-    def d_min(self) -> float:
-        """Smallest distance between distinct points (+inf on a single point)."""
-        n = self.n
-        if n == 1:
-            return math.inf
-        return float(self.d[~np.eye(n, dtype=bool)].min())
-
-    @cached_property
     def distinct_distances(self) -> np.ndarray:
         """Sorted distinct off-diagonal distances (0 excluded)."""
         n = self.n
         vals = np.unique(self.d[~np.eye(n, dtype=bool)]) if n > 1 else np.empty(0)
         return _frozen(vals)
+
+    @cached_property
+    def d_min(self) -> float:
+        """Smallest distance between distinct points (+inf on a single point)."""
+        dd = self.distinct_distances
+        return float(dd[0]) if dd.size else math.inf
+
+    @cached_property
+    def diam(self) -> float:
+        """Largest distance (0.0 on a single point)."""
+        dd = self.distinct_distances
+        return float(dd[-1]) if dd.size else 0.0
 
     def ball(self, center: int, radius: float) -> frozenset[int]:
         """Closed ball {y : d(center, y) <= radius}."""
@@ -161,10 +157,6 @@ class FiniteMetricSpace:
             return frozenset()
         near = (self.d[idx, :] <= eps).any(axis=0)
         return frozenset(np.nonzero(near)[0].tolist())
-
-    @classmethod
-    def from_matrix(cls, d, labels=None) -> "FiniteMetricSpace":
-        return cls(d, tuple(labels) if labels is not None else None)
 
     @classmethod
     def cycle(cls, n: int) -> "FiniteMetricSpace":
@@ -318,15 +310,15 @@ class SmoothRealCdf:
         if not 0.0 <= self.eval_tolerance < math.inf:  # also NaN
             raise ValueError("eval_tolerance: must be finite and non-negative, "
                              f"got {self.eval_tolerance!r}")
-        fa, fb = self.cdf(a), self.cdf(b)
-        if fa > 1e-12 or fb < 1.0 - 1e-12 or fb - fa < 1.0 - 2e-12:
-            raise ValueError("support: truncation interval does not capture the mass")
-        grid = np.linspace(a, b, 65)
-        vals = [self.cdf(float(x)) for x in grid]
-        if any(v2 < v1 - 1e-12 for v1, v2 in zip(vals, vals[1:])):
-            raise ValueError("cdf: oracle is not non-decreasing on the check grid")
-        if any(v < -1e-12 or v > 1 + 1e-12 for v in vals):
+        # the grid starts at a and ends at b; each check fails on a NaN
+        vals = [self.cdf(float(x)) for x in np.linspace(a, b, 65)]
+        if any(not v1 - 1e-12 <= v2 for v1, v2 in zip(vals, vals[1:])):
+            raise ValueError("cdf: oracle is NaN or not non-decreasing on the check grid")
+        if any(not -1e-12 <= v <= 1.0 + 1e-12 for v in vals):
             raise ValueError("cdf: oracle leaves [0, 1]")
+        fa, fb = vals[0], vals[-1]
+        if not (fa <= 1e-12 and 1.0 - 1e-12 <= fb and 1.0 - 2e-12 <= fb - fa):
+            raise ValueError("support: truncation interval does not capture the mass")
         # an atomless CDF's left limit is its value
         object.__setattr__(self, "cdf_left", self.cdf)
 
@@ -383,40 +375,6 @@ class Coupling:
 
 
 # ---------------------------------------------------------------------------
-# Products
-# ---------------------------------------------------------------------------
-
-def product_space(s1: FiniteMetricSpace, s2: FiniteMetricSpace) -> FiniteMetricSpace:
-    """Product space with the sum metric d((x1,x2),(y1,y2)) = d1 + d2.
-
-    Only needed for smoke tests; the product-measure identities are purely
-    measure-theoretic. Pair (i, j) maps to flat index i * n2 + j.
-    """
-    n = s1.n * s2.n
-    if n > PRODUCT_SIZE_LIMIT:
-        raise ValueError(f"product space would have {n} points (limit {PRODUCT_SIZE_LIMIT})")
-    d = (s1.d[:, None, :, None] + s2.d[None, :, None, :]).reshape(n, n)
-    return FiniteMetricSpace(d)
-
-
-def product_distribution(m1: DiscreteDistribution, m2: DiscreteDistribution,
-                         space: FiniteMetricSpace | None = None) -> DiscreteDistribution:
-    if m1.space.n * m2.space.n > PRODUCT_SIZE_LIMIT:
-        raise ValueError("product distribution exceeds the size limit")
-    if space is None:
-        space = product_space(m1.space, m2.space)
-    return DiscreteDistribution(space, np.kron(m1.p, m2.p))
-
-
-def product_pair(mu1: DiscreteDistribution, nu1: DiscreteDistribution,
-                 mu2: DiscreteDistribution, nu2: DiscreteDistribution):
-    """Product measures (mu1 x mu2, nu1 x nu2) on the shared product space."""
-    space = product_space(mu1.space, mu2.space)
-    return (product_distribution(mu1, mu2, space),
-            product_distribution(nu1, nu2, space))
-
-
-# ---------------------------------------------------------------------------
 # JSON interchange
 # ---------------------------------------------------------------------------
 
@@ -428,7 +386,7 @@ def space_from_json(obj: dict) -> FiniteMetricSpace:
     if kind == "matrix":
         if "d" not in obj:
             raise ValueError("space.d: missing")
-        return FiniteMetricSpace.from_matrix(obj["d"], obj.get("labels"))
+        return FiniteMetricSpace(obj["d"])
     if kind == "cycle":
         if "n" not in obj:
             raise ValueError("space.n: missing")

@@ -134,6 +134,9 @@ def discrepancy_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> fl
 def discrepancy_real_mixed(mu: RealAtomicDistribution, nu: SmoothRealCdf) -> float:
     """sup over closed intervals of |mu([a,b]) - nu([a,b])| for atomic mu
     against an atomless nu, exactly: the `disc` of `smooth_pair`."""
+    if not (isinstance(mu, RealAtomicDistribution) and isinstance(nu, SmoothRealCdf)):
+        raise TypeError("discrepancy_real_mixed: takes an atomic mu and a smooth nu; "
+                        "smooth_pair reads disc for any pair against a smooth CDF")
     return _interval_discrepancy(*_read(mu, nu)[1:])
 
 

@@ -6,6 +6,7 @@ forms, and the standardized Binomial against the normal limit.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -360,10 +361,9 @@ def binomial_normal_demo(n: int) -> dict[str, float]:
 def dudley_instance(n: float):
     """Distributions ((n-1) delta_0 + delta_n)/n and delta_0 on the two-point
     space {0, n}: Prokhorov-close yet at Wasserstein distance one."""
-    if n < 2:
-        raise ValueError(f"n: need n >= 2, got {n}")
-    space = FiniteMetricSpace.from_matrix([[0.0, float(n)], [float(n), 0.0]],
-                                          labels=("0", str(n)))
+    if not isinstance(n, numbers.Real) or not 2 <= n < math.inf:  # also NaN
+        raise ValueError(f"n: must be a finite real number >= 2, got {n!r}")
+    space = FiniteMetricSpace([[0.0, float(n)], [float(n), 0.0]])
     p_n = DiscreteDistribution(space, np.array([(n - 1.0) / n, 1.0 / n]))
     target = DiscreteDistribution(space, np.array([1.0, 0.0]))
     return space, p_n, target

@@ -13,7 +13,7 @@ from metric_atlas.bounds import (FINITE_METRICS, CertificationReport, EdgeResult
                                  reports_from_json, reports_to_csv, reports_to_json)
 from metric_atlas.divergences import nu_dominates_mu
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
-                                 RealAtomicDistribution, gaussian_cdf)
+                                 RealAtomicDistribution, SmoothRealCdf, gaussian_cdf)
 from metric_atlas import transport as tp
 from metric_atlas.cli import METRIC_NAMES, main
 from metric_atlas.transport import (discrepancy_finite, prokhorov, tightest_ball_growth,
@@ -210,6 +210,24 @@ class TestEvaluation:
         by_id = {r.edge_id: r for r in rep.results}
         assert by_id["I<=log1p(chi2)"].status == "pass"
 
+    def test_nan_value_fails_its_edges(self):
+        ctx = MetricContext("doctored", "finite", {"tv": math.nan, "hellinger": 0.1})
+        by_id = {r.edge_id: r for r in evaluate_edges(ctx).results}
+        for edge_id in ("TV<=H", "H<=sqrt(2TV)"):  # NaN on the left, then in h(rhs)
+            assert by_id[edge_id].status == "fail"
+            assert math.isnan(by_id[edge_id].slack)
+
+    def test_nan_oracle_value_fails_the_edges_it_reaches(self):
+        # the oracle is NaN only between the points of its 65-point check grid
+        def cdf(x):
+            return math.nan if 0.001 < x < 0.002 else 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        G = SmoothRealCdf(cdf, 0.4, (-9.0, 9.0), eval_tolerance=1e-14)
+        rep = certify(RealAtomicDistribution.point_mass(0.0015), G)
+        failed = {r.edge_id for r in rep.failures}
+        assert failed == {"L<=K", "K<=(1+c)L", "K<=D", "D<=2K", "D<=TV"}
+        assert all(math.isnan(r.slack) for r in rep.failures)
+        assert sum(r.status == "pass" for r in rep.results) == 6
+
     def test_space_comes_from_the_measures(self):
         # a separate space argument could disagree with the measures' own
         # (diam and d_min read off the wrong metric gave false failures)
@@ -279,7 +297,7 @@ class TestNonCatalogRelations:
 
 class TestTightnessWitnesses:
     def test_tv_equals_separation_on_disjoint_point_masses(self):
-        s = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+        s = FiniteMetricSpace([[0, 1], [1, 0]])
         mu = DiscreteDistribution.point_mass(s, 0)
         nu = DiscreteDistribution.point_mass(s, 1)
         rep = certify(mu, nu)
@@ -287,7 +305,7 @@ class TestTightnessWitnesses:
         assert by_id["TV<=S"].lhs == by_id["TV<=S"].h_rhs == 1.0
 
     def test_hellinger_sandwich_tight_on_disjoint_supports(self):
-        s = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+        s = FiniteMetricSpace([[0, 1], [1, 0]])
         mu = DiscreteDistribution.point_mass(s, 0)
         nu = DiscreteDistribution.point_mass(s, 1)
         rep = certify(mu, nu)
@@ -518,6 +536,16 @@ class TestSerialization:
         rep = CertificationReport("inf-case", (EdgeResult(
             "I<=log1p(chi2)", math.inf, math.inf, math.inf, math.inf, "pass"),))
         assert reports_from_json(reports_to_json([rep])) == [rep]
+
+    def test_nan_survives_round_trip(self):
+        rep = CertificationReport("nan-case", (EdgeResult(
+            "TV<=H", math.nan, 0.1, 0.1, math.nan, "fail"),))
+        text = reports_to_json([rep])
+        json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name}"))
+        (back,) = reports_from_json(text)
+        r = back.results[0]
+        assert (r.edge_id, r.rhs, r.h_rhs, r.status) == ("TV<=H", 0.1, 0.1, "fail")
+        assert math.isnan(r.lhs) and math.isnan(r.slack)
 
     def test_csv_floats_round_trip_exactly(self):
         import csv as csv_mod

@@ -79,6 +79,16 @@ class TestCompute:
         assert main(["compute", "--metric", "tv", "--mu", str(bad), "--nu", mu]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    def test_matrix_kind_reads_d_alone(self, tmp_path, capsys):
+        paths = []
+        for name, p in (("mu", [1, 0]), ("nu", [0.5, 0.5])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"space": {"kind": "matrix", "d": [[0, 1], [1, 0]],
+                                                  "labels": 5}, "p": p}))
+            paths.append(str(path))
+        assert main(["compute", "--metric", "tv", "--mu", paths[0], "--nu", paths[1]]) == 0
+        assert capsys.readouterr().out == "0.5\n"
+
     def test_atomic_disc_is_the_lines(self, tmp_path, capsys):
         # the interval [0, 1] holds all of mu and none of nu
         paths = []

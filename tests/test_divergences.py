@@ -28,7 +28,7 @@ def z10():
 
 
 def two_point(p, q):
-    s = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+    s = FiniteMetricSpace([[0, 1], [1, 0]])
     return (DiscreteDistribution(s, np.array([1 - p, p])),
             DiscreteDistribution(s, np.array([1 - q, q])))
 
@@ -127,7 +127,7 @@ class TestChiSquared:
     def test_point_mass_vs_uniform(self):
         for n in (2, 5, 17):
             s = FiniteMetricSpace.cycle(max(n, 3)) if n >= 3 else None
-            s = s or FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+            s = s or FiniteMetricSpace([[0, 1], [1, 0]])
             delta = DiscreteDistribution.point_mass(s, 0)
             unif = DiscreteDistribution.uniform(s)
             assert abs(chi_squared(delta, unif) - (s.n - 1)) < 1e-10

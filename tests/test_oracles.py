@@ -29,7 +29,7 @@ def test_tv_closed_form_equals_enumeration(rng):
 
 
 def test_tv_point_masses():
-    s = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+    s = FiniteMetricSpace([[0, 1], [1, 0]])
     assert tv_subset_oracle(DiscreteDistribution.point_mass(s, 0),
                             DiscreteDistribution.point_mass(s, 1)) == 1.0
 
@@ -48,7 +48,7 @@ def test_size_guards():
 
 
 def test_prokhorov_oracle_identity_and_bernoulli(rng):
-    s = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+    s = FiniteMetricSpace([[0, 1], [1, 0]])
     for _ in range(10):
         p, q = rng.random(), rng.random()
         mu = DiscreteDistribution(s, np.array([1 - p, p]))

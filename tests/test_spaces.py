@@ -8,9 +8,8 @@ from metric_atlas import spaces
 from metric_atlas.spaces import (MASS_TOL, Coupling, DiscreteDistribution,
                                  FiniteMetricSpace, RealAtomicDistribution,
                                  SmoothRealCdf, distribution_from_json,
-                                 gaussian_cdf, product_distribution,
-                                 fsum_largest_first, product_pair,
-                                 product_space, space_from_json)
+                                 fsum_largest_first, gaussian_cdf,
+                                 space_from_json)
 from metric_atlas.transport import discrepancy_real_mixed
 from metric_atlas.walks import standardized_binomial
 
@@ -27,21 +26,21 @@ def _triangle_error_by_loop(d):
 
 
 def path3():
-    return FiniteMetricSpace.from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    return FiniteMetricSpace([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
 class TestFiniteMetricSpace:
     def test_rejects_asymmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
-            FiniteMetricSpace.from_matrix([[0, 1], [2, 0]])
+            FiniteMetricSpace([[0, 1], [2, 0]])
 
     def test_rejects_zero_offdiagonal(self):
         with pytest.raises(ValueError, match="positive"):
-            FiniteMetricSpace.from_matrix([[0, 0], [0, 0]])
+            FiniteMetricSpace([[0, 0], [0, 0]])
 
     def test_rejects_triangle_violation(self):
         with pytest.raises(ValueError, match="triangle"):
-            FiniteMetricSpace.from_matrix([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+            FiniteMetricSpace([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
 
     @pytest.mark.parametrize("d", [
         [[0.0, math.nan], [math.nan, 0.0]],
@@ -51,7 +50,7 @@ class TestFiniteMetricSpace:
     ], ids=["off-diagonal-nan", "diagonal-nan", "off-diagonal-inf", "diagonal-inf"])
     def test_rejects_non_finite_entry_first(self, d):
         with pytest.raises(ValueError, match=r"^space\.d: non-finite entry$"):
-            FiniteMetricSpace.from_matrix(d)
+            FiniteMetricSpace(d)
 
     @pytest.mark.parametrize("cells", [spaces._TRIANGLE_BLOCK_CELLS, 50],
                              ids=["default-blocks", "single-j-blocks"])
@@ -81,6 +80,24 @@ class TestFiniteMetricSpace:
         s = path3()
         assert s.diam == 2.0
         assert s.d_min == 1.0
+
+    def test_diam_and_dmin_equal_a_scan_of_the_matrix(self):
+        rng = np.random.default_rng(3)
+        cases = [FiniteMetricSpace([[0.0]])]
+        cases += [FiniteMetricSpace.cycle(n) for n in (3, 4, 17)]
+        cases += [FiniteMetricSpace.euclidean(rng.normal(size=(n, 2))) for n in (2, 80)]
+        for s in cases:
+            off = s.d[~np.eye(s.n, dtype=bool)]
+            assert s.d_min == (off.min() if off.size else math.inf)
+            assert s.diam == s.d.max()
+
+    def test_sum_metric_above_triangle_check_limit(self):
+        c = FiniteMetricSpace.cycle(23).d
+        s = FiniteMetricSpace((c[:, None, :, None] + c[None, :, None, :]).reshape(529, 529))
+        assert s.n == 529 > spaces.TRIANGLE_CHECK_LIMIT
+        assert np.array_equal(s.d, s.d.T)
+        assert np.all(np.diag(s.d) == 0.0)
+        assert s.d[0 * 23 + 0, 11 * 23 + 12] == 11.0 + 11.0
 
     def test_matrix_is_frozen(self):
         s = path3()
@@ -307,6 +324,14 @@ def _phi_cdf(x):
                  id="infinite-support"),
     pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, math.nan)),
                  id="nan-support"),
+    pytest.param("cdf", lambda: SmoothRealCdf(lambda x: math.nan, 1.0, (-1.0, 1.0)),
+                 id="nan-cdf"),
+    pytest.param("cdf", lambda: SmoothRealCdf(
+        lambda x: math.nan if abs(x) == 9.0 else _phi_cdf(x), 0.4, (-9.0, 9.0)),
+                 id="nan-cdf-at-support-ends"),
+    pytest.param("cdf", lambda: SmoothRealCdf(
+        lambda x: math.nan if x == 0.0 else _phi_cdf(x), 0.4, (-9.0, 9.0)),
+                 id="nan-cdf-inside-the-grid"),
     pytest.param("halfwidth", lambda: gaussian_cdf(0.0, 1.0, halfwidth=5.0),
                  id="gaussian-halfwidth"),
     pytest.param("eval_tolerance", lambda: discrepancy_real_mixed(
@@ -347,47 +372,6 @@ class TestCoupling:
         u = DiscreteDistribution.uniform(s)
         with pytest.raises(ValueError, match=r"coupling\.J: non-finite"):
             Coupling(np.full((4, 4), bad), u, u)
-
-
-class TestProducts:
-    def test_point_mass_product(self):
-        s = path3()
-        da = DiscreteDistribution.point_mass(s, 0)
-        db = DiscreteDistribution.point_mass(s, 2)
-        prod = product_distribution(da, db)
-        assert prod.p[0 * 3 + 2] == 1.0
-
-    def test_uniform_product(self):
-        s2 = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
-        s3 = path3()
-        prod = product_distribution(DiscreteDistribution.uniform(s2),
-                                    DiscreteDistribution.uniform(s3))
-        assert np.allclose(prod.p, 1 / 6, atol=1e-12)
-
-    def test_bernoulli_product(self):
-        s2 = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
-        bern3 = DiscreteDistribution(s2, np.array([0.7, 0.3]))
-        bern5 = DiscreteDistribution(s2, np.array([0.5, 0.5]))
-        mu, nu = product_pair(bern3, bern5, bern5, bern3)
-        assert np.allclose(mu.p, [0.35, 0.35, 0.15, 0.15], atol=1e-12)
-
-    def test_sum_metric(self):
-        s = product_space(path3(), path3())
-        # d((0,0),(2,1)) = 2 + 1
-        assert s.d[0 * 3 + 0, 2 * 3 + 1] == 3.0
-
-    def test_product_above_triangle_check_limit(self):
-        s = product_space(FiniteMetricSpace.cycle(23), FiniteMetricSpace.cycle(23))
-        assert isinstance(s, FiniteMetricSpace) and s.n == 529
-        assert np.array_equal(s.d, s.d.T)
-        assert np.all(np.diag(s.d) == 0.0)
-        assert s.d[0 * 23 + 0, 11 * 23 + 12] == 11.0 + 11.0
-
-    def test_size_guard(self):
-        big = FiniteMetricSpace.cycle(1001)
-        mu = DiscreteDistribution.uniform(big)
-        with pytest.raises(ValueError, match="limit"):
-            product_distribution(mu, mu)
 
 
 class TestJson:

@@ -37,7 +37,7 @@ def mixed(key, F, G):
 
 
 def bern_pair(p, q, d=1.0):
-    s = FiniteMetricSpace.from_matrix([[0.0, d], [d, 0.0]])
+    s = FiniteMetricSpace([[0.0, d], [d, 0.0]])
     return (DiscreteDistribution(s, np.array([1 - p, p])),
             DiscreteDistribution(s, np.array([1 - q, q])))
 
@@ -60,7 +60,7 @@ class TestDiscrepancyFinite:
 
     def test_scale_invariance(self, rng):
         s = FiniteMetricSpace.euclidean(rng.normal(size=(7, 2)))
-        s3 = FiniteMetricSpace.from_matrix(3.0 * s.d)
+        s3 = FiniteMetricSpace(3.0 * s.d)
         mu, nu = random_pair_on(s, rng)
         mu3 = DiscreteDistribution(s3, mu.p)
         nu3 = DiscreteDistribution(s3, nu.p)
@@ -79,7 +79,7 @@ class TestDiscrepancyFinite:
                 best = max(best, float(np.max(np.abs(csum[idx]))))
             return best
 
-        one = FiniteMetricSpace.from_matrix([[0.0]])
+        one = FiniteMetricSpace([[0.0]])
         pairs = [(DiscreteDistribution.point_mass(one, 0),) * 2]
         spaces = [FiniteMetricSpace.cycle(n) for n in (3, 4, 9, 16)]  # heavy ties
         spaces += [FiniteMetricSpace.euclidean(rng.normal(size=(n, 2))) for n in (2, 7)]
@@ -577,7 +577,7 @@ class TestWasserstein:
 
     def test_scales_with_the_metric(self, rng):
         s = FiniteMetricSpace.euclidean(rng.normal(size=(6, 2)))
-        s3 = FiniteMetricSpace.from_matrix(3.0 * s.d)
+        s3 = FiniteMetricSpace(3.0 * s.d)
         mu, nu = random_pair_on(s, rng)
         w1, _, _ = wasserstein_finite(mu, nu)
         w3, _, _ = wasserstein_finite(DiscreteDistribution(s3, mu.p),
@@ -752,7 +752,7 @@ class TestTransportDegenerate:
     """Inputs with a closed-form answer, pinned exactly: (P, W)."""
 
     @pytest.mark.parametrize("build, want", [
-        (lambda: _pair(FiniteMetricSpace.from_matrix([[0.0]]), [1.0], [1.0]),
+        (lambda: _pair(FiniteMetricSpace([[0.0]]), [1.0], [1.0]),
          (0.0, 0.0)),
         (_equal_pair_40, (0.0, 0.0)),
         (lambda: bern_pair(0.0, 1.0, d=0.25), (0.25, 0.25)),
@@ -812,7 +812,7 @@ class TestWassersteinBlock:
         check_wasserstein(mu, nu, w, coupling, f)
 
     def test_single_point_solves_nothing(self, transport_solves):
-        mu, nu = _pair(FiniteMetricSpace.from_matrix([[0.0]]), [1.0], [1.0])
+        mu, nu = _pair(FiniteMetricSpace([[0.0]]), [1.0], [1.0])
         w, coupling, f = wasserstein_finite(mu, nu)
         assert (transport_solves.calls, w, coupling.J.tolist(), f.tolist()) == \
             ([], 0.0, [[1.0]], [0.0])
@@ -854,7 +854,7 @@ class TestWassersteinBlock:
 
 
 def _w_against_lp_and_witness(d, mu_p, nu_p):
-    mu, nu = _pair(FiniteMetricSpace.from_matrix(d), np.array(mu_p), np.array(nu_p))
+    mu, nu = _pair(FiniteMetricSpace(d), np.array(mu_p), np.array(nu_p))
     w, coupling, f = wasserstein_finite(mu, nu)
     check_wasserstein(mu, nu, w, coupling, f)
     assert abs(w - _lp_transport_cost(mu.space.d, mu.p, nu.p)) <= 1e-12
@@ -1128,6 +1128,15 @@ class TestOneReaderAgainstSmooth:
                      (gaussian_cdf(), gaussian_cdf(0.3))):
             with pytest.raises(TypeError, match="smooth_pair"):
                 call(F, G)
+
+    @pytest.mark.parametrize("pair", [
+        lambda: (gaussian_cdf(), gaussian_cdf()),
+        lambda: (delta(0.0), delta(1.0)),
+        lambda: (gaussian_cdf(), delta(0.0)),
+    ], ids=["two-smooth", "two-atomic", "smooth-mu"])
+    def test_mixed_discrepancy_refuses_other_pairs(self, pair):
+        with pytest.raises(TypeError, match="^discrepancy_real_mixed: .*smooth_pair"):
+            discrepancy_real_mixed(*pair())
 
     def test_interval_growth_refuses_a_smooth_cdf(self):
         with pytest.raises(TypeError, match="^nu: "):

@@ -581,6 +581,11 @@ class TestDudley:
         with pytest.raises(ValueError, match="^n: "):
             dudley_instance(n)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, "3"])
+    def test_rejects_a_non_finite_or_non_real_n(self, n):
+        with pytest.raises(ValueError, match="^n: "):
+            dudley_instance(n)
+
     def test_paper_values(self):
         for n in (2, 10):
             _, p_n, target = dudley_instance(n)
