@@ -20,8 +20,8 @@ from .bounds import (BoundEdge, CertificationReport, EdgeResult,
                      MetricContext, certification_campaign, certify,
                      edge_catalog, evaluate_edges, random_instance,
                      reports_from_json, reports_to_csv, reports_to_json)
-from .walks import (CdgWalk, ProductWalkParams, binomial_normal_demo,
-                    cdg_discrepancy, crossing_time, dudley_instance,
+from .walks import (CdgWalk, binomial_normal_demo, cdg_discrepancy,
+                    crossing_time, dudley_instance,
                     product_walk_crossing_times, product_walk_distances,
                     standardized_binomial, z10_measures)
 

@@ -194,24 +194,20 @@ FINITE_METRICS: dict[str, Callable[[DiscreteDistribution, DiscreteDistribution],
 }
 
 
-# The five metrics of two atomic CDFs that are read on the line, looked up
-# late in the same way.
+# The ten metrics of two atomic CDFs, by value key, looked up late in the
+# same way. The five weight-based ones read the two weight vectors over the
+# merged atoms (`merged_weights`); the other five read the two step CDFs.
 LINE_METRICS: dict[str, Callable[[RealAtomicDistribution, RealAtomicDistribution], float]] = {
+    "tv": lambda F, G: dv.tv_kernel(*merged_weights(F, G)[1:]),
+    "hellinger": lambda F, G: dv.hellinger_kernel(*merged_weights(F, G)[1:]),
+    "entropy": lambda F, G: dv.relative_entropy_kernel(*merged_weights(F, G)[1:]),
+    "chi2": lambda F, G: dv.chi_squared_kernel(*merged_weights(F, G)[1:]),
+    "separation": lambda F, G: dv.separation_kernel(*merged_weights(F, G)[1:]),
     "disc": lambda F, G: tp.discrepancy_real(F, G),
     "prokhorov": lambda F, G: tp.prokhorov_real(F, G),
     "wasserstein": lambda F, G: tp.wasserstein_real(F, G),
     "kolmogorov": lambda F, G: tp.kolmogorov(F, G),
     "levy": lambda F, G: tp.levy(F, G),
-}
-
-# The five weight-based metrics of two atomic CDFs, read on the two weight
-# vectors over their merged atoms (`merged_weights`), looked up late too.
-WEIGHT_KERNELS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
-    "tv": lambda p, q: dv.tv_kernel(p, q),
-    "hellinger": lambda p, q: dv.hellinger_kernel(p, q),
-    "entropy": lambda p, q: dv.relative_entropy_kernel(p, q),
-    "chi2": lambda p, q: dv.chi_squared_kernel(p, q),
-    "separation": lambda p, q: dv.separation_kernel(p, q),
 }
 
 
@@ -244,14 +240,12 @@ def merged_weights(F: RealAtomicDistribution, G: RealAtomicDistribution
 
 def real_atomic_context(F: RealAtomicDistribution, G: RealAtomicDistribution,
                         instance_id: str = "real-atomic") -> MetricContext:
-    """Atomic pair on the line: LINE_METRICS from the two step CDFs, and phi
-    the line's, over intervals and their complements. The weight-based
-    metrics read the two weight vectors on the merged atoms; nu dominates
-    mu when every atom of F is one of G, d_min is the smallest gap of the
-    merged atoms and diam the span from the first to the last."""
-    grid, p, q = merged_weights(F, G)
-    values = {key: kernel(p, q) for key, kernel in WEIGHT_KERNELS.items()}
-    values.update({key: metric(F, G) for key, metric in LINE_METRICS.items()})
+    """Atomic pair on the line: the ten LINE_METRICS, and phi the line's,
+    over intervals and their complements. nu dominates mu when every atom
+    of F is one of G, d_min is the smallest gap of the merged atoms and diam
+    the span from the first to the last."""
+    values = {key: metric(F, G) for key, metric in LINE_METRICS.items()}
+    grid = np.union1d(F.positions, G.positions)
     return MetricContext(instance_id, "real-atomic", values,
                          nu_dominates_mu=grid.size == G.m,
                          d_min=float(np.diff(grid).min(initial=math.inf)),
@@ -445,7 +439,23 @@ def reports_to_json(reports: Sequence[CertificationReport]) -> str:
 
 
 def reports_from_json(text: str) -> list[CertificationReport]:
-    def num(x):
+    """Reports written by `reports_to_json`; malformed input raises a
+    ValueError naming the offending key."""
+    def field(obj, key: str, path: str):
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: expected a JSON object")
+        if key not in obj:
+            raise ValueError(f"{path}.{key}: missing")
+        return obj[key]
+
+    def items(obj, key: str, path: str) -> list:
+        value = field(obj, key, path)
+        if not isinstance(value, list):
+            raise ValueError(f"{path}.{key}: expected a JSON list")
+        return value
+
+    def num(edge, key: str):
+        x = field(edge, key, "report.edges")
         if x is None:
             return None
         if x == "inf":
@@ -454,16 +464,23 @@ def reports_from_json(text: str) -> list[CertificationReport]:
             return -math.inf
         if x == "nan":
             return math.nan
-        return float(x)
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            raise ValueError(f"report.edges.{key}: not a number: {x!r}") from None
 
-    payload = json.loads(text)
-    if payload.get("version") != "1":
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"report: malformed JSON: {exc}") from None
+    if field(payload, "version", "report") != "1":
         raise ValueError("report.version: unsupported")
     out = []
-    for rep in payload["reports"]:
+    for rep in items(payload, "reports", "report"):
         results = tuple(
-            EdgeResult(e["edge_id"], num(e["lhs"]), num(e["rhs"]), num(e["h_rhs"]),
-                       num(e["slack"]), e["status"], e.get("reason", ""))
-            for e in rep["edges"])
-        out.append(CertificationReport(rep["instance_id"], results))
+            EdgeResult(field(e, "edge_id", "report.edges"), num(e, "lhs"), num(e, "rhs"),
+                       num(e, "h_rhs"), num(e, "slack"), field(e, "status", "report.edges"),
+                       e.get("reason", ""))
+            for e in items(rep, "edges", "report.reports"))
+        out.append(CertificationReport(field(rep, "instance_id", "report.reports"), results))
     return out

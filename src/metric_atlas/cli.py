@@ -46,22 +46,21 @@ def _compute_metric(metric: str, mu, nu) -> float:
     if finite != isinstance(nu, DiscreteDistribution):
         raise ValueError("inputs: mu and nu must both be finite-space or both real-line")
     key = "entropy" if metric == "kl" else metric
-    if finite:
-        if key not in bounds.FINITE_METRICS:
-            raise ValueError(f"metric: {metric} applies only to measures on the real line")
-        return bounds.FINITE_METRICS[key](mu, nu)
-    if key in bounds.LINE_METRICS:
-        return bounds.LINE_METRICS[key](mu, nu)
-    _, p, q = bounds.merged_weights(mu, nu)
-    return bounds.WEIGHT_KERNELS[key](p, q)
+    table = bounds.FINITE_METRICS if finite else bounds.LINE_METRICS
+    if key not in table:
+        raise ValueError(f"metric: {metric} applies only to measures on the real line")
+    return table[key](mu, nu)
 
 
 def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"out: cannot write {path}: {exc}") from None
 
 
 def _parse_size_range(raw: str) -> tuple[int, int]:
@@ -128,7 +127,7 @@ def _cmd_walk_cdg(args) -> int:
 
 
 def _cmd_walk_product(args) -> int:
-    if args.times:
+    if args.times is not None:
         times = [_parse_time(x) for x in args.times.split(",")]
     else:
         if args.steps < 2:
@@ -137,7 +136,13 @@ def _cmd_walk_product(args) -> int:
         if not 0.0 <= horizon < math.inf:  # also NaN; 0 * inf would be NaN
             raise ValueError(f"horizon: must be finite and non-negative, got {horizon}")
         times = [horizon * k / (args.steps - 1) for k in range(args.steps)]
-    g = args.g if args.g is not None else 2 ** args.n
+    if args.g is not None:
+        g = args.g
+    elif args.n < 1015:  # checked before 2^n is formed
+        g = 2 ** args.n
+    else:
+        raise ValueError("n: with the default g = 2^n, g log g overflows a float "
+                         f"from n = 1015 on, got {args.n}")
     rows = walks.product_walk_trace(args.n, g, times)
     _write(args.out, _csv_rows(
         ("time", "tv", "entropy", "chi2", "hellinger", "separation"), rows))

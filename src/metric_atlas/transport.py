@@ -92,7 +92,8 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution |
     and G's oracle must hold the 1e-9 budget and its truncation interval
     must cover them. For a smooth F they are a grid of step SMOOTH_MESH over
     both truncation intervals, with F's one value standing for both sides
-    too; a grid of more than SMOOTH_GRID_CAP points raises ValueError.
+    too; a grid of more than SMOOTH_GRID_CAP points raises ValueError, and
+    so does an oracle value that is NaN.
     """
     if isinstance(G, RealAtomicDistribution):
         xs = np.union1d(F.positions, G.positions)
@@ -114,7 +115,16 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution |
         xs = np.arange(lo, hi, SMOOTH_MESH)
         f = f_left = np.array([F(x) for x in xs.tolist()])
     g = np.array([G(x) for x in xs.tolist()])
+    nan = np.isnan(f) | np.isnan(g)
+    if nan.any():
+        raise _nan_at(float(xs[nan.argmax()]))
     return xs, f, f_left, g, g
+
+
+def _nan_at(x: float) -> ValueError:
+    """The refusal of an oracle value that is NaN: every comparison with it
+    is False, so a sup or a search would pass it over."""
+    return ValueError(f"cdf: oracle is NaN at x = {x!r}")
 
 
 def _check_steps(name: str, F, G) -> None:
@@ -182,7 +192,7 @@ def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
     decreasing gap; once a gap is at most the best root so far, no later
     point can raise it. A point is bisected only when its condition fails
     at the best root, and only above it; its probes read G through `G.cdf`
-    and `G.cdf_left`.
+    and `G.cdf_left`, and a NaN among them raises ValueError.
     """
     gap = np.maximum(f - g, g_left - f_left)
     best = 0.0
@@ -192,8 +202,18 @@ def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
         x, fx, fx_left = float(xs[i]), float(f[i]), float(f_left[i])
 
         def ok(eps: float) -> bool:
-            return not (fx > G.cdf(x + eps) + eps + 1e-15
-                        or G.cdf_left(x - eps) - eps > fx_left + 1e-15)
+            # each test also fails on a NaN, which is then refused
+            right = G.cdf(x + eps)
+            if not fx <= right + eps + 1e-15:
+                if math.isnan(right):
+                    raise _nan_at(x + eps)
+                return False
+            left = G.cdf_left(x - eps)
+            if not left - eps <= fx_left + 1e-15:
+                if math.isnan(left):
+                    raise _nan_at(x - eps)
+                return False
+            return True
 
         if not ok(best):
             best = _bisect(lambda e: e > best and ok(e), tol)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,32 +149,18 @@ def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
 # Continuous-time coordinate-refresh walk on G^n
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductWalkParams:
-    """n coordinates over a g-element group, observed at continuous time t;
-    each coordinate refreshes to uniform at rate 1/n."""
-
-    n: int
-    g: int
-    t: float
-
-    def __post_init__(self):
-        if _integer("n", self.n) < 1:
-            raise ValueError(f"n: need at least 1 coordinate, got {self.n}")
-        g = _integer("g", self.g)
-        if g < 2:
-            raise ValueError(f"g: group size must be >= 2, got {g}")
-        # psi(g - 1) / g is the entropy per coordinate at t = 0; a g of more
-        # than 1023 bits would overflow on its way to a float
-        if g.bit_length() > 1023 or math.isinf(_psi(g - 1.0)):
-            raise ValueError(f"g: g log g overflows a float, got a g of {g.bit_length()} bits")
-        if not self.t >= 0:  # also NaN; +inf is the stationary limit
-            raise ValueError(f"t: time must be non-negative, got {self.t}")
-
-    @property
-    def s(self) -> float:
-        """Per-coordinate exposure t/n."""
-        return self.t / self.n
+def _check_sizes(n: int, g: int) -> None:
+    """Refuse, by name, a coordinate count n or a group size g that the
+    product walk's closed forms cannot take."""
+    if _integer("n", n) < 1:
+        raise ValueError(f"n: need at least 1 coordinate, got {n}")
+    g = _integer("g", g)
+    if g < 2:
+        raise ValueError(f"g: group size must be >= 2, got {g}")
+    # psi(g - 1) / g is the entropy per coordinate at t = 0; a g of more
+    # than 1023 bits would overflow on its way to a float
+    if g.bit_length() > 1023 or math.isinf(_psi(g - 1.0)):
+        raise ValueError(f"g: g log g overflows a float, got a g of {g.bit_length()} bits")
 
 
 def _psi(a: float) -> float:
@@ -188,8 +173,10 @@ def _psi(a: float) -> float:
     return (1.0 + a) * math.log1p(a) - a
 
 
-def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
-    """Distances to uniform at time t, via per-coordinate closed forms.
+def product_walk_distances(n: int, g: int, t: float) -> dict[str, float]:
+    """Distances to uniform at time t of the walk on n coordinates over a
+    g-element group, each refreshing to uniform at rate 1/n, via
+    per-coordinate closed forms.
 
     With s = t/n, u = e^-s, q0 = u + (1-u)/g and q1 = (1-u)/g, the product
     structure gives entropy by additivity, chi-squared and Hellinger by their
@@ -197,8 +184,10 @@ def product_walk_distances(params: ProductWalkParams) -> dict[str, float]:
     variation as a sum over the number of still-at-start coordinates, carried
     in log space so g as large as 2^64 stays finite.
     """
-    n, g = params.n, params.g
-    u = math.exp(-params.s)              # P(coordinate never refreshed)
+    _check_sizes(n, g)
+    if not t >= 0:  # also NaN; +inf is the stationary limit
+        raise ValueError(f"t: time must be non-negative, got {t}")
+    u = math.exp(-t / n)                 # P(coordinate never refreshed)
     log_gq0, log_gq1 = _log_gq(g, u)
     q0 = u + (1.0 - u) / g
 
@@ -266,6 +255,8 @@ def crossing_time(params_at, threshold: float, t_hi: float) -> float:
     is known to be at or below it: for the product walk, a chi-squared
     crossing through the catalog edge `TV<=sqrt(chi2)/2` or
     `I<=log1p(chi2)`."""
+    if not 0.0 <= t_hi < math.inf:  # also NaN
+        raise ValueError(f"t_hi: must be finite and non-negative, got {t_hi!r}")
     return tp._bisect(lambda t: params_at(t) <= threshold, 0.0, t_hi)
 
 
@@ -281,7 +272,7 @@ def product_walk_crossing_times(n: int, g: int,
         raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
     if 4.0 * threshold * threshold < sys.float_info.min:
         raise ValueError(f"threshold: 4 * threshold^2 underflows, got {threshold!r}")
-    ProductWalkParams(n, g, 0.0)  # rejects n and g before t_chi2 divides by them
+    _check_sizes(n, g)  # before t_chi2 divides by them
 
     def t_chi2(level: float) -> float:
         ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
@@ -303,7 +294,7 @@ def product_walk_crossing_times(n: int, g: int,
 def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
     rows = []
     for t in times:
-        d = product_walk_distances(ProductWalkParams(n, g, float(t)))
+        d = product_walk_distances(n, g, float(t))
         rows.append({"time": float(t), **d})
     return rows
 

@@ -79,9 +79,9 @@ def walk_probes(monkeypatch):
     counter = types.SimpleNamespace(distances=0, probes=[])
     distances, crossing = walks.product_walk_distances, walks.crossing_time
 
-    def counting_distances(params):
+    def counting_distances(*args):
         counter.distances += 1
-        return distances(params)
+        return distances(*args)
 
     def counting_crossing(params_at, threshold, t_hi):
         counter.probes.append(0)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -218,15 +219,28 @@ class TestEvaluation:
             assert math.isnan(by_id[edge_id].slack)
 
     def test_nan_oracle_value_fails_the_edges_it_reaches(self):
-        # the oracle is NaN only between the points of its 65-point check grid
+        # the oracle is NaN only between the points of its 65-point check grid;
+        # the reading at the atom refuses it before any edge is evaluated
         def cdf(x):
             return math.nan if 0.001 < x < 0.002 else 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
         G = SmoothRealCdf(cdf, 0.4, (-9.0, 9.0), eval_tolerance=1e-14)
-        rep = certify(RealAtomicDistribution.point_mass(0.0015), G)
-        failed = {r.edge_id for r in rep.failures}
-        assert failed == {"L<=K", "K<=(1+c)L", "K<=D", "D<=2K", "D<=TV"}
-        assert all(math.isnan(r.slack) for r in rep.failures)
-        assert sum(r.status == "pass" for r in rep.results) == 6
+        with pytest.raises(ValueError, match=r"^cdf: oracle is NaN at x = 0\.0015$"):
+            certify(RealAtomicDistribution.point_mass(0.0015), G)
+
+    def test_nan_met_only_by_a_levy_probe_is_refused(self):
+        # NaN only on 0.2 < |x| < 0.28, between the check grid's points 0 and
+        # +-0.28125; the reading at the atom 0 is 0.5, and only the Levy search
+        # probes the gap. Read as False, the NaN gave L = 0.2000000000007276
+        # against the normal's 0.3595804520527963, and a false K<=(1+c)L failure.
+        def cdf(x):
+            if 0.2 < abs(x) < 0.28:
+                return math.nan
+            return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+        G = SmoothRealCdf(cdf, 0.4, (-9.0, 9.0), eval_tolerance=1e-14)
+        F = RealAtomicDistribution.point_mass(0.0)
+        for call in (lambda: tp.smooth_pair(F, G), lambda: certify(F, G)):
+            with pytest.raises(ValueError, match="^cdf: oracle is NaN at x = "):
+                call()
 
     def test_space_comes_from_the_measures(self):
         # a separate space argument could disagree with the measures' own
@@ -531,6 +545,26 @@ class TestSerialization:
                    certify(unif, mu, instance_id="z10-swapped")]
         back = reports_from_json(reports_to_json(reports))
         assert back == reports
+
+    @pytest.mark.parametrize("payload, message", [
+        ("{", "report: malformed JSON"),
+        ({"version": "1"}, "report.reports: missing"),
+        ([], "report: expected a JSON object"),
+        ({"reports": []}, "report.version: missing"),
+        ({"version": "2", "reports": []}, "report.version: unsupported"),
+        ({"version": "1", "reports": 5}, "report.reports: expected a JSON list"),
+        ({"version": "1", "reports": [{"edges": []}]}, "report.reports.instance_id: missing"),
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [{"edge_id": "TV<=H"}]}]},
+         "report.edges.lhs: missing"),
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": "abc", "rhs": 0.1, "h_rhs": 0.1, "slack": 0.0,
+             "status": "pass"}]}]}, "report.edges.lhs: not a number: 'abc'"),
+    ], ids=["truncated", "no-reports", "list", "no-version", "version-2", "reports-number",
+            "no-instance-id", "no-lhs", "lhs-string"])
+    def test_malformed_json_names_the_key(self, payload, message):
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            reports_from_json(text)
 
     def test_infinities_survive_round_trip(self):
         rep = CertificationReport("inf-case", (EdgeResult(

@@ -123,10 +123,8 @@ class TestCompute:
     def test_atomic_tv_reads_nothing_else(self, monkeypatch, atom_files, capsys):
         def unasked(*args):
             raise AssertionError("a metric that was not asked for was read")
-        for key in bounds.LINE_METRICS:
+        for key in set(bounds.LINE_METRICS) - {"tv"}:
             monkeypatch.setitem(bounds.LINE_METRICS, key, unasked)
-        for key in set(bounds.WEIGHT_KERNELS) - {"tv"}:
-            monkeypatch.setitem(bounds.WEIGHT_KERNELS, key, unasked)
         f, g = atom_files
         assert main(["compute", "--metric", "tv", "--mu", f, "--nu", g]) == 0
         assert capsys.readouterr().out == "0.5\n"
@@ -235,14 +233,43 @@ class TestWalks:
         (["--horizon", "nan"], "error: horizon: "),
         (["--horizon", "inf"], "error: horizon: "),
         (["--horizon", "-5"], "error: horizon: "),
-        (["--n", "1100"], "error: g: "),
+        (["--n", "1100"], "error: n: "),
+        (["--n", "1015"], "error: n: "),
+        (["--g", str(2 ** 1100)], "error: g: "),
+        (["--times", ""], "error: times: "),
     ], ids=["times-nan", "times-not-a-number", "horizon-nan", "horizon-inf",
-            "horizon-negative", "g-overflows"])
+            "horizon-negative", "g-overflows", "default-g-log-g-overflows",
+            "given-g-overflows", "times-empty"])
     def test_product_rejects_bad_time(self, tmp_path, capsys, args, message):
         out = tmp_path / "prod.csv"
         assert main(["walk-product", "--n", "3", *args, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    def test_product_rejects_huge_n_before_forming_the_default_g(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["walk-product", "--n", str(10 ** 7), "--times", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: n: ")
+        assert peak < 2 ** 20  # 2^(10^7) alone would take 1.25 MB
+
+    @pytest.mark.parametrize("command", [
+        ["compute", "--metric", "tv", "--mu", "{f}", "--nu", "{g}"],
+        ["certify", "--trials", "1"],
+        ["walk-cdg", "--t", "5", "--steps", "2"],
+        ["walk-product", "--n", "3", "--times", "1"],
+        ["demo"],
+    ], ids=lambda c: c[0])
+    def test_unwritable_out_names_the_field(self, tmp_path, atom_files, capsys, command):
+        f, g = atom_files
+        out = tmp_path / "missing" / "out.txt"
+        argv = [arg.format(f=f, g=g) for arg in command]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: out: cannot write {out}: ")
 
     def test_demo_deterministic(self, capsys):
         assert main(["demo"]) == 0

@@ -342,6 +342,17 @@ def _phi_cdf(x):
         RealAtomicDistribution.point_mass(11.0), gaussian_cdf()),
                  id="mixed-discrepancy-support"),
     pytest.param("n", lambda: standardized_binomial(0), id="binomial-n"),
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, (0.0, 1.0, 2.0)),
+                 id="support-triple"),
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, None), id="support-none"),
+    pytest.param("support", lambda: SmoothRealCdf(_phi_cdf, 0.4, "ab"), id="support-string"),
+    pytest.param("density_bound", lambda: SmoothRealCdf(_phi_cdf, "0.4", (-9.0, 9.0)),
+                 id="density-bound-string"),
+    pytest.param("eval_tolerance", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, 9.0), "0"),
+                 id="eval-tolerance-string"),
+    pytest.param("cdf", lambda: SmoothRealCdf(0.5, 0.4, (-9.0, 9.0)), id="cdf-not-callable"),
+    pytest.param("mean", lambda: gaussian_cdf("a"), id="gaussian-mean-string"),
+    pytest.param("sigma", lambda: gaussian_cdf(0.0, "1"), id="gaussian-sigma-string"),
 ])
 def test_real_line_errors_name_the_field(field, build):
     with pytest.raises(ValueError, match=f"^{field}:"):

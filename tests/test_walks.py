@@ -13,9 +13,8 @@ from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
                                   product_walk_direct)
 from metric_atlas.spaces import MASS_TOL, gaussian_cdf
 from metric_atlas.transport import discrepancy_finite, prokhorov, wasserstein_finite
-from metric_atlas.walks import (MAX_MODULUS, CdgWalk, ProductWalkParams,
-                                binomial_normal_demo, cdg_discrepancy,
-                                cdg_trace, crossing_time,
+from metric_atlas.walks import (MAX_MODULUS, CdgWalk, binomial_normal_demo,
+                                cdg_discrepancy, cdg_trace, crossing_time,
                                 dudley_instance, product_walk_crossing_times,
                                 product_walk_distances, standardized_binomial)
 
@@ -255,28 +254,28 @@ class TestCdgDiscrepancy:
 class TestProductWalk:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError, match="^n: "):
-            ProductWalkParams(0, 4, 1.0)
+            product_walk_distances(0, 4, 1.0)
         with pytest.raises(ValueError, match="^g: "):
-            ProductWalkParams(3, 1, 1.0)
+            product_walk_distances(3, 1, 1.0)
         for t in (-0.5, -math.inf, math.nan):
             with pytest.raises(ValueError, match="^t: "):
-                ProductWalkParams(3, 4, t)
+                product_walk_distances(3, 4, t)
 
     def test_infinite_time_is_the_stationary_limit(self):
-        d = product_walk_distances(ProductWalkParams(3, 8, math.inf))
+        d = product_walk_distances(3, 8, math.inf)
         assert d == dict.fromkeys(("tv", "entropy", "chi2", "hellinger", "separation"), 0.0)
 
     @pytest.mark.parametrize("call, field", [
-        (lambda: ProductWalkParams(3, 4.5, 1.0), "g"),
-        (lambda: ProductWalkParams(2.5, 4, 1.0), "n"),
-        (lambda: ProductWalkParams(3, "4", 1.0), "g"),
-        (lambda: ProductWalkParams(3.0, 4, 1.0), "n"),
+        (lambda: product_walk_distances(3, 4.5, 1.0), "g"),
+        (lambda: product_walk_distances(2.5, 4, 1.0), "n"),
+        (lambda: product_walk_distances(3, "4", 1.0), "g"),
+        (lambda: product_walk_distances(3.0, 4, 1.0), "n"),
         (lambda: product_walk_crossing_times(2.5, 4), "n"),
         (lambda: product_walk_crossing_times(3, 4.5), "g"),
         (lambda: standardized_binomial(10.5), "n"),
         (lambda: standardized_binomial(16.0), "n"),
         (lambda: standardized_binomial(True), "n"),
-        (lambda: ProductWalkParams(True, 4, 1.0), "n"),
+        (lambda: product_walk_distances(True, 4, 1.0), "n"),
         (lambda: cdg_trace(7, True), "steps"),
     ], ids=["params-g", "params-n", "params-g-str", "params-n-integral-float",
             "crossing-n", "crossing-g", "binomial", "binomial-integral-float",
@@ -286,8 +285,8 @@ class TestProductWalk:
             call()
 
     def test_numpy_integer_sizes_accepted(self):
-        d = product_walk_distances(ProductWalkParams(np.int64(3), np.int64(4), 1.0))
-        assert d == product_walk_distances(ProductWalkParams(3, 4, 1.0))
+        d = product_walk_distances(np.int64(3), np.int64(4), 1.0)
+        assert d == product_walk_distances(3, 4, 1.0)
         assert (product_walk_crossing_times(np.int32(5), np.int64(2))
                 == product_walk_crossing_times(5, 2))
         b = standardized_binomial(np.int64(16))
@@ -295,7 +294,7 @@ class TestProductWalk:
 
     def test_time_zero_closed_forms(self):
         for n, g in [(3, 8), (6, 64), (40, 2 ** 40)]:
-            d = product_walk_distances(ProductWalkParams(n, g, 0.0))
+            d = product_walk_distances(n, g, 0.0)
             assert abs(d["entropy"] - n * math.log(g)) < 1e-9 * n * math.log(g)
             assert d["separation"] == 1.0
             expected_tv = 1.0 - float(g) ** -n if n * math.log(g) < 700 else 1.0
@@ -312,24 +311,24 @@ class TestProductWalk:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                ProductWalkParams(n, mid, 0.0)
+                walks._check_sizes(n, mid)  # the distances take O(n) per probe
                 lo = mid
             except ValueError:
                 hi = mid
         with pytest.raises(ValueError, match="^g: "):
-            ProductWalkParams(n, lo + 1, 0.0)
-        entropy = product_walk_distances(ProductWalkParams(n, lo, 0.0))["entropy"]
+            product_walk_distances(n, lo + 1, 0.0)
+        entropy = product_walk_distances(n, lo, 0.0)["entropy"]
         assert abs(entropy - n * math.log(lo)) <= 1e-12 * n * math.log(lo)
 
     def test_long_time_everything_vanishes(self):
-        d = product_walk_distances(ProductWalkParams(8, 256, 1e5))
+        d = product_walk_distances(8, 256, 1e5)
         for v in d.values():
             assert 0.0 <= v < 1e-8
 
     def test_matches_direct_product_space_evaluation(self):
         for n, g in [(2, 3), (3, 4), (4, 16)]:
             for t in (0.0, 0.3, 1.0, 4.0, 20.0):
-                closed = product_walk_distances(ProductWalkParams(n, g, t))
+                closed = product_walk_distances(n, g, t)
                 direct = product_walk_direct(n, g, t)
                 for key, want in direct.items():
                     got = closed[key]
@@ -339,8 +338,7 @@ class TestProductWalk:
                         assert abs(got - want) <= 1e-10, (n, g, t, key)
 
     def test_distances_decrease_in_time(self):
-        params = [ProductWalkParams(10, 2 ** 10, t) for t in (1.0, 5.0, 25.0, 125.0)]
-        series = [product_walk_distances(p) for p in params]
+        series = [product_walk_distances(10, 2 ** 10, t) for t in (1.0, 5.0, 25.0, 125.0)]
         for key in ("tv", "entropy", "hellinger", "separation"):
             vals = [s[key] for s in series]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -354,7 +352,7 @@ class TestProductWalk:
     def test_snapshots_respect_density_edges(self):
         n, g = 8, 2 ** 8
         for t in (1.0, 5.0, 20.0, 60.0):
-            vals = product_walk_distances(ProductWalkParams(n, g, t))
+            vals = product_walk_distances(n, g, t)
             ctx = MetricContext(f"product-t{t}", "finite", dict(vals),
                                 nu_dominates_mu=(t > 0))
             assert evaluate_edges(ctx).passed
@@ -378,7 +376,7 @@ class TestProductWalk:
                 for t in (0.0, 0.01, 1.0, 10.0, 100.0, 200.0, 300.0, 1000.0, 3000.0):
                     if t / n > 300:
                         continue
-                    got = product_walk_distances(ProductWalkParams(n, g, t))["entropy"]
+                    got = product_walk_distances(n, g, t)["entropy"]
                     want = entropy_ref(n, g, t)
                     assert abs(Decimal(got) - want) <= Decimal(1e-12) * want, (n, g, t)
 
@@ -422,7 +420,7 @@ class TestProductWalk:
                 got = product_walk_crossing_times(n, g, thr)
                 for key in ("tv", "entropy", "chi2"):
                     want = sweep_crossing(
-                        lambda t: product_walk_distances(ProductWalkParams(n, g, t))[key],
+                        lambda t: product_walk_distances(n, g, t)[key],
                         thr)
                     assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (g, thr, key)
 
@@ -440,7 +438,7 @@ class TestProductWalk:
                 assert got["chi2"] == t_chi2(thr)
                 for key, level in (("tv", 4.0 * thr * thr), ("entropy", thr)):
                     want = crossing_time(
-                        lambda t: product_walk_distances(ProductWalkParams(n, g, t))[key],
+                        lambda t: product_walk_distances(n, g, t)[key],
                         thr, t_chi2(level))
                     assert got[key] == want, (g, thr, key)
 
@@ -468,13 +466,19 @@ class TestProductWalk:
         else:
             assert r == t_hi
 
+    @pytest.mark.parametrize("t_hi", [-1.0, -5e-324, math.nan, math.inf])
+    def test_crossing_time_refuses_a_bad_t_hi(self, t_hi):
+        # a t_hi of -1 was returned as the crossing, and NaN as NaN
+        with pytest.raises(ValueError, match="^t_hi: "):
+            crossing_time(lambda t: math.exp(-t), 0.5, t_hi)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40, 64])
     def test_distance_at_a_crossing_is_at_or_below_the_threshold(self, n):
         for g in sorted({2, 3, 2 ** n}):
             for thr in (1e-100, 1e-3, 0.01, 0.25, 0.5):
                 got = product_walk_crossing_times(n, g, thr)
                 for key in ("tv", "entropy"):
-                    value = product_walk_distances(ProductWalkParams(n, g, got[key]))[key]
+                    value = product_walk_distances(n, g, got[key])[key]
                     if (n, g, thr, key) == (1, 2, 1e-3, "tv"):
                         # TV = sqrt(chi2)/2 with equality at n = 1, g = 2, and
                         # TV at the bracket's end rounds one ulp above 1e-3:
