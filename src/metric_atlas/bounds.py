@@ -469,6 +469,19 @@ def reports_from_json(text: str) -> list[CertificationReport]:
         except (TypeError, ValueError):
             raise ValueError(f"report.edges.{key}: not a number: {x!r}") from None
 
+    def edge_id(edge) -> str:
+        x = field(edge, "edge_id", "report.edges")
+        if not isinstance(x, str):
+            raise ValueError(f"report.edges.edge_id: not a string: {x!r}")
+        return x
+
+    def status(edge) -> str:
+        # `passed` counts only "fail", so any other word would read as a pass
+        x = field(edge, "status", "report.edges")
+        if x not in ("pass", "fail", "skip"):
+            raise ValueError(f"report.edges.status: not pass, fail or skip: {x!r}")
+        return x
+
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -478,9 +491,8 @@ def reports_from_json(text: str) -> list[CertificationReport]:
     out = []
     for rep in items(payload, "reports", "report"):
         results = tuple(
-            EdgeResult(field(e, "edge_id", "report.edges"), num(e, "lhs"), num(e, "rhs"),
-                       num(e, "h_rhs"), num(e, "slack"), field(e, "status", "report.edges"),
-                       e.get("reason", ""))
+            EdgeResult(edge_id(e), num(e, "lhs"), num(e, "rhs"), num(e, "h_rhs"),
+                       num(e, "slack"), status(e), e.get("reason", ""))
             for e in items(rep, "edges", "report.reports"))
         out.append(CertificationReport(field(rep, "instance_id", "report.reports"), results))
     return out

@@ -161,21 +161,61 @@ def kolmogorov(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
     return _kolmogorov(*_read(F, G)[1:])
 
 
-def _bisect(feasible, tol: float, hi: float = 1.0) -> float:
-    """Smallest feasible eps in [0, hi] of a monotone predicate, to `tol`; at
-    tol = 0, the first float at which it holds: 0.0 when feasible(0.0), else
-    the upper end of the last bracket (`hi` when nothing below it is)."""
-    if feasible(0.0):
+# Probes a search may spend beyond its bracket's halvings before it stops
+# interpolating and only halves.
+SEARCH_BUDGET = 8
+
+
+def _bisect(excess, tol: float, hi: float = 1.0) -> float:
+    """Smallest feasible x in [0, hi], to `tol`, where excess(x) <= 0 means
+    feasible and the feasible x are an upper interval; at tol = 0, the first
+    float at which it holds: 0.0 when excess(0.0) <= 0, else the upper end of
+    the last bracket (`hi`, which is never probed, when nothing below it is).
+    A NaN excess reads as infeasible.
+
+    The one search of the package. A probe is the regula falsi point of the
+    bracket, with the Anderson-Bjorck weight (BIT 13, 1973) on an end kept
+    twice, while both ends carry a finite, non-zero excess and the probes so
+    far are fewer than SEARCH_BUDGET above the bracket's halvings; every
+    other probe is the midpoint. It stops only at adjacent floats or at
+    `tol`. A 0/1 excess (0 when feasible) never interpolates, since its
+    feasible end reads 0: it is plain bisection, probe for probe.
+    """
+    e_lo = excess(0.0)
+    if e_lo <= 0.0:
         return 0.0
-    lo = 0.0
+    lo, e_hi = 0.0, math.nan
+    # spare = SEARCH_BUDGET + the bracket's halvings - the probes after the
+    # one at 0; the bracket is halved once more when its width falls to cap / 2
+    cap, spare, moved_hi = hi, SEARCH_BUDGET, False
     while hi - lo > tol:
-        mid = lo + (hi - lo) / 2.0  # lo + hi can overflow near the float max
-        if not lo < mid < hi:  # lo and hi are adjacent floats
+        x = lo + (hi - lo) / 2.0  # lo + hi can overflow near the float max
+        if not lo < x < hi:  # lo and hi are adjacent floats
             break
-        if feasible(mid):
-            hi = mid
+        interpolated = False
+        if spare > 0 and 0.0 < e_lo < math.inf and -math.inf < e_hi < 0.0:
+            falsi = lo + (hi - lo) * (e_lo / (e_lo - e_hi))
+            # a point that rounds onto an end moves to the float next to it
+            x = min(max(falsi, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+            interpolated = True
+        e = excess(x)
+        spare -= 1
+        feasible = e <= 0.0
+        if interpolated and feasible == moved_hi:  # the other end kept twice
+            m = 1.0 - e / (e_hi if feasible else e_lo)
+            m = m if m > 0.0 else 0.5
+            if feasible:
+                e_lo *= m
+            else:
+                e_hi *= m
+        if feasible:
+            hi, e_hi = x, e
         else:
-            lo = mid
+            lo, e_lo = x, e
+        moved_hi = feasible
+        while hi - lo <= cap / 2.0 and cap > 0.0:
+            cap /= 2.0
+            spare += 1
     return hi
 
 
@@ -216,7 +256,9 @@ def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
             return True
 
         if not ok(best):
-            best = _bisect(lambda e: e > best and ok(e), tol)
+            # a 0/1 excess bisects: the roots stop at tol, and only the one
+            # sequence of dyadic probes gives the joint bisection's value
+            best = _bisect(lambda e: 0.0 if e > best and ok(e) else 1.0, tol)
     return best
 
 
@@ -469,7 +511,9 @@ def prokhorov_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> floa
             total += need
         return total
 
-    return _bisect(lambda eps: unshipped(eps) <= eps, 0.0)
+    # a 0/1 excess bisects: u is a step function, on which interpolating
+    # saved no probes
+    return _bisect(lambda eps: 0.0 if unshipped(eps) <= eps else 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

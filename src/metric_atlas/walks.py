@@ -184,24 +184,36 @@ def product_walk_distances(n: int, g: int, t: float) -> dict[str, float]:
     variation as a sum over the number of still-at-start coordinates, carried
     in log space so g as large as 2^64 stays finite.
     """
+    return _distances(n, g)(t)
+
+
+def _distances(n: int, g: int):
+    """`product_walk_distances` as a function of t alone, for sizes it
+    checks once; the TV sum's weights, which depend on n and g alone, are
+    built once for every time it is read at."""
     _check_sizes(n, g)
-    if not t >= 0:  # also NaN; +inf is the stationary limit
-        raise ValueError(f"t: time must be non-negative, got {t}")
-    u = math.exp(-t / n)                 # P(coordinate never refreshed)
-    log_gq0, log_gq1 = _log_gq(g, u)
-    q0 = u + (1.0 - u) / g
+    log_counts = _tv_log_counts(n, g)
 
-    log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
-    chi2 = math.inf if n * log1p_chi2_coord > 700.0 else math.expm1(n * log1p_chi2_coord)
+    def at(t: float) -> dict[str, float]:
+        if not t >= 0:  # also NaN; +inf is the stationary limit
+            raise ValueError(f"t: time must be non-negative, got {t}")
+        u = math.exp(-t / n)                 # P(coordinate never refreshed)
+        log_gq0, log_gq1 = _log_gq(g, u)
+        q0 = u + (1.0 - u) / g
 
-    affinity = (math.sqrt(q0) + (g - 1.0) * math.sqrt((1.0 - u) / g)) / math.sqrt(g)
-    hellinger = math.sqrt(max(0.0, -2.0 * math.expm1(n * math.log(affinity))))
+        log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
+        chi2 = math.inf if n * log1p_chi2_coord > 700.0 else math.expm1(n * log1p_chi2_coord)
 
-    separation = -math.expm1(n * log_gq1) if u < 1.0 else 1.0
+        affinity = (math.sqrt(q0) + (g - 1.0) * math.sqrt((1.0 - u) / g)) / math.sqrt(g)
+        hellinger = math.sqrt(max(0.0, -2.0 * math.expm1(n * math.log(affinity))))
 
-    return {"tv": _tv(_tv_log_counts(n, g), log_gq0, log_gq1),
-            "entropy": _entropy(n, g, u), "chi2": chi2,
-            "hellinger": hellinger, "separation": separation}
+        separation = -math.expm1(n * log_gq1) if u < 1.0 else 1.0
+
+        return {"tv": _tv(log_counts, log_gq0, log_gq1),
+                "entropy": _entropy(n, g, u), "chi2": chi2,
+                "hellinger": hellinger, "separation": separation}
+
+    return at
 
 
 def _log_gq(g: int, u: float) -> tuple[float, float]:
@@ -250,14 +262,21 @@ def _tv(log_counts: list[float], log_gq0: float, log_gq1: float) -> float:
 
 def crossing_time(params_at, threshold: float, t_hi: float) -> float:
     """First float time in [0, t_hi] at which a decreasing distance curve is
-    at or below the threshold, by `transport._bisect` closing on adjacent
-    floats; t_hi when no earlier time is. t_hi is a time by which the curve
-    is known to be at or below it: for the product walk, a chi-squared
-    crossing through the catalog edge `TV<=sqrt(chi2)/2` or
-    `I<=log1p(chi2)`."""
+    at or below the threshold; t_hi when no earlier time is. t_hi is a time
+    by which the curve is known to be at or below it: for the product walk,
+    a chi-squared crossing through the catalog edge `TV<=sqrt(chi2)/2` or
+    `I<=log1p(chi2)`.
+
+    The search is `transport._bisect` on the excess params_at(t) - threshold,
+    whose sign is exact for finite floats (a NaN reads as above): it
+    interpolates on that excess and closes on adjacent floats. The curves
+    are smooth, so it takes a fraction of plain bisection's probes; where a
+    computed curve is not monotone at the ulp level, the crossing it finds
+    may differ from plain bisection's in its last digits (by at most 3.5e-15
+    relative over the tests' grid of 200 crossings)."""
     if not 0.0 <= t_hi < math.inf:  # also NaN
         raise ValueError(f"t_hi: must be finite and non-negative, got {t_hi!r}")
-    return tp._bisect(lambda t: params_at(t) <= threshold, 0.0, t_hi)
+    return tp._bisect(lambda t: params_at(t) - threshold, 0.0, t_hi)
 
 
 def product_walk_crossing_times(n: int, g: int,
@@ -267,7 +286,8 @@ def product_walk_crossing_times(n: int, g: int,
     closed-form time t_chi2(level). By the catalog edges `TV<=sqrt(chi2)/2`
     and `I<=log1p(chi2)` (with log1p(x) <= x), tv and entropy are at or below
     the threshold by t_chi2(4 threshold^2) and t_chi2(threshold); each is
-    bisected below that bound, reading only its own distance at each probe."""
+    searched below that bound by `crossing_time`, reading only its own
+    distance at each probe."""
     if not 0.0 < threshold < math.inf:
         raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
     if 4.0 * threshold * threshold < sys.float_info.min:
@@ -292,11 +312,9 @@ def product_walk_crossing_times(n: int, g: int,
 
 
 def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
-    rows = []
-    for t in times:
-        d = product_walk_distances(n, g, float(t))
-        rows.append({"time": float(t), **d})
-    return rows
+    """Rows (time, distances) of `product_walk_distances` at each time."""
+    at = _distances(n, g)
+    return [{"time": float(t), **at(float(t))} for t in times]
 
 
 # ---------------------------------------------------------------------------

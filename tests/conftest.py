@@ -71,27 +71,49 @@ def transport_solves(monkeypatch):
     return counter
 
 
+def plain_bisection(feasible, tol, hi=1.0, probed=None):
+    """The search before it interpolated: halve [0, hi] on a monotone
+    predicate until the ends are adjacent floats or within tol. Each probed
+    point is appended to `probed`, the first being 0.0."""
+    probed = [] if probed is None else probed
+    probed.append(0.0)
+    if feasible(0.0):
+        return 0.0
+    lo = 0.0
+    while hi - lo > tol:
+        mid = lo + (hi - lo) / 2.0
+        if not lo < mid < hi:
+            break
+        probed.append(mid)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @pytest.fixture
 def walk_probes(monkeypatch):
     """Counts the calls of `walks.product_walk_distances` in `.distances`,
-    and records in `.probes` how many times each `walks.crossing_time` call
-    reads its curve, one entry per call."""
+    and records in `.probes` how many times each `transport._bisect` call
+    reads its excess, one entry per call, whichever of its callers (a
+    crossing time, a Levy root or P on the line) made it."""
     counter = types.SimpleNamespace(distances=0, probes=[])
-    distances, crossing = walks.product_walk_distances, walks.crossing_time
+    distances, search = walks.product_walk_distances, transport._bisect
 
     def counting_distances(*args):
         counter.distances += 1
         return distances(*args)
 
-    def counting_crossing(params_at, threshold, t_hi):
+    def counting_search(excess, tol, hi=1.0):
         counter.probes.append(0)
 
-        def probe(t):
+        def probe(x):
             counter.probes[-1] += 1
-            return params_at(t)
+            return excess(x)
 
-        return crossing(probe, threshold, t_hi)
+        return search(probe, tol, hi)
 
     monkeypatch.setattr(walks, "product_walk_distances", counting_distances)
-    monkeypatch.setattr(walks, "crossing_time", counting_crossing)
+    monkeypatch.setattr(transport, "_bisect", counting_search)
     return counter

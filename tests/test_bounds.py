@@ -559,8 +559,15 @@ class TestSerialization:
         ({"version": "1", "reports": [{"instance_id": "a", "edges": [
             {"edge_id": "TV<=H", "lhs": "abc", "rhs": 0.1, "h_rhs": 0.1, "slack": 0.0,
              "status": "pass"}]}]}, "report.edges.lhs: not a number: 'abc'"),
+        # this report loaded with `passed` True: only "fail" counts as a failure
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": 0.9, "rhs": 0.1, "h_rhs": 0.1, "slack": -0.8,
+             "status": "bogus"}]}]}, "report.edges.status: not pass, fail or skip: 'bogus'"),
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": 7, "lhs": 0.1, "rhs": 0.1, "h_rhs": 0.1, "slack": 0.0,
+             "status": "pass"}]}]}, "report.edges.edge_id: not a string: 7"),
     ], ids=["truncated", "no-reports", "list", "no-version", "version-2", "reports-number",
-            "no-instance-id", "no-lhs", "lhs-string"])
+            "no-instance-id", "no-lhs", "lhs-string", "status-bogus", "edge-id-number"])
     def test_malformed_json_names_the_key(self, payload, message):
         text = payload if isinstance(payload, str) else json.dumps(payload)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

@@ -23,7 +23,8 @@ from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_fini
 from metric_atlas.walks import standardized_binomial, z10_measures
 from metric_atlas.witness import check_wasserstein
 
-from conftest import embed_atomic_pair, lattice_atomic, random_atomic, random_pair_on
+from conftest import (embed_atomic_pair, lattice_atomic, plain_bisection, random_atomic,
+                      random_pair_on)
 
 
 def delta(x):
@@ -339,6 +340,58 @@ class TestLevyPerPointSearch:
         value = mixed("levy", F, G)
         assert calls[0] < 3 * F.positions.size
         assert value == mixed("levy", F, gaussian_cdf(0.0, 1.0, math.sqrt(1000) + 2.0))
+
+
+def recording(search, points):
+    """The search `search` with every point its excess is read at appended
+    to `points`."""
+    def recorded(excess, tol, hi=1.0):
+        return search(lambda x: points.append(x) or excess(x), tol, hi)
+    return recorded
+
+
+def plain_search(excess, tol, hi=1.0):
+    """`tp._bisect`'s contract on plain bisection, the reference for the
+    callers that pass a 0/1 excess."""
+    return plain_bisection(lambda x: excess(x) <= 0.0, tol, hi)
+
+
+class TestOneSearch:
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, tp.SMOOTH_MESH / 4.0])
+    def test_a_0_1_excess_probes_as_plain_bisection(self, tol):
+        rng = np.random.default_rng(20261020)
+        for hi in (1.0, 3.7, 1e300, 5e-324):
+            for c in [0.0, hi / 3.0, hi, 2.0 * hi] + (rng.random(20) * hi).tolist():
+                for feasible in (lambda x: x >= c, lambda x: x * x >= c):
+                    want_points, points = [], []
+                    want = plain_bisection(feasible, tol, hi, want_points)
+                    got = recording(tp._bisect, points)(
+                        lambda x: 0.0 if feasible(x) else 1.0, tol, hi)
+                    assert (got.hex(), points) == (want.hex(), want_points), (hi, c)
+
+    def test_levy_and_line_p_probe_as_plain_bisection(self, monkeypatch):
+        # the values and every probed point of the Levy roots and of P on the
+        # line, against the same callers on plain bisection
+        cases = []
+        for n in (16, 100, 1000):
+            F = standardized_binomial(n)
+            G = gaussian_cdf(0.0, 1.0, max(9.0, math.sqrt(n) + 2.0))
+            cases.append(lambda F=F, G=G: smooth_pair(F, G)["levy"][0])
+            cases.append(lambda F=F, n=n: prokhorov_real(F, standardized_binomial(n + 1)))
+        rng = np.random.default_rng(20261021)
+        for trial in range(50):
+            F, G = step_pair(rng, trial % 6)
+            cases.append(lambda F=F, G=G: levy(F, G))
+            cases.append(lambda F=F, G=G: prokhorov_real(F, G))
+        search = tp._bisect
+        for case in cases:
+            points, want_points = [], []
+            monkeypatch.setattr(tp, "_bisect", recording(search, points))
+            got = case()
+            monkeypatch.setattr(tp, "_bisect", recording(plain_search, want_points))
+            want = case()
+            assert (got.hex(), points) == (want.hex(), want_points)
+        assert len(points) > 0
 
 
 class TestSmoothGrid:

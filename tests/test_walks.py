@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from metric_atlas import walks
+from metric_atlas import transport as tp, walks
 from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContext
 from metric_atlas.divergences import tv_kernel
 from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
@@ -16,7 +16,48 @@ from metric_atlas.transport import discrepancy_finite, prokhorov, wasserstein_fi
 from metric_atlas.walks import (MAX_MODULUS, CdgWalk, binomial_normal_demo,
                                 cdg_discrepancy, cdg_trace, crossing_time,
                                 dudley_instance, product_walk_crossing_times,
-                                product_walk_distances, standardized_binomial)
+                                product_walk_distances, product_walk_trace,
+                                standardized_binomial)
+
+from conftest import plain_bisection
+
+
+# Decreasing curves with a threshold and a bracket end, for `crossing_time`
+CURVES = [
+    (lambda t: math.exp(-t), 0.25, 10.0),
+    (lambda t: 1.0 / (1.0 + t), 1e-3, 1e4),
+    (lambda t: math.exp(-t * t), 1e-300, 30.0),
+    (lambda t: 1.0 if t < 1.5 else 0.0, 0.5, 3.0),
+    (lambda t: 1.0 if t < 1e-200 else 0.0, 0.5, 1e300),
+    (lambda t: 0.1, 0.25, 10.0),
+    (lambda t: 1.0, 0.25, 10.0),
+    (lambda t: 1.0, 0.25, 0.0),
+    (lambda t: math.exp(-t), 0.25, 1.0),
+    (lambda t: math.exp(-t), 0.25, 5e-324),
+    # two on which the search without its budget took 233 and 212 probes,
+    # and plain bisection 69 and 55
+    (lambda t: (1.0 + t) ** -50, 1e-3, 1e4),
+    (lambda t: 1e300 * math.exp(-700.0 * t), 0.25, 2.0),
+]
+CURVE_IDS = ["exp", "reciprocal", "gaussian-tail", "step", "step-near-0",
+             "constant-below", "constant-above", "t_hi-zero", "above-at-t_hi",
+             "t_hi-subnormal", "power-50", "steep-exp"]
+GRID_NS = [1, 2, 5, 10, 20, 40, 64]
+
+
+def crossing_grid(n):
+    """The product walk's crossings at n coordinates, 10 per group size g:
+    (g, threshold, key, the full distance curve, its chi-squared bracket
+    end)."""
+    for g in sorted({2, 3, 2 ** n}):
+        def t_chi2(level, g=g):
+            ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
+            return max(0.0, -0.5 * n * math.log(ratio))
+
+        for thr in (1e-100, 1e-3, 0.01, 0.25, 0.5):
+            for key, level in (("tv", 4.0 * thr * thr), ("entropy", thr)):
+                yield (g, thr, key, lambda t, g=g, key=key: product_walk_distances(n, g, t)[key],
+                       t_chi2(level))
 
 
 class TestCdgWalk:
@@ -343,6 +384,17 @@ class TestProductWalk:
             vals = [s[key] for s in series]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
+    def test_trace_rows_equal_the_distances_at_each_time(self, monkeypatch):
+        # one row per time, as product_walk_distances reads it, with the TV
+        # sum's weights built once per trace rather than once per row
+        times = [0.0] + np.geomspace(1.0, 2e4, 19).tolist()
+        want = [{"time": t, **product_walk_distances(1000, 3, t)} for t in times]
+        builds, build = [], walks._tv_log_counts
+        monkeypatch.setattr(walks, "_tv_log_counts",
+                            lambda n, g: builds.append((n, g)) or build(n, g))
+        assert product_walk_trace(1000, 3, times) == want
+        assert builds == [(1000, 3)]
+
     def test_crossing_time_ordering(self):
         for n in (10, 20):
             ct = product_walk_crossing_times(n, 2 ** n)
@@ -424,41 +476,46 @@ class TestProductWalk:
                         thr)
                     assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0), (g, thr, key)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 10, 20, 40, 64])
+    @pytest.mark.parametrize("n", GRID_NS)
     def test_crossings_equal_bisection_of_the_full_distances(self, n):
         # reference: crossing_time over product_walk_distances(...)[key], below
         # the same chi-squared brackets; equal as floats, not approximately
-        for g in sorted({2, 3, 2 ** n}):
-            def t_chi2(level):
-                ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
-                return max(0.0, -0.5 * n * math.log(ratio))
+        for g, thr, key, curve, t_hi in crossing_grid(n):
+            got = product_walk_crossing_times(n, g, thr)
+            if key == "tv":
+                ratio = math.expm1(math.log1p(thr) / n) / (g - 1.0)
+                assert got["chi2"] == max(0.0, -0.5 * n * math.log(ratio))
+            assert got[key] == crossing_time(curve, thr, t_hi), (g, thr, key)
 
-            for thr in (1e-100, 1e-3, 0.01, 0.25, 0.5):
-                got = product_walk_crossing_times(n, g, thr)
-                assert got["chi2"] == t_chi2(thr)
-                for key, level in (("tv", 4.0 * thr * thr), ("entropy", thr)):
-                    want = crossing_time(
-                        lambda t: product_walk_distances(n, g, t)[key],
-                        thr, t_chi2(level))
-                    assert got[key] == want, (g, thr, key)
+    @pytest.mark.parametrize("n", GRID_NS)
+    def test_crossings_near_plain_bisection_within_its_probes_and_the_budget(
+            self, n, walk_probes):
+        # reference: plain bisection of the same curve below the same end. The
+        # search may land elsewhere only where the computed curve is not
+        # monotone at the ulp level (10 of the 200, within 3.5e-15 relative)
+        for g, thr, key, curve, t_hi in crossing_grid(n):
+            probed = []
+            want = plain_bisection(lambda t: curve(t) <= thr, 0.0, t_hi, probed)
+            got = crossing_time(curve, thr, t_hi)
+            assert got == want or abs(got - want) <= 1e-14 * want, (g, thr, key)
+            assert walk_probes.probes[-1] <= len(probed) + tp.SEARCH_BUDGET, (g, thr, key)
+            # the first float at or below: the end below it was probed above
+            assert got == 0.0 or curve(math.nextafter(got, 0.0)) > thr, (g, thr, key)
+            assert got == t_hi or curve(got) <= thr, (g, thr, key)
 
-    @pytest.mark.parametrize("curve, threshold, t_hi", [
-        (lambda t: math.exp(-t), 0.25, 10.0),
-        (lambda t: 1.0 / (1.0 + t), 1e-3, 1e4),
-        (lambda t: math.exp(-t * t), 1e-300, 30.0),
-        (lambda t: 1.0 if t < 1.5 else 0.0, 0.5, 3.0),
-        (lambda t: 1.0 if t < 1e-200 else 0.0, 0.5, 1e300),
-        (lambda t: 0.1, 0.25, 10.0),
-        (lambda t: 1.0, 0.25, 10.0),
-        (lambda t: 1.0, 0.25, 0.0),
-        (lambda t: math.exp(-t), 0.25, 1.0),
-        (lambda t: math.exp(-t), 0.25, 5e-324),
-    ], ids=["exp", "reciprocal", "gaussian-tail", "step", "step-near-0",
-            "constant-below", "constant-above", "t_hi-zero", "above-at-t_hi",
-            "t_hi-subnormal"])
+    @pytest.mark.parametrize("curve, threshold, t_hi", CURVES, ids=CURVE_IDS)
+    def test_crossing_time_probes_within_the_budget_of_plain_bisection(
+            self, curve, threshold, t_hi, walk_probes):
+        probed = []
+        want = plain_bisection(lambda t: curve(t) <= threshold, 0.0, t_hi, probed)
+        assert crossing_time(curve, threshold, t_hi) == want
+        assert walk_probes.probes == [walk_probes.probes[-1]]
+        assert walk_probes.probes[-1] <= len(probed) + tp.SEARCH_BUDGET
+
+    @pytest.mark.parametrize("curve, threshold, t_hi", CURVES, ids=CURVE_IDS)
     def test_crossing_time_is_the_first_float_at_or_below(self, curve, threshold, t_hi):
-        # on step-near-0 this reads exactly 1e-200: a bracket of 1e300 takes
-        # about 1700 halvings to close on adjacent floats
+        # on step-near-0 this reads exactly 1e-200, in 121 probes: plain
+        # bisection takes about 1700 halvings of a bracket of 1e300
         r = crossing_time(curve, threshold, t_hi)
         if curve(t_hi) <= threshold:
             assert 0.0 <= r <= t_hi and curve(r) <= threshold
@@ -492,10 +549,10 @@ class TestProductWalk:
     def test_crossing_probes_read_one_distance_each(self, walk_probes):
         walks.product_walk_crossing_times(40, 2 ** 40)
         assert walk_probes.distances == 0
-        # one probe at t = 0, then bisection steps until lo and hi are
-        # adjacent floats: 53 or 54 on these brackets
+        # one probe at t = 0, then interpolation until lo and hi are adjacent
+        # floats: 14 and 10 here, where plain bisection took 54 and 55
         assert len(walk_probes.probes) == 2
-        assert all(count <= 56 for count in walk_probes.probes), walk_probes.probes
+        assert sum(walk_probes.probes) <= 50, walk_probes.probes
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, -math.inf, 1e-160],
                              ids=["nan", "zero", "negative", "inf", "-inf", "square-underflows"])
