@@ -482,9 +482,8 @@ class TestProductWalk:
         # the same chi-squared brackets; equal as floats, not approximately
         for g, thr, key, curve, t_hi in crossing_grid(n):
             got = product_walk_crossing_times(n, g, thr)
-            if key == "tv":
-                ratio = math.expm1(math.log1p(thr) / n) / (g - 1.0)
-                assert got["chi2"] == max(0.0, -0.5 * n * math.log(ratio))
+            if key == "entropy":  # its bracket end is the chi-squared crossing
+                assert got["chi2"] == t_hi
             assert got[key] == crossing_time(curve, thr, t_hi), (g, thr, key)
 
     @pytest.mark.parametrize("n", GRID_NS)
