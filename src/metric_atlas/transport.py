@@ -318,8 +318,8 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     """Min-cost transportation plan by the primal-dual method: each phase
     finds every shortest distance once, then ships along many paths.
 
-    The contract: costs are non-negative, `flow` uses only arcs of cost 0,
-    and shipping stops at the first path whose cost reaches `stop_cost`.
+    The contract: costs are finite, non-negative, `flow` uses only arcs of
+    cost 0, and shipping stops at the first path whose cost reaches `stop_cost`.
     The solve ends once supply or demand is exhausted, or after a phase
     that ships nothing. Returns the flow and the column potentials, which
     with the row potentials satisfy pot_c[j] - pot_r[i] <= cost[i, j], with
@@ -335,7 +335,8 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     the rows with remaining supply, at distance 0, in vectorized rounds:
     every column takes its cheapest row through the forward arcs, then every
     row its cheapest column through the backward arcs, until no row
-    improves. A parent changes only on a strict improvement, so with
+    improves. The reduced costs are kept column-major for the column step.
+    A parent changes only on a strict improvement, so with
     non-negative costs the parents form a tree. Adding the distances to the
     potentials keeps every reduced cost non-negative and makes every tree
     arc tight. A row with remaining supply stays at distance 0, so its
@@ -350,6 +351,7 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     column that still needs mass, cheapest first, and ships what the path's
     root, the column and the path's backward arcs allow, skipping a path
     that an earlier one in the phase left without supply or backward flow.
+    A phase ships its paths on scalar reads and writes of `flow`.
     Flow moves only on tight arcs while the potentials stay dual feasible,
     so a full flow is optimal by LP duality.
     """
@@ -359,6 +361,7 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     rem_d = demand - flow.sum(axis=0)
     pot_r = np.zeros(n)
     rows_n, cols_m = np.arange(n), np.arange(m)
+    cost_t = np.ascontiguousarray(cost.T)
 
     # price each column at its cheapest arc, then ship greedily along the
     # arcs that meet that price below the stop, column by column
@@ -379,48 +382,53 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
         sinks = (rem_d > _FLOW_EPS).nonzero()[0]
         if not (is_src.any() and sinks.size):
             return flow, pot_c
-        rc = np.maximum(cost + (pot_r[:, None] - pot_c), 0.0)
+        rc_t = np.maximum(cost_t + (pot_r - pot_c[:, None]), 0.0)
         back = np.where(flow > _FLOW_EPS, 0.0, math.inf)
         dist_r = np.where(is_src, 0.0, math.inf)
         dist_c = np.full(m, math.inf)
         par_r, par_c = np.full(n, -1), np.full(m, -1)
         while True:  # columns through forward arcs, then rows through backward
-            reach = dist_r[:, None] + rc
-            k = reach.argmin(axis=0)
-            nd = reach[k, cols_m]
-            par_c = np.where(nd < dist_c, k, par_c)
-            dist_c = np.minimum(nd, dist_c)
+            reach = rc_t + dist_r
+            k = reach.argmin(axis=1)
+            nd = reach[cols_m, k]
+            np.copyto(par_c, k, where=nd < dist_c)
+            np.minimum(nd, dist_c, out=dist_c)
             reach = back + dist_c
             k = reach.argmin(axis=1)
             nd = reach[rows_n, k]
             better = nd < dist_r
-            if not better.any():
+            if not np.count_nonzero(better):
                 break
-            par_r = np.where(better, k, par_r)
-            dist_r = np.minimum(nd, dist_r)
+            np.copyto(par_r, k, where=better)
+            np.minimum(nd, dist_r, out=dist_r)
         pot_r += dist_r
         pot_c += dist_c
 
         # ship along the tree path to each column that needs mass: forward
         # arcs fi -> [j] + bj, backward arcs bj -> fi[:-1], each undoing
-        # flow on its pair
+        # flow on its pair; a path visits each node once, so no pair is
+        # updated twice
         shipped = False
         pr, pc = par_r.tolist(), par_c.tolist()
+        rs, rd, qr, qc = (a.tolist() for a in (rem_s, rem_d, pot_r, pot_c))
         for j in sinks[np.argsort(pot_c[sinks], kind="stable")].tolist():
             fi, bj = [pc[j]], []
             while pr[fi[-1]] >= 0:
                 bj.append(pr[fi[-1]])
                 fi.append(pc[bj[-1]])
             i = fi[-1]
-            if pot_c[j] - pot_r[i] >= stop_cost:  # the path's cost under `cost`
+            if qc[j] - qr[i] >= stop_cost:  # the path's cost under `cost`
                 break
-            amt = min(rem_s[i], rem_d[j], flow[fi[:-1], bj].min(initial=math.inf))
+            bwd = list(zip(fi, bj))
+            amt = min([rs[i], rd[j]] + [flow[a] for a in bwd])
             if amt <= _FLOW_EPS:  # an earlier path drained the root or an arc
                 continue
-            flow[fi, [j] + bj] += amt
-            flow[fi[:-1], bj] -= amt
-            rem_s[i] -= amt
-            rem_d[j] -= amt
+            for a in zip(fi, [j] + bj):
+                flow[a] += amt
+            for a in bwd:
+                flow[a] -= amt
+            rem_s[i] = rs[i] = rs[i] - amt
+            rem_d[j] = rd[j] = rd[j] - amt
             shipped = True
         if not shipped:
             return flow, pot_c

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from metric_atlas import transport, walks
+from metric_atlas.transport import _FLOW_EPS
 from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
                                  RealAtomicDistribution)
 
@@ -58,13 +59,15 @@ def rng():
 @pytest.fixture
 def transport_solves(monkeypatch):
     """Counts the calls of the one transport solver in `.count`, and records
-    each call's (cost shape, stop_cost) in `.calls`."""
-    counter = types.SimpleNamespace(count=0, calls=[])
+    each call's (cost shape, stop_cost) in `.calls` and whether its costs
+    are all finite in `.finite`."""
+    counter = types.SimpleNamespace(count=0, calls=[], finite=[])
     solve = transport._transport
 
     def counting(cost, supply, demand, flow, stop_cost=math.inf):
         counter.count += 1
         counter.calls.append((cost.shape, stop_cost))
+        counter.finite.append(bool(np.isfinite(cost).all()))
         return solve(cost, supply, demand, flow, stop_cost)
 
     monkeypatch.setattr(transport, "_transport", counting)
@@ -90,6 +93,85 @@ def plain_bisection(feasible, tol, hi=1.0, probed=None):
         else:
             lo = mid
     return hi
+
+
+def parent_transport(cost, supply, demand, flow, stop_cost=math.inf):
+    """`transport._transport` before its phases shipped on scalars and
+    relaxed on column-major reduced costs: the reference its flow and column
+    potentials must equal bit for bit, as they share every phase, round,
+    tree and float operation."""
+    n, m = cost.shape
+    flow = flow.copy()
+    rem_s = supply - flow.sum(axis=1)
+    rem_d = demand - flow.sum(axis=0)
+    pot_r = np.zeros(n)
+    rows_n, cols_m = np.arange(n), np.arange(m)
+
+    # price each column at its cheapest arc, then ship greedily along the
+    # arcs that meet that price below the stop, column by column
+    pot_c = cost.min(axis=0)
+    tight = ((cost == pot_c) & (pot_c < stop_cost)
+             & (rem_s > _FLOW_EPS)[:, None] & (rem_d > _FLOW_EPS))
+    rs, rd = rem_s.tolist(), rem_d.tolist()
+    for j, i in zip(*(a.tolist() for a in np.nonzero(tight.T))):
+        amt = min(rs[i], rd[j])
+        if amt > _FLOW_EPS:
+            flow[i, j] += amt
+            rs[i] -= amt
+            rd[j] -= amt
+    rem_s, rem_d = np.array(rs), np.array(rd)
+
+    for _ in range(16 * (n + m) + 100):
+        is_src = rem_s > _FLOW_EPS
+        sinks = (rem_d > _FLOW_EPS).nonzero()[0]
+        if not (is_src.any() and sinks.size):
+            return flow, pot_c
+        rc = np.maximum(cost + (pot_r[:, None] - pot_c), 0.0)
+        back = np.where(flow > _FLOW_EPS, 0.0, math.inf)
+        dist_r = np.where(is_src, 0.0, math.inf)
+        dist_c = np.full(m, math.inf)
+        par_r, par_c = np.full(n, -1), np.full(m, -1)
+        while True:  # columns through forward arcs, then rows through backward
+            reach = dist_r[:, None] + rc
+            k = reach.argmin(axis=0)
+            nd = reach[k, cols_m]
+            par_c = np.where(nd < dist_c, k, par_c)
+            dist_c = np.minimum(nd, dist_c)
+            reach = back + dist_c
+            k = reach.argmin(axis=1)
+            nd = reach[rows_n, k]
+            better = nd < dist_r
+            if not better.any():
+                break
+            par_r = np.where(better, k, par_r)
+            dist_r = np.minimum(nd, dist_r)
+        pot_r += dist_r
+        pot_c += dist_c
+
+        # ship along the tree path to each column that needs mass: forward
+        # arcs fi -> [j] + bj, backward arcs bj -> fi[:-1], each undoing
+        # flow on its pair
+        shipped = False
+        pr, pc = par_r.tolist(), par_c.tolist()
+        for j in sinks[np.argsort(pot_c[sinks], kind="stable")].tolist():
+            fi, bj = [pc[j]], []
+            while pr[fi[-1]] >= 0:
+                bj.append(pr[fi[-1]])
+                fi.append(pc[bj[-1]])
+            i = fi[-1]
+            if pot_c[j] - pot_r[i] >= stop_cost:  # the path's cost under `cost`
+                break
+            amt = min(rem_s[i], rem_d[j], flow[fi[:-1], bj].min(initial=math.inf))
+            if amt <= _FLOW_EPS:  # an earlier path drained the root or an arc
+                continue
+            flow[fi, [j] + bj] += amt
+            flow[fi[:-1], bj] -= amt
+            rem_s[i] -= amt
+            rem_d[j] -= amt
+            shipped = True
+        if not shipped:
+            return flow, pot_c
+    raise RuntimeError("transportation solver failed to converge")
 
 
 @pytest.fixture

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import metric_atlas.transport as tp
-from metric_atlas.bounds import (CAMPAIGN_SPARSITIES, INSTANCE_KINDS, evaluate_edges,
-                                 random_instance, real_atomic_context, real_mixed_context,
-                                 real_smooth_context)
+from metric_atlas.bounds import (CAMPAIGN_SPARSITIES, INSTANCE_KINDS, certification_campaign,
+                                 certify, evaluate_edges, random_instance,
+                                 real_atomic_context, real_mixed_context, real_smooth_context)
 from metric_atlas.divergences import total_variation
 from metric_atlas.oracles import (ball_growth_exhaustive, interval_growth_exhaustive,
                                   levy_grid_oracle, mixed_discrepancy_scan_oracle,
@@ -23,8 +23,8 @@ from metric_atlas.transport import (_transport, ball_growth_at, discrepancy_fini
 from metric_atlas.walks import standardized_binomial, z10_measures
 from metric_atlas.witness import check_wasserstein
 
-from conftest import (embed_atomic_pair, lattice_atomic, plain_bisection, random_atomic,
-                      random_pair_on)
+from conftest import (embed_atomic_pair, lattice_atomic, parent_transport, plain_bisection,
+                      random_atomic, random_pair_on)
 
 
 def delta(x):
@@ -1018,42 +1018,111 @@ class TestTransportPhases:
         assert _w_against_lp_and_witness(d, mu_p, nu_p) == 1.5
 
     def test_seeded_problems_match_lp(self):
-        """200 problems with unequal row and column counts up to 64, real or
-        integer (tied) costs and some rows or columns without mass: each run
-        to the end from zero flow, and as a probe under the 0/1 cost
-        1{cost > its median}, stopped at 1 from the diagonal warm flow,
-        where every row and column has an arc of cost 0 as a distance
-        matrix's diagonal gives Prokhorov's probes. Each is also stopped at
-        1 from zero flow under a 0/1 cost with no forced zero arc, where a
-        column has none with probability 1/2: most problems have such a
-        column, which only the stop keeps the solve from shipping to."""
-        rng = np.random.default_rng(1818)
-        free_rng = np.random.default_rng(2323)
         lacking = 0
-        for t in range(200):
-            n, m = (int(k) for k in rng.integers(1, 65, size=2))
-            if t % 2:
-                cost = rng.integers(0, 4, size=(n, m)).astype(float)
-            else:
-                cost = rng.exponential(size=(n, m))
-            k, r = min(n, m), np.arange(max(n, m))
-            cost[r % n, r % m] = 0.0
-            supply, demand = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
-            if t % 4 >= 2:
-                supply[rng.random(n) < 0.3] = 0.0
-                demand[rng.random(m) < 0.3] = 0.0
-                if supply.sum() == 0.0 or demand.sum() == 0.0:
-                    continue
-                supply, demand = supply / supply.sum(), demand / demand.sum()
-            _check_transport(cost, supply, demand, np.zeros((n, m)), math.inf)
-            warm = np.zeros((n, m))
-            warm[np.arange(k), np.arange(k)] = np.minimum(supply[:k], demand[:k])
-            probe = (cost > np.median(cost)).astype(float)
-            _check_transport(probe, supply, demand, warm, 1.0)
-            free = (free_rng.random((n, m)) >= 1.0 - 0.5 ** (1.0 / n)).astype(float)
-            lacking += bool(free.min(axis=0).max() > 0.0)
-            _check_transport(free, supply, demand, np.zeros((n, m)), 1.0)
+        for full, probe, free in _seeded_solves():
+            _check_transport(*full)
+            _check_transport(*probe)
+            lacking += bool(free[0].min(axis=0).max() > 0.0)
+            _check_transport(*free)
         assert lacking >= 150
+
+
+def _seeded_solves():
+    """200 problems with unequal row and column counts up to 64, real or
+    integer (tied) costs and some rows or columns without mass, each as
+    three solves (cost, supply, demand, flow, stop_cost): run to the end
+    from zero flow, and as a probe under the 0/1 cost 1{cost > its median},
+    stopped at 1 from the diagonal warm flow, where every row and column has
+    an arc of cost 0 as a distance matrix's diagonal gives Prokhorov's
+    probes. Each is also stopped at 1 from zero flow under a 0/1 cost with
+    no forced zero arc, where a column has none with probability 1/2: most
+    problems have such a column, which only the stop keeps the solve from
+    shipping to."""
+    rng = np.random.default_rng(1818)
+    free_rng = np.random.default_rng(2323)
+    for t in range(200):
+        n, m = (int(k) for k in rng.integers(1, 65, size=2))
+        if t % 2:
+            cost = rng.integers(0, 4, size=(n, m)).astype(float)
+        else:
+            cost = rng.exponential(size=(n, m))
+        k, r = min(n, m), np.arange(max(n, m))
+        cost[r % n, r % m] = 0.0
+        supply, demand = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        if t % 4 >= 2:
+            supply[rng.random(n) < 0.3] = 0.0
+            demand[rng.random(m) < 0.3] = 0.0
+            if supply.sum() == 0.0 or demand.sum() == 0.0:
+                continue
+            supply, demand = supply / supply.sum(), demand / demand.sum()
+        warm = np.zeros((n, m))
+        warm[np.arange(k), np.arange(k)] = np.minimum(supply[:k], demand[:k])
+        probe = (cost > np.median(cost)).astype(float)
+        free = (free_rng.random((n, m)) >= 1.0 - 0.5 ** (1.0 / n)).astype(float)
+        yield ((cost, supply, demand, np.zeros((n, m)), math.inf),
+               (probe, supply, demand, warm, 1.0),
+               (free, supply, demand, np.zeros((n, m)), 1.0))
+
+
+def _thin_solves():
+    """One row or one column, where the column-major reduced costs are a
+    single row or column too: real and tied costs run to the end, and a 0/1
+    cost stopped at 1 from zero flow."""
+    rng = np.random.default_rng(77)
+    for n, m in [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (1, 64), (64, 1)]:
+        supply, demand = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        for cost in (rng.exponential(size=(n, m)),
+                     rng.integers(0, 3, size=(n, m)).astype(float)):
+            yield cost, supply, demand, np.zeros((n, m)), math.inf
+        yield ((rng.random((n, m)) < 0.5).astype(float), supply, demand,
+               np.zeros((n, m)), 1.0)
+
+
+class TestSolverAgainstItsParent:
+    """The solver ships on scalars and relaxes on column-major reduced
+    costs; the parent, kept in `conftest.parent_transport`, did both on
+    arrays. Each phase, round, tree and float operation is the same, so
+    every output must be equal bit for bit."""
+
+    @staticmethod
+    def assert_same_solve(args):
+        flow, v = _transport(*args)
+        ref_flow, ref_v = parent_transport(*args)
+        assert flow.tobytes() == ref_flow.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
+
+    def test_seeded_and_thin_solves(self):
+        for solves in _seeded_solves():
+            for args in solves:
+                self.assert_same_solve(args)
+        for args in _thin_solves():
+            self.assert_same_solve(args)
+
+    def test_w_and_p_on_random_instances(self, monkeypatch):
+        for i in range(240):
+            inst = random_instance(2828, i, (1, 64), INSTANCE_KINDS[i % 3],
+                                   CAMPAIGN_SPARSITIES[(i // 3) % 2])
+            reads = []
+            for solve in (_transport, parent_transport):
+                monkeypatch.setattr(tp, "_transport", solve)
+                w, coupling, f = wasserstein_finite(inst.mu, inst.nu)
+                reads.append((w.hex(), coupling.J.tobytes(), f.tobytes(),
+                              prokhorov(inst.mu, inst.nu).hex()))
+            assert reads[0] == reads[1], inst.instance_id
+
+    def test_costs_on_the_bench_pools_are_finite(self, transport_solves):
+        """The solver's contract asks for finite costs, and both callers
+        give them: on the campaign pool (batches of the 3 kinds x 2
+        sparsities at n 4-10) and the n = 40 pool, every solve's costs are
+        finite."""
+        for seed in range(1000, 1025):
+            certification_campaign(6, seed=seed, size_range=(4, 10))
+        for i in range(9):
+            inst = random_instance(40, i, (40, 40),
+                                   ("euclidean", "random-metric", "cycle")[i % 3],
+                                   (0.0, 0.3)[i % 2])
+            certify(inst.mu, inst.nu)
+        assert transport_solves.count > 0 and all(transport_solves.finite)
 
 
 class TestMixedDiscrepancy:
