@@ -411,14 +411,8 @@ def reports_to_csv(reports: Sequence[CertificationReport]) -> str:
 
 
 def reports_to_json(reports: Sequence[CertificationReport]) -> str:
-    def num(x):
-        if x is None:
-            return None
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+    def num(x):  # JSON has no NaN or inf; repr(float) writes "nan", "inf", "-inf"
+        return x if x is None or math.isfinite(x) else repr(float(x))
 
     payload = {
         "version": "1",
@@ -455,24 +449,22 @@ def reports_from_json(text: str) -> list[CertificationReport]:
         return value
 
     def num(edge, key: str):
+        # a JSON number or one of the writer's three strings; not a bool,
+        # which Python reads as an int
         x = field(edge, key, "report.edges")
         if x is None:
             return None
-        if x == "inf":
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        if x == "nan":
-            return math.nan
-        try:
-            return float(x)
-        except (TypeError, ValueError):
-            raise ValueError(f"report.edges.{key}: not a number: {x!r}") from None
+        if type(x) in (int, float) or x in ("inf", "-inf", "nan"):
+            try:
+                return float(x)
+            except OverflowError:  # an integer past the float range
+                pass
+        raise ValueError(f"report.edges.{key}: not a number: {x!r}")
 
-    def edge_id(edge) -> str:
-        x = field(edge, "edge_id", "report.edges")
+    def string(obj, key: str, path: str) -> str:
+        x = field(obj, key, path)
         if not isinstance(x, str):
-            raise ValueError(f"report.edges.edge_id: not a string: {x!r}")
+            raise ValueError(f"{path}.{key}: not a string: {x!r}")
         return x
 
     def status(edge) -> str:
@@ -491,8 +483,8 @@ def reports_from_json(text: str) -> list[CertificationReport]:
     out = []
     for rep in items(payload, "reports", "report"):
         results = tuple(
-            EdgeResult(edge_id(e), num(e, "lhs"), num(e, "rhs"), num(e, "h_rhs"),
-                       num(e, "slack"), status(e), e.get("reason", ""))
+            EdgeResult(string(e, "edge_id", "report.edges"), num(e, "lhs"), num(e, "rhs"),
+                       num(e, "h_rhs"), num(e, "slack"), status(e), e.get("reason", ""))
             for e in items(rep, "edges", "report.reports"))
-        out.append(CertificationReport(field(rep, "instance_id", "report.reports"), results))
+        out.append(CertificationReport(string(rep, "instance_id", "report.reports"), results))
     return out

@@ -79,11 +79,11 @@ def _parse_time(token: str) -> float:
         raise ValueError(f"times: not a number: {token!r}") from None
 
 
-def _csv_rows(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[k])) if k not in ("step",)
-                              else str(row[k]) for k in header))
+def _csv_rows(rows) -> str:
+    """rows as CSV under their keys; str writes a float in its shortest
+    round-trip form."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(str(v) for v in row.values()) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -122,7 +122,7 @@ def _cmd_walk_cdg(args) -> int:
                              f"got {args.t}")
         p = 2 ** args.t - 1
     rows = walks.cdg_trace(p, args.steps)
-    _write(args.out, _csv_rows(("step", "tv", "disc"), rows))
+    _write(args.out, _csv_rows(rows))
     return 0
 
 
@@ -144,8 +144,7 @@ def _cmd_walk_product(args) -> int:
         raise ValueError("n: with the default g = 2^n, g log g overflows a float "
                          f"from n = 1015 on, got {args.n}")
     rows = walks.product_walk_trace(args.n, g, times)
-    _write(args.out, _csv_rows(
-        ("time", "tv", "entropy", "chi2", "hellinger", "separation"), rows))
+    _write(args.out, _csv_rows(rows))
     return 0
 
 

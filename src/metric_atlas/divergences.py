@@ -172,6 +172,7 @@ def separation(mu: DiscreteDistribution, nu: DiscreteDistribution) -> float:
 
 def nu_dominates_mu(mu: DiscreteDistribution, nu: DiscreteDistribution) -> bool:
     """Exact support inclusion (zero means zero, not thresholded)."""
+    _check_same_space(mu, nu)
     return bool(np.all((nu.p > 0.0) | (mu.p == 0.0)))
 
 

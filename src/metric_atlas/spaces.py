@@ -138,9 +138,7 @@ class FiniteMetricSpace:
     @cached_property
     def distinct_distances(self) -> np.ndarray:
         """Sorted distinct off-diagonal distances (0 excluded)."""
-        n = self.n
-        vals = np.unique(self.d[~np.eye(n, dtype=bool)]) if n > 1 else np.empty(0)
-        return _frozen(vals)
+        return _frozen(np.unique(self.d[~np.eye(self.n, dtype=bool)]))
 
     @cached_property
     def d_min(self) -> float:
@@ -164,8 +162,6 @@ class FiniteMetricSpace:
         """eps-fattening {x : min_{y in points} d(x, y) <= eps}."""
         _non_negative("eps", eps)
         idx = sorted(_index("points", x, self.n) for x in points)
-        if not idx:
-            return frozenset()
         near = (self.d[idx, :] <= eps).any(axis=0)
         return frozenset(np.nonzero(near)[0].tolist())
 
@@ -217,7 +213,7 @@ class DiscreteDistribution:
     def mass(self, points) -> float:
         """The mass of a set of point indices, each counted once."""
         idx = sorted({_index("points", x, self.space.n) for x in points})
-        return float(math.fsum(self.p[idx].tolist())) if idx else 0.0
+        return float(math.fsum(self.p[idx].tolist()))
 
     @classmethod
     def uniform(cls, space: FiniteMetricSpace) -> "DiscreteDistribution":
@@ -231,6 +227,9 @@ class DiscreteDistribution:
 
 
 def _check_same_space(mu: DiscreteDistribution, nu: DiscreteDistribution) -> None:
+    for name, x in (("mu", mu), ("nu", nu)):
+        if not isinstance(x, DiscreteDistribution):
+            raise TypeError(f"{name}: must be a measure on a finite space, got {type(x).__name__}")
     if mu.space is not nu.space and not mu.space.same_as(nu.space):
         raise ValueError("distributions live on different spaces")
 

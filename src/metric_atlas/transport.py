@@ -631,6 +631,8 @@ def ball_growth_at(nu: DiscreteDistribution, eps: float) -> float:
     nu(B_k), and S_k gains nu(B_k) - nu(last <= k). Memory is one boolean
     (center, point, point) array per block.
     """
+    if not isinstance(nu, DiscreteDistribution):
+        raise TypeError(f"nu: must be a measure on a finite space, got {type(nu).__name__}")
     _non_negative("eps", eps)
     space, p = nu.space, nu.p
     if eps < space.d_min:

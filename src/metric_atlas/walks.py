@@ -16,8 +16,8 @@ from . import transport as tp
 # patches; CdgWalk.distances no longer calls it.
 from .divergences import tv_kernel  # noqa: F401
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, _integer, fsum_largest_first,
-                     gaussian_cdf)
+                     RealAtomicDistribution, _integer, _real,
+                     fsum_largest_first, gaussian_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,12 @@ def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
 
 def _check_sizes(n: int, g: int) -> None:
     """Refuse, by name, a coordinate count n or a group size g that the
-    product walk's closed forms cannot take."""
+    product walk's closed forms cannot take, or an n past 10^6, whose TV sum
+    of n + 1 terms, read at every time, would take about a second a read."""
     if _integer("n", n) < 1:
         raise ValueError(f"n: need at least 1 coordinate, got {n}")
+    if n > 10 ** 6:
+        raise ValueError(f"n: at most 10^6 coordinates, got {n}")
     g = _integer("g", g)
     if g < 2:
         raise ValueError(f"g: group size must be >= 2, got {g}")
@@ -176,44 +179,48 @@ def _psi(a: float) -> float:
 def product_walk_distances(n: int, g: int, t: float) -> dict[str, float]:
     """Distances to uniform at time t of the walk on n coordinates over a
     g-element group, each refreshing to uniform at rate 1/n, via
-    per-coordinate closed forms.
+    per-coordinate closed forms (see `_curves`)."""
+    return _at(_curves(n, g), _real("t", t))
 
-    With s = t/n, u = e^-s, q0 = u + (1-u)/g and q1 = (1-u)/g, the product
-    structure gives entropy by additivity, chi-squared and Hellinger by their
-    product identities, separation from the minimum density ratio, and total
-    variation as a sum over the number of still-at-start coordinates, carried
-    in log space so g as large as 2^64 stays finite.
+
+def _curves(n: int, g: int) -> dict:
+    """The product walk's distances to uniform, each a function of the time
+    t >= 0, keyed in the order of its rows. n and g are checked once, and
+    the TV sum's weights, which depend on them alone, are built once for
+    every time any curve is read at.
+
+    With u = e^(-t/n), the chance that a coordinate is never refreshed by
+    time t, q0 = u + (1-u)/g and q1 = (1-u)/g, the product structure gives
+    entropy by additivity, chi-squared and Hellinger by their product
+    identities, separation from the minimum density ratio, and total
+    variation as a sum over the number of still-at-start coordinates,
+    carried in log space so g as large as 2^64 stays finite.
     """
-    return _distances(n, g)(t)
-
-
-def _distances(n: int, g: int):
-    """`product_walk_distances` as a function of t alone, for sizes it
-    checks once; the TV sum's weights, which depend on n and g alone, are
-    built once for every time it is read at."""
     _check_sizes(n, g)
     log_counts = _tv_log_counts(n, g)
 
-    def at(t: float) -> dict[str, float]:
-        if not t >= 0:  # also NaN; +inf is the stationary limit
-            raise ValueError(f"t: time must be non-negative, got {t}")
-        u = math.exp(-t / n)                 # P(coordinate never refreshed)
-        log_gq0, log_gq1 = _log_gq(g, u)
-        q0 = u + (1.0 - u) / g
-
+    def chi2(u: float) -> float:
         log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
-        chi2 = math.inf if n * log1p_chi2_coord > 700.0 else math.expm1(n * log1p_chi2_coord)
+        return math.inf if n * log1p_chi2_coord > 700.0 else math.expm1(n * log1p_chi2_coord)
 
+    def hellinger(u: float) -> float:
+        q0 = u + (1.0 - u) / g
         affinity = (math.sqrt(q0) + (g - 1.0) * math.sqrt((1.0 - u) / g)) / math.sqrt(g)
-        hellinger = math.sqrt(max(0.0, -2.0 * math.expm1(n * math.log(affinity))))
+        return math.sqrt(max(0.0, -2.0 * math.expm1(n * math.log(affinity))))
 
-        separation = -math.expm1(n * log_gq1) if u < 1.0 else 1.0
+    in_u = {"tv": lambda u: _tv(log_counts, *_log_gq(g, u)),
+            "entropy": lambda u: _entropy(n, g, u),
+            "chi2": chi2,
+            "hellinger": hellinger,
+            "separation": lambda u: -math.expm1(n * _log_gq(g, u)[1])}
+    return {key: lambda t, f=f: f(math.exp(-t / n)) for key, f in in_u.items()}
 
-        return {"tv": _tv(log_counts, log_gq0, log_gq1),
-                "entropy": _entropy(n, g, u), "chi2": chi2,
-                "hellinger": hellinger, "separation": separation}
 
-    return at
+def _at(curves: dict, t: float) -> dict[str, float]:
+    """Every curve of a `_curves` table at the time t."""
+    if not t >= 0:  # also NaN; +inf is the stationary limit
+        raise ValueError(f"t: time must be non-negative, got {t}")
+    return {key: curve(t) for key, curve in curves.items()}
 
 
 def _log_gq(g: int, u: float) -> tuple[float, float]:
@@ -250,9 +257,7 @@ def _tv(log_counts: list[float], log_gq0: float, log_gq1: float) -> float:
         log_ratio = k * log_gq0  # log of mu(x)/unif(x)
         if n - k:
             log_ratio += (n - k) * log_gq1
-        if log_ratio == -math.inf:
-            terms.append(math.exp(log_count))
-        elif log_ratio <= 1.0:  # |R - 1| via expm1; safe on both sides of 0
+        if log_ratio <= 1.0:  # |R - 1| via expm1; safe on both sides of 0
             terms.append(math.exp(log_count) * abs(math.expm1(log_ratio)))
         else:
             terms.append(math.exp(
@@ -276,6 +281,8 @@ def crossing_time(params_at, threshold: float, t_hi: float) -> float:
     relative over the tests' grid of 200 crossings)."""
     if not 0.0 <= t_hi < math.inf:  # also NaN
         raise ValueError(f"t_hi: must be finite and non-negative, got {t_hi!r}")
+    if math.isnan(threshold):  # every probe's excess would read as above it
+        raise ValueError(f"threshold: must be a number, got {threshold!r}")
     return tp._bisect(lambda t: params_at(t) - threshold, 0.0, t_hi)
 
 
@@ -292,29 +299,23 @@ def product_walk_crossing_times(n: int, g: int,
         raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
     if 4.0 * threshold * threshold < sys.float_info.min:
         raise ValueError(f"threshold: 4 * threshold^2 underflows, got {threshold!r}")
-    _check_sizes(n, g)  # before t_chi2 divides by them
+    curves = _curves(n, g)  # checks n and g before t_chi2 divides by them
 
     def t_chi2(level: float) -> float:
         ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
         return max(0.0, -0.5 * n * math.log(ratio))
 
-    log_counts = _tv_log_counts(n, g)
-
-    def tv(t):
-        return _tv(log_counts, *_log_gq(g, math.exp(-t / n)))
-
-    def entropy(t):
-        return _entropy(n, g, math.exp(-t / n))
-
-    return {"tv": crossing_time(tv, threshold, t_chi2(4.0 * threshold * threshold)),
-            "entropy": crossing_time(entropy, threshold, t_chi2(threshold)),
+    return {"tv": crossing_time(curves["tv"], threshold,
+                                t_chi2(4.0 * threshold * threshold)),
+            "entropy": crossing_time(curves["entropy"], threshold, t_chi2(threshold)),
             "chi2": t_chi2(threshold)}
 
 
 def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
     """Rows (time, distances) of `product_walk_distances` at each time."""
-    at = _distances(n, g)
-    return [{"time": float(t), **at(float(t))} for t in times]
+    curves = _curves(n, g)
+    times = [_real("times", t) for t in times]
+    return [{"time": t, **_at(curves, t)} for t in times]
 
 
 # ---------------------------------------------------------------------------

@@ -566,8 +566,20 @@ class TestSerialization:
         ({"version": "1", "reports": [{"instance_id": "a", "edges": [
             {"edge_id": 7, "lhs": 0.1, "rhs": 0.1, "h_rhs": 0.1, "slack": 0.0,
              "status": "pass"}]}]}, "report.edges.edge_id: not a string: 7"),
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": True, "rhs": 0.1, "h_rhs": 0.1, "slack": 0.0,
+             "status": "pass"}]}]}, "report.edges.lhs: not a number: True"),
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": 0.1, "rhs": "1e-1", "h_rhs": 0.1, "slack": 0.0,
+             "status": "pass"}]}]}, "report.edges.rhs: not a number: '1e-1'"),
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": 0.1, "rhs": 0.1, "h_rhs": 10 ** 400, "slack": 0.0,
+             "status": "pass"}]}]}, "report.edges.h_rhs: not a number: 1000"),
+        ({"version": "1", "reports": [{"instance_id": 7, "edges": []}]},
+         "report.reports.instance_id: not a string: 7"),
     ], ids=["truncated", "no-reports", "list", "no-version", "version-2", "reports-number",
-            "no-instance-id", "no-lhs", "lhs-string", "status-bogus", "edge-id-number"])
+            "no-instance-id", "no-lhs", "lhs-string", "status-bogus", "edge-id-number",
+            "lhs-bool", "rhs-numeric-string", "h-rhs-past-float", "instance-id-number"])
     def test_malformed_json_names_the_key(self, payload, message):
         text = payload if isinstance(payload, str) else json.dumps(payload)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -575,12 +587,20 @@ class TestSerialization:
 
     def test_infinities_survive_round_trip(self):
         rep = CertificationReport("inf-case", (EdgeResult(
-            "I<=log1p(chi2)", math.inf, math.inf, math.inf, math.inf, "pass"),))
+            "I<=log1p(chi2)", math.inf, np.float64(math.inf), -math.inf, math.inf, "pass"),))
         assert reports_from_json(reports_to_json([rep])) == [rep]
+
+    def test_integer_fields_read_as_floats(self):
+        text = json.dumps({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": 0, "rhs": 1, "h_rhs": None, "slack": 1,
+             "status": "pass"}]}]})
+        (r,) = reports_from_json(text)[0].results
+        assert [type(x) for x in (r.lhs, r.rhs, r.slack)] == [float] * 3
+        assert (r.lhs, r.rhs, r.h_rhs, r.slack) == (0.0, 1.0, None, 1.0)
 
     def test_nan_survives_round_trip(self):
         rep = CertificationReport("nan-case", (EdgeResult(
-            "TV<=H", math.nan, 0.1, 0.1, math.nan, "fail"),))
+            "TV<=H", math.nan, 0.1, 0.1, np.float64(math.nan), "fail"),))
         text = reports_to_json([rep])
         json.loads(text, parse_constant=lambda name: pytest.fail(f"bare {name}"))
         (back,) = reports_from_json(text)

@@ -257,6 +257,17 @@ class TestWalks:
         assert capsys.readouterr().err.startswith("error: n: ")
         assert peak < 2 ** 20  # 2^(10^7) alone would take 1.25 MB
 
+    def test_product_rejects_huge_n_before_the_tv_weights(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["walk-product", "--g", "4", "--n", str(10 ** 6 + 1), "--times", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: n: ")
+        assert peak < 2 ** 20  # the n + 1 weights alone would take 32 MB
+
     @pytest.mark.parametrize("command", [
         ["compute", "--metric", "tv", "--mu", "{f}", "--nu", "{g}"],
         ["certify", "--trials", "1"],

@@ -14,9 +14,11 @@ from metric_atlas.divergences import (GEN_CHI_SQUARED, GEN_RELATIVE_ENTROPY,
                                       product_relative_entropy,
                                       relative_entropy, separation,
                                       total_variation)
-from metric_atlas.bounds import certify
+from metric_atlas.bounds import FINITE_METRICS, certify
 from metric_atlas.oracles import tv_exhaustive, tv_subset_oracle
-from metric_atlas.spaces import DiscreteDistribution, FiniteMetricSpace
+from metric_atlas.spaces import (DiscreteDistribution, FiniteMetricSpace,
+                                 RealAtomicDistribution)
+from metric_atlas.transport import ball_growth_at
 from metric_atlas.walks import z10_measures
 
 from conftest import random_pair_on
@@ -271,3 +273,26 @@ def test_domination_predicate(z10):
     _, mu, nu, unif = z10
     assert nu_dominates_mu(mu, unif)        # uniform dominates everything
     assert not nu_dominates_mu(unif, mu)    # mu misses half the space
+
+
+_FINITE_ONLY = {
+    **{f"finite-{key}": fn for key, fn in FINITE_METRICS.items()},
+    "f_divergence": lambda mu, nu: f_divergence(GEN_CHI_SQUARED, mu, nu),
+    "nu_dominates_mu": nu_dominates_mu,
+}
+
+
+@pytest.mark.parametrize("call", _FINITE_ONLY.values(), ids=_FINITE_ONLY.keys())
+def test_finite_space_calls_name_an_atomic_argument(z10, call):
+    # an atomic CDF has no .space or .p; it must be refused by name, not
+    # fail on the first attribute read
+    _, mu, _, _ = z10
+    F = RealAtomicDistribution.point_mass(0.0)
+    for name, pair in (("mu", (F, mu)), ("nu", (mu, F))):
+        with pytest.raises(TypeError, match=f"^{name}: .*RealAtomicDistribution"):
+            call(*pair)
+
+
+def test_ball_growth_names_an_atomic_argument():
+    with pytest.raises(TypeError, match="^nu: .*RealAtomicDistribution"):
+        ball_growth_at(RealAtomicDistribution.point_mass(0.0), 0.5)

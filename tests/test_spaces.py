@@ -88,6 +88,7 @@ class TestFiniteMetricSpace:
         cases += [FiniteMetricSpace.euclidean(rng.normal(size=(n, 2))) for n in (2, 80)]
         for s in cases:
             off = s.d[~np.eye(s.n, dtype=bool)]
+            assert s.distinct_distances.tolist() == sorted(set(off.tolist()))
             assert s.d_min == (off.min() if off.size else math.inf)
             assert s.diam == s.d.max()
 
@@ -120,6 +121,8 @@ class TestFiniteMetricSpace:
         assert c.fatten({0}, 0.0) == {0}
         assert c.fatten({0}, 1.0) == {9, 0, 1}
         assert c.fatten(set(range(10)), 3.0) == set(range(10))
+        assert c.fatten(set(), 3.0) == frozenset()
+        assert DiscreteDistribution.uniform(c).mass(set()) == 0.0
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

@@ -298,7 +298,7 @@ class TestProductWalk:
             product_walk_distances(0, 4, 1.0)
         with pytest.raises(ValueError, match="^g: "):
             product_walk_distances(3, 1, 1.0)
-        for t in (-0.5, -math.inf, math.nan):
+        for t in (-0.5, -math.inf, math.nan, True, "1"):
             with pytest.raises(ValueError, match="^t: "):
                 product_walk_distances(3, 4, t)
 
@@ -386,14 +386,38 @@ class TestProductWalk:
 
     def test_trace_rows_equal_the_distances_at_each_time(self, monkeypatch):
         # one row per time, as product_walk_distances reads it, with the TV
-        # sum's weights built once per trace rather than once per row
+        # sum's weights built once per call: per trace rather than per row,
+        # and per crossing search rather than per probe
         times = [0.0] + np.geomspace(1.0, 2e4, 19).tolist()
-        want = [{"time": t, **product_walk_distances(1000, 3, t)} for t in times]
         builds, build = [], walks._tv_log_counts
         monkeypatch.setattr(walks, "_tv_log_counts",
                             lambda n, g: builds.append((n, g)) or build(n, g))
+        want = [{"time": t, **product_walk_distances(1000, 3, t)} for t in times]
+        assert builds == [(1000, 3)] * len(times)
         assert product_walk_trace(1000, 3, times) == want
-        assert builds == [(1000, 3)]
+        assert product_walk_crossing_times(1000, 3)
+        assert builds == [(1000, 3)] * (len(times) + 2)
+
+    def test_trace_reads_each_time_as_a_real_number(self):
+        for times in ([0.0, "a"], [True], [None]):
+            with pytest.raises(ValueError, match="^times: "):
+                product_walk_trace(3, 4, times)
+        rows = product_walk_trace(3, 4, (t for t in (np.float64(0.5), 2)))
+        assert rows == [{"time": 0.5, **product_walk_distances(3, 4, 0.5)},
+                        {"time": 2.0, **product_walk_distances(3, 4, 2.0)}]
+
+    @pytest.mark.parametrize("call", [
+        lambda n: product_walk_distances(n, 4, 1.0),
+        lambda n: product_walk_trace(n, 4, [1.0]),
+        lambda n: product_walk_crossing_times(n, 4),
+    ], ids=["distances", "trace", "crossing"])
+    def test_n_past_a_million_refused_before_the_tv_weights(self, monkeypatch, call):
+        # the TV sum's n + 1 weights would be built and read at every time
+        walks._check_sizes(10 ** 6, 4)
+        monkeypatch.setattr(walks, "_tv_log_counts",
+                            lambda n, g: pytest.fail("TV weights built"))
+        with pytest.raises(ValueError, match="^n: "):
+            call(10 ** 6 + 1)
 
     def test_crossing_time_ordering(self):
         for n in (10, 20):
@@ -558,6 +582,11 @@ class TestProductWalk:
     def test_crossing_times_reject_bad_threshold(self, bad):
         with pytest.raises(ValueError, match="threshold"):
             product_walk_crossing_times(5, 2, bad)
+
+    def test_crossing_time_refuses_a_nan_threshold(self):
+        # every probe's excess would be NaN, read as above, giving t_hi
+        with pytest.raises(ValueError, match="^threshold: "):
+            crossing_time(lambda t: 1.0 - t, math.nan, 2.0)
 
 
 class TestBinomialNormal:
