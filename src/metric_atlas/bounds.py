@@ -484,7 +484,8 @@ def reports_from_json(text: str) -> list[CertificationReport]:
     for rep in items(payload, "reports", "report"):
         results = tuple(
             EdgeResult(string(e, "edge_id", "report.edges"), num(e, "lhs"), num(e, "rhs"),
-                       num(e, "h_rhs"), num(e, "slack"), status(e), e.get("reason", ""))
+                       num(e, "h_rhs"), num(e, "slack"), status(e),
+                       string(e, "reason", "report.edges") if "reason" in e else "")
             for e in items(rep, "edges", "report.reports"))
         out.append(CertificationReport(string(rep, "instance_id", "report.reports"), results))
     return out

@@ -113,8 +113,8 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution |
             raise ValueError(f"support: the truncation intervals span {points} grid "
                              f"points of step {SMOOTH_MESH}, above {SMOOTH_GRID_CAP}")
         xs = np.arange(lo, hi, SMOOTH_MESH)
-        f = f_left = np.array([F(x) for x in xs.tolist()])
-    g = np.array([G(x) for x in xs.tolist()])
+        f = f_left = np.array([F.cdf(x) for x in xs.tolist()], dtype=float)
+    g = np.array([G.cdf(x) for x in xs.tolist()], dtype=float)
     nan = np.isnan(f) | np.isnan(g)
     if nan.any():
         raise _nan_at(float(xs[nan.argmax()]))
@@ -161,61 +161,26 @@ def kolmogorov(F: RealAtomicDistribution, G: RealAtomicDistribution) -> float:
     return _kolmogorov(*_read(F, G)[1:])
 
 
-# Probes a search may spend beyond its bracket's halvings before it stops
-# interpolating and only halves.
-SEARCH_BUDGET = 8
+def _bisect(feasible, tol: float, hi: float = 1.0) -> float:
+    """Smallest x in [0, hi], to `tol`, at which the monotone predicate
+    `feasible` holds; at tol = 0, the first float at which it holds: 0.0
+    when feasible(0.0), else the upper end of the last bracket (`hi`, which
+    is never probed, when nothing below it is).
 
-
-def _bisect(excess, tol: float, hi: float = 1.0) -> float:
-    """Smallest feasible x in [0, hi], to `tol`, where excess(x) <= 0 means
-    feasible and the feasible x are an upper interval; at tol = 0, the first
-    float at which it holds: 0.0 when excess(0.0) <= 0, else the upper end of
-    the last bracket (`hi`, which is never probed, when nothing below it is).
-    A NaN excess reads as infeasible.
-
-    The one search of the package. A probe is the regula falsi point of the
-    bracket, with the Anderson-Bjorck weight (BIT 13, 1973) on an end kept
-    twice, while both ends carry a finite, non-zero excess and the probes so
-    far are fewer than SEARCH_BUDGET above the bracket's halvings; every
-    other probe is the midpoint. It stops only at adjacent floats or at
-    `tol`. A 0/1 excess (0 when feasible) never interpolates, since its
-    feasible end reads 0: it is plain bisection, probe for probe.
+    The one search of the package: plain bisection, which halves the
+    bracket until its ends are adjacent floats or within `tol`.
     """
-    e_lo = excess(0.0)
-    if e_lo <= 0.0:
+    if feasible(0.0):
         return 0.0
-    lo, e_hi = 0.0, math.nan
-    # spare = SEARCH_BUDGET + the bracket's halvings - the probes after the
-    # one at 0; the bracket is halved once more when its width falls to cap / 2
-    cap, spare, moved_hi = hi, SEARCH_BUDGET, False
+    lo = 0.0
     while hi - lo > tol:
-        x = lo + (hi - lo) / 2.0  # lo + hi can overflow near the float max
-        if not lo < x < hi:  # lo and hi are adjacent floats
+        mid = lo + (hi - lo) / 2.0  # lo + hi can overflow near the float max
+        if not lo < mid < hi:  # lo and hi are adjacent floats
             break
-        interpolated = False
-        if spare > 0 and 0.0 < e_lo < math.inf and -math.inf < e_hi < 0.0:
-            falsi = lo + (hi - lo) * (e_lo / (e_lo - e_hi))
-            # a point that rounds onto an end moves to the float next to it
-            x = min(max(falsi, math.nextafter(lo, hi)), math.nextafter(hi, lo))
-            interpolated = True
-        e = excess(x)
-        spare -= 1
-        feasible = e <= 0.0
-        if interpolated and feasible == moved_hi:  # the other end kept twice
-            m = 1.0 - e / (e_hi if feasible else e_lo)
-            m = m if m > 0.0 else 0.5
-            if feasible:
-                e_lo *= m
-            else:
-                e_hi *= m
-        if feasible:
-            hi, e_hi = x, e
+        if feasible(mid):
+            hi = mid
         else:
-            lo, e_lo = x, e
-        moved_hi = feasible
-        while hi - lo <= cap / 2.0 and cap > 0.0:
-            cap /= 2.0
-            spare += 1
+            lo = mid
     return hi
 
 
@@ -231,7 +196,8 @@ def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
     point's gap max(f - g, g_left - f_left), and the points are visited in
     decreasing gap; once a gap is at most the best root so far, no later
     point can raise it. A point is bisected only when its condition fails
-    at the best root, and only above it; its probes read G through `G.cdf`
+    at the best root, and only above it: `_bisect`'s predicate is
+    eps > best and the condition at eps. Its probes read G through `G.cdf`
     and `G.cdf_left`, and a NaN among them raises ValueError.
     """
     gap = np.maximum(f - g, g_left - f_left)
@@ -256,9 +222,7 @@ def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
             return True
 
         if not ok(best):
-            # a 0/1 excess bisects: the roots stop at tol, and only the one
-            # sequence of dyadic probes gives the joint bisection's value
-            best = _bisect(lambda e: 0.0 if e > best and ok(e) else 1.0, tol)
+            best = _bisect(lambda e: e > best and ok(e), tol)
     return best
 
 
@@ -500,7 +464,8 @@ def prokhorov_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> floa
     holds it) leaves unshipped. Both ends of an atom's reach move right with
     it, so shipping each F atom, in order, to the leftmost G mass it reaches
     is a maximum flow (Glover, 1967). One pointer skips the G atoms drained
-    or out of reach of every later atom: a probe is O(m_F + m_G).
+    or out of reach of every later atom: a probe is O(m_F + m_G). `_bisect`
+    reads the predicate u(eps) <= eps down to adjacent floats.
     """
     _check_steps("prokhorov_real", F, G)
     xs, ys, p, q = (a.tolist() for a in (F.positions, G.positions, F.weights, G.weights))
@@ -519,9 +484,7 @@ def prokhorov_real(F: RealAtomicDistribution, G: RealAtomicDistribution) -> floa
             total += need
         return total
 
-    # a 0/1 excess bisects: u is a step function, on which interpolating
-    # saved no probes
-    return _bisect(lambda eps: 0.0 if unshipped(eps) <= eps else 1.0, 0.0)
+    return _bisect(lambda eps: unshipped(eps) <= eps, 0.0)
 
 
 # ---------------------------------------------------------------------------

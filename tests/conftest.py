@@ -75,9 +75,10 @@ def transport_solves(monkeypatch):
 
 
 def plain_bisection(feasible, tol, hi=1.0, probed=None):
-    """The search before it interpolated: halve [0, hi] on a monotone
-    predicate until the ends are adjacent floats or within tol. Each probed
-    point is appended to `probed`, the first being 0.0."""
+    """Plain bisection, the reference for `transport._bisect` and its
+    callers: halve [0, hi] on a monotone predicate until the ends are
+    adjacent floats or within tol. Each probed point is appended to
+    `probed`, the first being 0.0."""
     probed = [] if probed is None else probed
     probed.append(0.0)
     if feasible(0.0):
@@ -178,7 +179,7 @@ def parent_transport(cost, supply, demand, flow, stop_cost=math.inf):
 def walk_probes(monkeypatch):
     """Counts the calls of `walks.product_walk_distances` in `.distances`,
     and records in `.probes` how many times each `transport._bisect` call
-    reads its excess, one entry per call, whichever of its callers (a
+    reads its predicate, one entry per call, whichever of its callers (a
     crossing time, a Levy root or P on the line) made it."""
     counter = types.SimpleNamespace(distances=0, probes=[])
     distances, search = walks.product_walk_distances, transport._bisect
@@ -187,12 +188,12 @@ def walk_probes(monkeypatch):
         counter.distances += 1
         return distances(*args)
 
-    def counting_search(excess, tol, hi=1.0):
+    def counting_search(feasible, tol, hi=1.0):
         counter.probes.append(0)
 
         def probe(x):
             counter.probes[-1] += 1
-            return excess(x)
+            return feasible(x)
 
         return search(probe, tol, hi)
 

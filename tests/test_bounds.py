@@ -577,9 +577,14 @@ class TestSerialization:
              "status": "pass"}]}]}, "report.edges.h_rhs: not a number: 1000"),
         ({"version": "1", "reports": [{"instance_id": 7, "edges": []}]},
          "report.reports.instance_id: not a string: 7"),
+        # this report loaded the int 7 as the edge's reason
+        ({"version": "1", "reports": [{"instance_id": "a", "edges": [
+            {"edge_id": "TV<=H", "lhs": 0.1, "rhs": 0.1, "h_rhs": 0.1, "slack": 0.0,
+             "status": "skip", "reason": 7}]}]}, "report.edges.reason: not a string: 7"),
     ], ids=["truncated", "no-reports", "list", "no-version", "version-2", "reports-number",
             "no-instance-id", "no-lhs", "lhs-string", "status-bogus", "edge-id-number",
-            "lhs-bool", "rhs-numeric-string", "h-rhs-past-float", "instance-id-number"])
+            "lhs-bool", "rhs-numeric-string", "h-rhs-past-float", "instance-id-number",
+            "reason-number"])
     def test_malformed_json_names_the_key(self, payload, message):
         text = payload if isinstance(payload, str) else json.dumps(payload)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -597,6 +602,7 @@ class TestSerialization:
         (r,) = reports_from_json(text)[0].results
         assert [type(x) for x in (r.lhs, r.rhs, r.slack)] == [float] * 3
         assert (r.lhs, r.rhs, r.h_rhs, r.slack) == (0.0, 1.0, None, 1.0)
+        assert r.reason == ""  # left out, as it may be
 
     def test_nan_survives_round_trip(self):
         rep = CertificationReport("nan-case", (EdgeResult(

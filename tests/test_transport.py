@@ -343,30 +343,23 @@ class TestLevyPerPointSearch:
 
 
 def recording(search, points):
-    """The search `search` with every point its excess is read at appended
-    to `points`."""
-    def recorded(excess, tol, hi=1.0):
-        return search(lambda x: points.append(x) or excess(x), tol, hi)
+    """The search `search` with every point its predicate is read at
+    appended to `points`."""
+    def recorded(feasible, tol, hi=1.0):
+        return search(lambda x: points.append(x) or feasible(x), tol, hi)
     return recorded
-
-
-def plain_search(excess, tol, hi=1.0):
-    """`tp._bisect`'s contract on plain bisection, the reference for the
-    callers that pass a 0/1 excess."""
-    return plain_bisection(lambda x: excess(x) <= 0.0, tol, hi)
 
 
 class TestOneSearch:
     @pytest.mark.parametrize("tol", [0.0, 1e-12, tp.SMOOTH_MESH / 4.0])
-    def test_a_0_1_excess_probes_as_plain_bisection(self, tol):
+    def test_probes_as_plain_bisection(self, tol):
         rng = np.random.default_rng(20261020)
         for hi in (1.0, 3.7, 1e300, 5e-324):
             for c in [0.0, hi / 3.0, hi, 2.0 * hi] + (rng.random(20) * hi).tolist():
                 for feasible in (lambda x: x >= c, lambda x: x * x >= c):
                     want_points, points = [], []
                     want = plain_bisection(feasible, tol, hi, want_points)
-                    got = recording(tp._bisect, points)(
-                        lambda x: 0.0 if feasible(x) else 1.0, tol, hi)
+                    got = recording(tp._bisect, points)(feasible, tol, hi)
                     assert (got.hex(), points) == (want.hex(), want_points), (hi, c)
 
     def test_levy_and_line_p_probe_as_plain_bisection(self, monkeypatch):
@@ -388,7 +381,7 @@ class TestOneSearch:
             points, want_points = [], []
             monkeypatch.setattr(tp, "_bisect", recording(search, points))
             got = case()
-            monkeypatch.setattr(tp, "_bisect", recording(plain_search, want_points))
+            monkeypatch.setattr(tp, "_bisect", recording(plain_bisection, want_points))
             want = case()
             assert (got.hex(), points) == (want.hex(), want_points)
         assert len(points) > 0

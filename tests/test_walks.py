@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from metric_atlas import transport as tp, walks
+from metric_atlas import walks
 from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContext
 from metric_atlas.divergences import tv_kernel
 from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
@@ -34,8 +34,7 @@ CURVES = [
     (lambda t: 1.0, 0.25, 0.0),
     (lambda t: math.exp(-t), 0.25, 1.0),
     (lambda t: math.exp(-t), 0.25, 5e-324),
-    # two on which the search without its budget took 233 and 212 probes,
-    # and plain bisection 69 and 55
+    # two steep ones, on which bisection takes 69 and 55 probes
     (lambda t: (1.0 + t) ** -50, 1e-3, 1e4),
     (lambda t: 1e300 * math.exp(-700.0 * t), 0.25, 2.0),
 ]
@@ -45,19 +44,21 @@ CURVE_IDS = ["exp", "reciprocal", "gaussian-tail", "step", "step-near-0",
 GRID_NS = [1, 2, 5, 10, 20, 40, 64]
 
 
+def t_chi2(n, g, level):
+    """The time at which the product walk's chi-squared falls to `level`."""
+    ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
+    return max(0.0, -0.5 * n * math.log(ratio))
+
+
 def crossing_grid(n):
     """The product walk's crossings at n coordinates, 10 per group size g:
     (g, threshold, key, the full distance curve, its chi-squared bracket
     end)."""
     for g in sorted({2, 3, 2 ** n}):
-        def t_chi2(level, g=g):
-            ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
-            return max(0.0, -0.5 * n * math.log(ratio))
-
         for thr in (1e-100, 1e-3, 0.01, 0.25, 0.5):
             for key, level in (("tv", 4.0 * thr * thr), ("entropy", thr)):
                 yield (g, thr, key, lambda t, g=g, key=key: product_walk_distances(n, g, t)[key],
-                       t_chi2(level))
+                       t_chi2(n, g, level))
 
 
 class TestCdgWalk:
@@ -456,6 +457,29 @@ class TestProductWalk:
                     want = entropy_ref(n, g, t)
                     assert abs(Decimal(got) - want) <= Decimal(1e-12) * want, (n, g, t)
 
+    def test_tv_against_a_700_digit_reference(self):
+        from decimal import Decimal, localcontext
+
+        def tv_ref(n, g, t):
+            # at the float u the code reads; (1 - u)^0 is 1, also at t = 0
+            with localcontext() as ctx:
+                ctx.prec = 700
+                u = Decimal(math.exp(-t / n))
+                gq0, gq1 = g * u + (1 - u), 1 - u
+                total = sum(math.comb(n, k) * (Decimal(g) - 1) ** (n - k)
+                            * abs(gq0 ** k * (gq1 ** (n - k) if n - k else 1) - 1)
+                            for k in range(n + 1))
+                return total / (2 * Decimal(g) ** n)
+
+        for n in (1, 2, 5, 10, 40, 64, 200):
+            for g in sorted({2, 3, 2 ** n}):
+                for t in (0.0, 0.01, 1.0, 10.0, 100.0, 200.0, 300.0, 1000.0, 3000.0):
+                    if t / n > 300:
+                        continue
+                    got = product_walk_distances(n, g, t)["tv"]
+                    want = tv_ref(n, g, t)
+                    assert abs(Decimal(got) - want) <= Decimal(1e-12) * want, (n, g, t)
+
     def test_entropy_crossing_at_1e_100_lies_just_below_chi2s(self):
         # entropy ~ chi2/2 this far out, so it crosses 1e-100 where chi2 = 2e-100,
         # (n/2) log 2 before chi2 crosses 1e-100
@@ -511,34 +535,30 @@ class TestProductWalk:
             assert got[key] == crossing_time(curve, thr, t_hi), (g, thr, key)
 
     @pytest.mark.parametrize("n", GRID_NS)
-    def test_crossings_near_plain_bisection_within_its_probes_and_the_budget(
-            self, n, walk_probes):
-        # reference: plain bisection of the same curve below the same end. The
-        # search may land elsewhere only where the computed curve is not
-        # monotone at the ulp level (10 of the 200, within 3.5e-15 relative)
+    def test_crossings_equal_plain_bisection_probe_for_probe(self, n, walk_probes):
+        # reference: plain bisection of the same curve below the same end
         for g, thr, key, curve, t_hi in crossing_grid(n):
             probed = []
             want = plain_bisection(lambda t: curve(t) <= thr, 0.0, t_hi, probed)
             got = crossing_time(curve, thr, t_hi)
-            assert got == want or abs(got - want) <= 1e-14 * want, (g, thr, key)
-            assert walk_probes.probes[-1] <= len(probed) + tp.SEARCH_BUDGET, (g, thr, key)
+            assert got == want, (g, thr, key)
+            assert walk_probes.probes[-1] == len(probed), (g, thr, key)
             # the first float at or below: the end below it was probed above
             assert got == 0.0 or curve(math.nextafter(got, 0.0)) > thr, (g, thr, key)
             assert got == t_hi or curve(got) <= thr, (g, thr, key)
 
     @pytest.mark.parametrize("curve, threshold, t_hi", CURVES, ids=CURVE_IDS)
-    def test_crossing_time_probes_within_the_budget_of_plain_bisection(
+    def test_crossing_time_probes_as_plain_bisection(
             self, curve, threshold, t_hi, walk_probes):
         probed = []
         want = plain_bisection(lambda t: curve(t) <= threshold, 0.0, t_hi, probed)
         assert crossing_time(curve, threshold, t_hi) == want
-        assert walk_probes.probes == [walk_probes.probes[-1]]
-        assert walk_probes.probes[-1] <= len(probed) + tp.SEARCH_BUDGET
+        assert walk_probes.probes == [len(probed)]
 
     @pytest.mark.parametrize("curve, threshold, t_hi", CURVES, ids=CURVE_IDS)
     def test_crossing_time_is_the_first_float_at_or_below(self, curve, threshold, t_hi):
-        # on step-near-0 this reads exactly 1e-200, in 121 probes: plain
-        # bisection takes about 1700 halvings of a bracket of 1e300
+        # on step-near-0 this reads exactly 1e-200, after about 1,700
+        # halvings of a bracket of 1e300
         r = crossing_time(curve, threshold, t_hi)
         if curve(t_hi) <= threshold:
             assert 0.0 <= r <= t_hi and curve(r) <= threshold
@@ -570,12 +590,17 @@ class TestProductWalk:
                     assert value <= thr, (g, thr, key, value)
 
     def test_crossing_probes_read_one_distance_each(self, walk_probes):
-        walks.product_walk_crossing_times(40, 2 ** 40)
+        n, g, thr = 40, 2 ** 40, 0.25
+        walks.product_walk_crossing_times(n, g, thr)
         assert walk_probes.distances == 0
-        # one probe at t = 0, then interpolation until lo and hi are adjacent
-        # floats: 14 and 10 here, where plain bisection took 54 and 55
-        assert len(walk_probes.probes) == 2
-        assert sum(walk_probes.probes) <= 50, walk_probes.probes
+        # one search per distance, each probing as plain bisection of its
+        # own curve below the same chi-squared bracket end
+        curves, want = walks._curves(n, g), []
+        for key, level in (("tv", 4.0 * thr * thr), ("entropy", thr)):
+            probed = []
+            plain_bisection(lambda t: curves[key](t) <= thr, 0.0, t_chi2(n, g, level), probed)
+            want.append(len(probed))
+        assert walk_probes.probes == want
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, -math.inf, 1e-160],
                              ids=["nan", "zero", "negative", "inf", "-inf", "square-underflows"])
@@ -584,7 +609,7 @@ class TestProductWalk:
             product_walk_crossing_times(5, 2, bad)
 
     def test_crossing_time_refuses_a_nan_threshold(self):
-        # every probe's excess would be NaN, read as above, giving t_hi
+        # every probe would compare False with NaN, read as above, giving t_hi
         with pytest.raises(ValueError, match="^threshold: "):
             crossing_time(lambda t: 1.0 - t, math.nan, 2.0)
 
@@ -606,6 +631,15 @@ class TestBinomialNormal:
             b = standardized_binomial(n)
             assert np.array_equal(b.weights, w / math.fsum(w.tolist()))
             assert np.array_equal(b.positions, (2.0 * k - n) / math.sqrt(n))
+
+    def test_n_past_a_billion_refused_before_the_atoms(self, monkeypatch):
+        # n = 10^18 would ask np.arange for about 3.9e10 integers
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange called before the n check")
+
+        monkeypatch.setattr(np, "arange", no_arange)
+        with pytest.raises(ValueError, match="^n: "):
+            standardized_binomial(10 ** 9 + 1)
 
     def test_underflowed_tails_dropped_from_1075(self):
         for n in (1075, 2000, 5000):
