@@ -295,25 +295,54 @@ class RealAtomicDistribution:
         return cls(np.array(xs), np.array([acc[x] for x in xs]))
 
 
+# erf over an array, one math.erf call per entry (numpy has no erf): the
+# same floats as the scalar oracle, without its Python call per point.
+ERF = np.frompyfunc(math.erf, 1, 1)
+
+
+def _read_many(H: "SmoothRealCdf", xs: np.ndarray) -> np.ndarray:
+    """H.cdf_many at the points xs as a float array, or a ValueError naming
+    cdf_many when it does not hold one value per point."""
+    vals = np.asarray(H.cdf_many(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError(f"cdf_many: returned shape {vals.shape} "
+                         f"for {xs.shape[0]} points")
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class SmoothRealCdf:
     """Oracle-backed continuous CDF with a declared density bound.
 
     `support` is a finite truncation interval [a, b], a < b, outside which
     the remaining mass is below 1e-12 on each side; `eval_tolerance` is the
-    guaranteed oracle accuracy. Monotonicity is spot-checked on a grid at
-    construction. `cdf_left`, the left limit, is the oracle itself, so a
-    smooth CDF is read through the same two calls as a step one.
+    guaranteed oracle accuracy. `cdf` reads one point; `cdf_many` reads a
+    float array of points into a float array of values, and by default
+    calls `cdf` once per point. A whole read (the 65-point monotonicity
+    grid checked at construction, and `transport._read`'s points) goes
+    through `cdf_many`; a search that probes one point at a time calls
+    `cdf`, which costs a fraction of an array call on one float.
+    `cdf_many` must agree with `cdf` within `eval_tolerance`, checked at
+    both support ends and the midpoint. `cdf_left`, the left limit, is the
+    scalar oracle itself, so a smooth CDF is probed through the same two
+    calls as a step one.
     """
 
     cdf: Callable[[float], float]
     density_bound: float
     support: tuple[float, float]
     eval_tolerance: float = 1e-12
+    cdf_many: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if not callable(self.cdf):
             raise ValueError(f"cdf: must be callable, got {self.cdf!r}")
+        if self.cdf_many is None:
+            cdf = self.cdf
+            object.__setattr__(self, "cdf_many", lambda xs: np.array(
+                [cdf(x) for x in xs.tolist()], dtype=float))
+        elif not callable(self.cdf_many):
+            raise ValueError(f"cdf_many: must be callable, got {self.cdf_many!r}")
         try:
             a, b = self.support
         except (TypeError, ValueError):
@@ -324,18 +353,26 @@ class SmoothRealCdf:
         density_bound = _real("density_bound", self.density_bound)
         if density_bound <= 0 or not math.isfinite(density_bound):
             raise ValueError("density_bound: must be positive and finite")
-        if not 0.0 <= _real("eval_tolerance", self.eval_tolerance) < math.inf:  # also NaN
+        tol = _real("eval_tolerance", self.eval_tolerance)
+        if not 0.0 <= tol < math.inf:  # also NaN
             raise ValueError("eval_tolerance: must be finite and non-negative, "
                              f"got {self.eval_tolerance!r}")
         # the grid starts at a and ends at b; each check fails on a NaN
-        vals = [self.cdf(float(x)) for x in np.linspace(a, b, 65)]
-        if any(not v1 - 1e-12 <= v2 for v1, v2 in zip(vals, vals[1:])):
+        grid = np.linspace(a, b, 65)
+        vals = _read_many(self, grid)
+        if not np.all(vals[:-1] - 1e-12 <= vals[1:]):
             raise ValueError("cdf: oracle is NaN or not non-decreasing on the check grid")
-        if any(not -1e-12 <= v <= 1.0 + 1e-12 for v in vals):
+        if not np.all((-1e-12 <= vals) & (vals <= 1.0 + 1e-12)):
             raise ValueError("cdf: oracle leaves [0, 1]")
         fa, fb = vals[0], vals[-1]
         if not (fa <= 1e-12 and 1.0 - 1e-12 <= fb and 1.0 - 2e-12 <= fb - fa):
             raise ValueError("support: truncation interval does not capture the mass")
+        for i in (0, 32, 64):  # a, the midpoint and b
+            x, many = float(grid[i]), float(vals[i])
+            one = self.cdf(x)
+            if not abs(many - one) <= tol:  # also NaN
+                raise ValueError(f"cdf_many: reads {many!r} at x = {x!r}, "
+                                 f"where cdf reads {one!r}")
         # an atomless CDF's left limit is its value
         object.__setattr__(self, "cdf_left", self.cdf)
 
@@ -345,7 +382,8 @@ class SmoothRealCdf:
 
 def gaussian_cdf(mean: float = 0.0, sigma: float = 1.0,
                  halfwidth: float = 9.0) -> SmoothRealCdf:
-    """Normal CDF via erf, truncated at mean +- halfwidth*sigma."""
+    """Normal CDF via erf, truncated at mean +- halfwidth*sigma. Its
+    `cdf_many` is the same expression over an array, bit for bit."""
     if not 0.0 < _real("sigma", sigma) < math.inf:  # also NaN
         raise ValueError(f"sigma: must be positive and finite, got {sigma!r}")
     if not math.isfinite(_real("mean", mean)):
@@ -353,15 +391,20 @@ def gaussian_cdf(mean: float = 0.0, sigma: float = 1.0,
     if not 7.1 <= _real("halfwidth", halfwidth) < math.inf:  # also NaN
         raise ValueError("halfwidth: must be finite and at least 7.1, to push "
                          f"tail mass below 1e-12; got {halfwidth!r}")
+    mean, scale = float(mean), float(sigma) * math.sqrt(2.0)
 
     def cdf(x: float) -> float:
-        return 0.5 * (1.0 + math.erf((x - mean) / (sigma * math.sqrt(2.0))))
+        return 0.5 * (1.0 + math.erf((x - mean) / scale))
+
+    def cdf_many(xs: np.ndarray) -> np.ndarray:
+        return 0.5 * (1.0 + ERF((xs - mean) / scale).astype(float))
 
     return SmoothRealCdf(
         cdf=cdf,
         density_bound=1.0 / (sigma * math.sqrt(2.0 * math.pi)),
         support=(mean - halfwidth * sigma, mean + halfwidth * sigma),
         eval_tolerance=1e-14,
+        cdf_many=cdf_many,
     )
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import (Coupling, DiscreteDistribution, RealAtomicDistribution,
-                     SmoothRealCdf, _check_same_space, _frozen, _non_negative)
+                     SmoothRealCdf, _check_same_space, _frozen, _non_negative,
+                     _read_many)
 
 _FLOW_EPS = 1e-12
 
@@ -87,13 +88,15 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution |
     values on both sides of each, f_left <= f of F and g_left <= g of G.
 
     Two step CDFs are read exactly at their merged atoms, between which both
-    are constant. Against a smooth G, one oracle call per point gives g,
-    which stands for both sides. For an atomic F the points are its atoms,
-    and G's oracle must hold the 1e-9 budget and its truncation interval
-    must cover them. For a smooth F they are a grid of step SMOOTH_MESH over
-    both truncation intervals, with F's one value standing for both sides
-    too; a grid of more than SMOOTH_GRID_CAP points raises ValueError, and
-    so does an oracle value that is NaN.
+    are constant. Against a smooth G, one `cdf_many` call over all the
+    points gives g, which stands for both sides. For an atomic F the points
+    are its atoms, at which F's values are its cumulative masses, and G's
+    oracle must hold the 1e-9 budget and its truncation interval must cover
+    them. For a smooth F they are a grid of step SMOOTH_MESH over both
+    truncation intervals, read by one `cdf_many` call of F whose value
+    stands for both sides too; a grid of more than SMOOTH_GRID_CAP points
+    raises ValueError, and so does an oracle value that is NaN or a
+    `cdf_many` result that does not hold one value per point.
     """
     if isinstance(G, RealAtomicDistribution):
         xs = np.union1d(F.positions, G.positions)
@@ -104,7 +107,8 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution |
         xs = F.positions
         if xs[0] < G.support[0] or xs[-1] > G.support[1]:
             raise ValueError("support: truncation interval does not cover the atoms")
-        f, f_left = F.cdf(xs), F.cdf_left(xs)
+        # F.cdf and F.cdf_left at its own atoms, without their searches
+        f, f_left = F._cum[1:], F._cum[:-1]
     else:
         (a, b), (c, d) = F.support, G.support
         lo, hi = min(a, c), max(b, d) + SMOOTH_MESH
@@ -113,8 +117,8 @@ def _read(F: RealAtomicDistribution | SmoothRealCdf, G: RealAtomicDistribution |
             raise ValueError(f"support: the truncation intervals span {points} grid "
                              f"points of step {SMOOTH_MESH}, above {SMOOTH_GRID_CAP}")
         xs = np.arange(lo, hi, SMOOTH_MESH)
-        f = f_left = np.array([F.cdf(x) for x in xs.tolist()], dtype=float)
-    g = np.array([G.cdf(x) for x in xs.tolist()], dtype=float)
+        f = f_left = _read_many(F, xs)
+    g = _read_many(G, xs)
     nan = np.isnan(f) | np.isnan(g)
     if nan.any():
         raise _nan_at(float(xs[nan.argmax()]))
@@ -197,8 +201,10 @@ def _levy_search(G, xs: np.ndarray, f, f_left, g, g_left, tol: float) -> float:
     decreasing gap; once a gap is at most the best root so far, no later
     point can raise it. A point is bisected only when its condition fails
     at the best root, and only above it: `_bisect`'s predicate is
-    eps > best and the condition at eps. Its probes read G through `G.cdf`
-    and `G.cdf_left`, and a NaN among them raises ValueError.
+    eps > best and the condition at eps. Its probes read G one point at a
+    time through `G.cdf` and `G.cdf_left`, not `cdf_many`, whose array
+    form costs many scalar calls on one float; a NaN among them raises
+    ValueError.
     """
     gap = np.maximum(f - g, g_left - f_left)
     best = 0.0
@@ -244,8 +250,9 @@ def smooth_pair(F: RealAtomicDistribution | SmoothRealCdf,
     so the atomic one is taken as F.
 
     Both CDFs are read once by `_read` at the same points: F's atoms, or for
-    a smooth F a grid of step SMOOTH_MESH over both truncation intervals. G
-    is read again only where the Levy search probes it. K, L and disc are
+    a smooth F a grid of step SMOOTH_MESH over both truncation intervals;
+    each smooth CDF there by one `cdf_many` call. G is read again, by its
+    scalar `cdf`, only where the Levy search probes it. K, L and disc are
     each one formula over that reading, as for two step CDFs. Against an
     atomic F these are exact, and L is bisected to 1e-12. For two smooth
     CDFs a sup read off the grid is within err = (c_F + c_G) * SMOOTH_MESH

@@ -297,6 +297,16 @@ class TestSmoothRealCdf:
             SmoothRealCdf(cdf=lambda x: 0.5 + 0.6 * math.sin(x),
                           density_bound=1.0, support=(-20.0, 20.0))
 
+    @pytest.mark.parametrize("mean, sigma", [(0.0, 1.0), (0.3, 1.2), (-1.0, 0.7)])
+    def test_cdf_many_equals_the_scalar_oracle_bit_for_bit(self, mean, sigma):
+        g = gaussian_cdf(mean, sigma)
+        default = SmoothRealCdf(g.cdf, g.density_bound, g.support, g.eval_tolerance)
+        for xs in (standardized_binomial(1000).positions, np.linspace(-10.0, 10.0, 10**4)):
+            want = [g.cdf(x).hex() for x in xs.tolist()]
+            for reader in (g.cdf_many, default.cdf_many):
+                got = reader(xs)
+                assert got.dtype == float
+                assert [v.hex() for v in got.tolist()] == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_rejects_bad_eval_tolerance(self, bad):
@@ -354,6 +364,19 @@ def _phi_cdf(x):
     pytest.param("eval_tolerance", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, 9.0), "0"),
                  id="eval-tolerance-string"),
     pytest.param("cdf", lambda: SmoothRealCdf(0.5, 0.4, (-9.0, 9.0)), id="cdf-not-callable"),
+    pytest.param("cdf_many", lambda: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, 9.0), cdf_many=0.5),
+                 id="cdf-many-not-callable"),
+    pytest.param("cdf_many", lambda: SmoothRealCdf(
+        _phi_cdf, 0.4, (-9.0, 9.0),
+        cdf_many=lambda xs: np.array([_phi_cdf(x - 0.01) for x in xs.tolist()])),
+                 id="cdf-many-disagrees-with-cdf"),
+    pytest.param("cdf_many", lambda: SmoothRealCdf(
+        _phi_cdf, 0.4, (-9.0, 9.0), cdf_many=lambda xs: np.zeros(3)),
+                 id="cdf-many-shape"),
+    pytest.param("cdf", lambda: SmoothRealCdf(
+        _phi_cdf, 0.4, (-9.0, 9.0),
+        cdf_many=lambda xs: np.where(xs == 0.0, math.nan, gaussian_cdf().cdf_many(xs))),
+                 id="nan-cdf-many-inside-the-grid"),
     pytest.param("mean", lambda: gaussian_cdf("a"), id="gaussian-mean-string"),
     pytest.param("sigma", lambda: gaussian_cdf(0.0, "1"), id="gaussian-sigma-string"),
 ])

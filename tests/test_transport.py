@@ -425,6 +425,95 @@ class TestSmoothGrid:
             smooth_pair(F, G)
 
 
+# smooth_pair's (value, error) hex pairs for Binomial(n, 1/2) against the
+# normal, and for two normals, as the reading one oracle call per point gave
+SMOOTH_PAIR_HEX = {
+    16: {"kolmogorov": ("0x1.9230000000010p-4", "0x0.0p+0"),
+         "levy": ("0x1.1f8fb1c150000p-4", "0x1.19799812dea11p-40"),
+         "disc": ("0x1.923000000000ap-3", "0x0.0p+0")},
+    100: {"kolmogorov": ("0x1.45ff5d3b10640p-5", "0x0.0p+0"),
+          "levy": ("0x1.d214adf340000p-6", "0x1.19799812dea11p-40"),
+          "disc": ("0x1.45ff5d3b10624p-4", "0x0.0p+0")},
+    1000: {"kolmogorov": ("0x1.9d4965077e700p-7", "0x0.0p+0"),
+           "levy": ("0x1.276ddb2b00000p-7", "0x1.19799812dea11p-40"),
+           "disc": ("0x1.9d4965077e700p-6", "0x0.0p+0")},
+    10**4: {"kolmogorov": ("0x1.0571bc1e10440p-8", "0x0.0p+0"),
+            "levy": ("0x1.75c63c7600000p-9", "0x1.19799812dea11p-40"),
+            "disc": ("0x1.0571bc1e10420p-7", "0x0.0p+0")},
+    "smooth": {"kolmogorov": ("0x1.9fce2203b13c0p-5", "0x1.8f4e83a1e6410p-11"),
+               "levy": ("0x1.4000000000000p-5", "0x1.0930791cb9c87p-10"),
+               "disc": ("0x1.d3c59ffe1be68p-5", "0x1.8f4e83a1e6410p-10")},
+}
+
+
+def _phi(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+class TestArrayReads:
+    @pytest.mark.parametrize("case", list(SMOOTH_PAIR_HEX))
+    def test_values_as_the_scalar_reads_gave(self, case):
+        if case == "smooth":
+            F, G = gaussian_cdf(), gaussian_cdf(0.1, 1.1)
+        else:
+            F = standardized_binomial(case)
+            G = gaussian_cdf(0.0, 1.0, max(9.0, math.sqrt(case) + 2.0))
+        got = smooth_pair(F, G)
+        assert {k: (v.hex(), e.hex()) for k, (v, e) in got.items()} == SMOOTH_PAIR_HEX[case]
+
+    def test_binomial_reads_g_by_one_array_call(self, monkeypatch):
+        F = standardized_binomial(1000)
+        normal = gaussian_cdf(0.0, 1.0, math.sqrt(1000) + 2.0)
+        scalar, many = [0], [0]
+
+        def cdf(x):
+            scalar[0] += 1
+            return normal.cdf(x)
+
+        def cdf_many(xs):
+            many[0] += 1
+            return normal.cdf_many(xs)
+
+        G = SmoothRealCdf(cdf, normal.density_bound, normal.support,
+                          normal.eval_tolerance, cdf_many)
+        scalar[0] = many[0] = 0
+        levy_search, search_calls = tp._levy_search, []
+
+        def search(*args):
+            before = scalar[0]
+            out = levy_search(*args)
+            search_calls.append(scalar[0] - before)
+            return out
+
+        monkeypatch.setattr(tp, "_levy_search", search)
+        got = smooth_pair(F, G)
+        assert many[0] == 1
+        # every scalar read is a Levy probe: about 113, where one read per
+        # atom took 1,001 more
+        assert search_calls == [scalar[0]]
+        assert scalar[0] < 200
+        assert got == smooth_pair(F, normal)
+
+    def test_a_result_of_the_wrong_shape_names_cdf_many(self):
+        # right on the 65-point check grid, one value short everywhere else
+        normal = gaussian_cdf()
+        G = SmoothRealCdf(_phi, normal.density_bound, normal.support, 1e-14,
+                          lambda xs: normal.cdf_many(xs)[:None if xs.size == 65 else -1])
+        with pytest.raises(ValueError, match="^cdf_many: "):
+            smooth_pair(standardized_binomial(16), G)
+
+    def test_a_nan_from_an_array_read_is_refused(self):
+        # NaN only on (0.001, 0.002), between the check grid's points
+        normal = gaussian_cdf()
+
+        def cdf_many(xs):
+            return np.where((0.001 < xs) & (xs < 0.002), math.nan, normal.cdf_many(xs))
+
+        G = SmoothRealCdf(_phi, 0.4, (-9.0, 9.0), 1e-14, cdf_many)
+        with pytest.raises(ValueError, match=r"^cdf: oracle is NaN at x = 0\.0015$"):
+            smooth_pair(delta(0.0015), G)
+
+
 class TestProkhorov:
     def test_identity(self):
         _, mu, _, _ = z10_measures()
