@@ -113,14 +113,7 @@ def _cmd_certify(args) -> int:
 def _cmd_walk_cdg(args) -> int:
     if (args.p is None) == (args.t is None):
         raise ValueError("p, t: give exactly one of --p or --t")
-    if args.p is not None:
-        p = args.p
-    else:
-        t_max = walks.MAX_MODULUS.bit_length()
-        if not 2 <= args.t <= t_max:  # checked before 2^t is formed
-            raise ValueError(f"t: must be in 2..{t_max} (p = 2^t - 1 <= 2^26 - 1), "
-                             f"got {args.t}")
-        p = 2 ** args.t - 1
+    p = args.p if args.p is not None else walks._mersenne_modulus(args.t)
     rows = walks.cdg_trace(p, args.steps)
     _write(args.out, _csv_rows(rows))
     return 0

@@ -47,6 +47,15 @@ def _integer(field: str, value) -> int:
     raise ValueError(f"{field}: must be an integer, got {value!r}")
 
 
+def _int_text(i: int) -> str:
+    """An integer for an error message: in decimal up to 64 bits, and past
+    that by its bit length, as str() refuses an int of more than 4,300
+    digits."""
+    if i.bit_length() <= 64:
+        return str(i)
+    return f"{'a negative' if i < 0 else 'an'} integer of {i.bit_length()} bits"
+
+
 def _index(field: str, value, n: int) -> int:
     """value as a point index in 0..n-1, or a ValueError naming the field."""
     i = _integer(field, value)

@@ -16,7 +16,7 @@ from . import transport as tp
 # patches; CdgWalk.distances no longer calls it.
 from .divergences import tv_kernel  # noqa: F401
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, _integer, _real,
+                     RealAtomicDistribution, _int_text, _integer, _real,
                      fsum_largest_first, gaussian_cdf)
 
 
@@ -24,11 +24,15 @@ from .spaces import (DiscreteDistribution, FiniteMetricSpace,
 # Doubling walk on Z_p:  X_k = 2 X_{k-1} + e_k (mod p), e uniform on {-1,0,1}
 # ---------------------------------------------------------------------------
 
-# A step, and its distances to uniform, hold the half law and 2 new vectors of
-# its length, (p + 1) / 2, at their peak: 0.8 GB at p = 2^26 - 1. The cap
-# leaves room in 8 GB of memory for a caller's own full-length copies of the
-# law (`CdgWalk.dist` builds one).
+# A step holds the old and the new half law, (p + 1) / 2 entries each, at its
+# peak: 0.5 GB at p = 2^26 - 1; its distances to uniform hold the half law and
+# a few blocks of _BLOCK entries. The cap leaves room in 8 GB of memory for a
+# caller's own full-length copies of the law (`CdgWalk.dist` builds one).
 MAX_MODULUS = 2 ** 26 - 1
+
+# Entries of the half law that `CdgWalk.distances` reads at a time: 256 KB
+# of float64, which stay in a core's L2 cache between the block's passes.
+_BLOCK = 2 ** 15
 
 
 class CdgWalk:
@@ -45,11 +49,12 @@ class CdgWalk:
     """
 
     def __init__(self, p: int):
-        if _integer("p", p) < 3 or p % 2 == 0:
-            raise ValueError(f"p: modulus must be odd and >= 3, got {p}")
+        p = _integer("p", p)
+        if p < 3 or p % 2 == 0:
+            raise ValueError(f"p: modulus must be odd and >= 3, got {_int_text(p)}")
         if p > MAX_MODULUS:
-            raise ValueError(f"p: modulus must be <= 2^26 - 1 = {MAX_MODULUS} "
-                             f"(a step holds about 1.5 vectors of length p), got {p}")
+            raise ValueError(f"p: modulus must be <= 2^26 - 1 = {MAX_MODULUS} (a step "
+                             f"holds the old and the new half law), got {_int_text(p)}")
         self.p = p
         self.step_count = 0
         self.half = np.zeros((p + 1) // 2)
@@ -57,8 +62,8 @@ class CdgWalk:
 
     @classmethod
     def mersenne(cls, t: int) -> "CdgWalk":
-        """Walk on p = 2^t - 1."""
-        return cls(2 ** t - 1)
+        """Walk on p = 2^t - 1, for an integer t in 2..26."""
+        return cls(_mersenne_modulus(t))
 
     @property
     def dist(self) -> np.ndarray:
@@ -68,20 +73,23 @@ class CdgWalk:
     def step(self) -> "CdgWalk":
         # x -> 2x mod p is a perfect shuffle for odd p: g[2x mod p] = dist[x].
         # g is symmetric too, and is read on 0..H from the half law h
-        # (H = (p + 1) / 2): g[j] = h[j / 2] for even j and h[(p - j) / 2] for
-        # odd j, the latter running down from h[H - 1].
+        # (H = (p + 1) / 2) and its reverse r = h[::-1]: g[2x] = h[x] and
+        # g[2x + 1] = h[(p - 2x - 1) / 2] = r[x]. new[i] = ((g[i-1] + g[i+1])
+        # + g[i]) / 3 with g[-1] = g[1], so new[2x] = (r[x-1] + r[x]) + h[x]
+        # and new[2x + 1] = (h[x] + h[x+1]) + r[x], each written from slices
+        # of h without building g. The order is symmetric in i-1 and i+1, so
+        # the full law in this order is exactly symmetric and its half is
+        # this one, bit for bit.
         h = self.half
+        r = h[::-1]
         size = h.size
-        g = np.empty(size + 1)
-        g[0::2] = h[:size // 2 + 1]
-        g[1::2] = h[::-1][:(size + 1) // 2]
-        # new[i] = ((g[i-1] + g[i+1]) + g[i]) / 3 with g[-1] = g[1]. The order
-        # is symmetric in i-1 and i+1, so the full law in this order is
-        # exactly symmetric and its half is this one, bit for bit.
+        n_even, n_odd = (size + 1) // 2, size // 2
         new = np.empty(size)
-        np.add(g[:-2], g[2:], out=new[1:])
-        new[0] = g[1] + g[1]
-        new += g[:-1]
+        np.add(r[:n_even - 1], r[1:n_even], out=new[2::2])
+        new[2::2] += h[1:n_even]
+        np.add(h[:n_odd], h[1:n_odd + 1], out=new[1::2])
+        new[1::2] += r[:n_odd]
+        new[0] = (r[0] + r[0]) + h[0]
         new /= 3.0
         self.half = new
         self.step_count += 1
@@ -89,25 +97,45 @@ class CdgWalk:
 
     def distances(self) -> dict[str, float]:
         """Total variation and discrepancy to the uniform distribution, read
-        from the half deviation dev = half - 1/p.
+        from the half deviation dev = half - 1/p in blocks of _BLOCK entries,
+        so that no second half-length vector is held.
 
-        tv = |dev[0]| / 2 + sum of |dev[1:]|, numpy's pairwise sum, within
-        about log2(p) * eps * sum|dev| of the exactly rounded sum. disc is
-        the range of the cut-point sums Z (see `cdg_discrepancy`): one
-        half-length prefix sum gives Z_1..Z_H, and since the mass sums to 1
-        and the law is symmetric, every other cut point is
+        tv = |dev[0]| / 2 + sum of |dev[1:]|, numpy's pairwise sum within each
+        block and `math.fsum` of the blocks' sums, within about
+        log2(_BLOCK) * eps * sum|dev| of the exactly rounded sum at every p.
+        disc is the range of the cut-point sums Z (see `cdg_discrepancy`):
+        the half-length prefix sum, carried from block to block, gives
+        Z_1..Z_H as the sequential sum bit for bit, and since the mass sums
+        to 1 and the law is symmetric, every other cut point is
         Z_c = dev[0] - Z_{p-c+1}.
         """
-        dev = self.half - 1.0 / self.p
-        z = np.cumsum(dev)
-        inner = z[1:-1]  # Z_2 .. Z_{H-1}, the cut points that are mirrored
-        in_lo, in_hi = inner.min(initial=math.inf), inner.max(initial=-math.inf)
-        dev0 = dev[0]
-        disc = (max(0.0, z[0], z[-1], in_hi, dev0 - in_lo)
-                - min(0.0, z[0], z[-1], in_lo, dev0 - in_hi))
-        np.abs(dev, out=dev)
-        tv = 0.5 * dev[0] + dev[1:].sum()
-        return {"tv": float(tv), "disc": float(disc)}
+        h, size = self.half, self.half.size
+        dev0 = h[0] - 1.0 / self.p
+        tv_parts = [0.5 * abs(dev0)]
+        z_last = 0.0  # Z at the end of the previous block
+        in_lo, in_hi = math.inf, -math.inf  # over Z_2 .. Z_{H-1}, the mirrored cut points
+        for s in range(0, size, _BLOCK):
+            z = h[s:s + _BLOCK] - 1.0 / self.p
+            tv_parts.append(np.abs(z[1:] if s == 0 else z).sum())
+            z[0] += z_last
+            np.cumsum(z, out=z)
+            inner = z[max(1 - s, 0):size - 1 - s]
+            in_lo = min(in_lo, inner.min(initial=math.inf))
+            in_hi = max(in_hi, inner.max(initial=-math.inf))
+            z_last = z[-1]
+        disc = (max(0.0, dev0, z_last, in_hi, dev0 - in_lo)
+                - min(0.0, dev0, z_last, in_lo, dev0 - in_hi))
+        return {"tv": math.fsum(tv_parts), "disc": float(disc)}
+
+
+def _mersenne_modulus(t: int) -> int:
+    """2^t - 1 for an integer t in 2..26, t checked by name before 2^t is
+    formed."""
+    t, t_max = _integer("t", t), MAX_MODULUS.bit_length()
+    if not 2 <= t <= t_max:
+        raise ValueError(f"t: must be in 2..{t_max} (p = 2^t - 1 <= 2^26 - 1), "
+                         f"got {_int_text(t)}")
+    return 2 ** t - 1
 
 
 def cdg_discrepancy(dist: np.ndarray) -> float:
@@ -135,7 +163,7 @@ def _cycle_range(dev: np.ndarray) -> float:
 def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
     """Rows (step, tv, disc) for steps 1..steps from the point mass at 0."""
     if _integer("steps", steps) < 1:  # checked before the walk allocates
-        raise ValueError(f"steps: must be >= 1, got {steps}")
+        raise ValueError(f"steps: must be >= 1, got {_int_text(steps)}")
     walk = CdgWalk(p)
     rows = []
     for _ in range(steps):
@@ -153,13 +181,14 @@ def _check_sizes(n: int, g: int) -> None:
     """Refuse, by name, a coordinate count n or a group size g that the
     product walk's closed forms cannot take, or an n past 10^6, whose TV sum
     of up to n terms, read at every time, would take about a second a read."""
-    if _integer("n", n) < 1:
-        raise ValueError(f"n: need at least 1 coordinate, got {n}")
+    n = _integer("n", n)
+    if n < 1:
+        raise ValueError(f"n: need at least 1 coordinate, got {_int_text(n)}")
     if n > 10 ** 6:
-        raise ValueError(f"n: at most 10^6 coordinates, got {n}")
+        raise ValueError(f"n: at most 10^6 coordinates, got {_int_text(n)}")
     g = _integer("g", g)
     if g < 2:
-        raise ValueError(f"g: group size must be >= 2, got {g}")
+        raise ValueError(f"g: group size must be >= 2, got {_int_text(g)}")
     # psi(g - 1) / g is the entropy per coordinate at t = 0; a g of more
     # than 1023 bits would overflow on its way to a float
     if g.bit_length() > 1023 or math.isinf(_psi(g - 1.0)):
@@ -331,9 +360,9 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
     """
     n = _integer("n", n)
     if n < 1:
-        raise ValueError(f"n: need at least one trial, got {n}")
+        raise ValueError(f"n: need at least one trial, got {_int_text(n)}")
     if n > 10 ** 9:
-        raise ValueError(f"n: at most 10^9 trials, got {n}")
+        raise ValueError(f"n: at most 10^9 trials, got {_int_text(n)}")
     k_lo = max(0, n // 2 - math.isqrt(373 * n) - 2)
     k = np.arange(k_lo, n - k_lo + 1)
     lgamma_k1 = np.array([math.lgamma(i + 1) for i in k.tolist()])

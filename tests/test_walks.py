@@ -61,11 +61,70 @@ def crossing_grid(n):
                        t_chi2(n, g, level))
 
 
+def exact_cdg_discs(p):
+    """The walk's exact disc at steps k = 1, 2, ..., from its law times 3^k:
+    the number of noise paths from 0 to each point."""
+    counts = np.zeros(p, dtype=object)
+    counts[0] = 1
+    half = (p + 1) // 2
+    for k in itertools.count(1):
+        g = np.empty_like(counts)
+        g[0::2], g[1::2] = counts[:half], counts[half:]
+        counts = g + np.roll(g, 1) + np.roll(g, -1)
+        z = np.cumsum(p * counts[:-1] - 3 ** k)
+        yield Fraction(int(max(z.max(), 0) - min(z.min(), 0)), p * 3 ** k)
+
+
+def full_vector_read(walk):
+    """tv and disc read from one whole half-length deviation vector and its
+    prefix sum, as `CdgWalk.distances` read them before it took blocks."""
+    dev = walk.half - 1.0 / walk.p
+    z = np.cumsum(dev)
+    inner = z[1:-1]
+    in_lo, in_hi = inner.min(initial=math.inf), inner.max(initial=-math.inf)
+    dev0 = dev[0]
+    disc = (max(0.0, z[0], z[-1], in_hi, dev0 - in_lo)
+            - min(0.0, z[0], z[-1], in_lo, dev0 - in_hi))
+    np.abs(dev, out=dev)
+    return float(0.5 * dev[0] + dev[1:].sum()), float(disc)
+
+
+HUGE = 10 ** 5000  # past str()'s 4,300-digit limit
+
+
 class TestCdgWalk:
     @pytest.mark.parametrize("p", [5.0, "7", None, 7.5, True])
     def test_rejects_non_integer_modulus(self, p):
         with pytest.raises(ValueError, match="^p: must be an integer"):
             CdgWalk(p)
+
+    @pytest.mark.parametrize("call, field", [
+        (lambda: CdgWalk(HUGE + 1), "p"),
+        (lambda: CdgWalk(-HUGE), "p"),
+        (lambda: CdgWalk.mersenne(HUGE), "t"),
+        (lambda: cdg_trace(7, -HUGE), "steps"),
+        (lambda: standardized_binomial(HUGE), "n"),
+        (lambda: product_walk_distances(HUGE, 2, 1.0), "n"),
+        (lambda: product_walk_distances(3, -HUGE, 1.0), "g"),
+        (lambda: product_walk_crossing_times(HUGE, 2), "n"),
+    ], ids=["walk-p", "walk-negative-p", "mersenne-t", "trace-steps", "binomial-n",
+            "params-n", "params-g", "crossing-n"])
+    def test_huge_integer_refusals_name_the_field(self, call, field):
+        with pytest.raises(ValueError, match=f"^{field}: .* integer of 16610 bits$"):
+            call()
+
+    @pytest.mark.parametrize("t, got", [(True, "must be an integer, got True"),
+                                        (2.5, "must be an integer, got 2.5"),
+                                        ("5", "must be an integer, got '5'"),
+                                        (1, "must be in 2..26 .*, got 1"),
+                                        (27, "must be in 2..26 .*, got 27"),
+                                        (20000, "must be in 2..26 .*, got 20000")])
+    def test_mersenne_checks_t_by_name(self, t, got):
+        with pytest.raises(ValueError, match=f"^t: {got}$"):
+            CdgWalk.mersenne(t)
+
+    def test_mersenne_moduli(self):
+        assert [CdgWalk.mersenne(t).p for t in (2, 5, np.int64(10))] == [3, 31, 1023]
 
     @pytest.mark.parametrize("steps", [0, -2])
     def test_trace_rejects_bad_steps_before_allocating(self, monkeypatch, steps):
@@ -169,10 +228,7 @@ class TestCdgWalk:
     @pytest.mark.parametrize("p", [3, 5, 101, 4099, 2 ** 16 - 1])
     def test_distances_match_the_standalone_kernels(self, p):
         walk = CdgWalk(p)
-        # exact law times 3^k: the number of noise paths from 0 to each point
-        counts = np.zeros(p, dtype=object)
-        counts[0] = 1
-        half = (p + 1) // 2
+        exact_discs = exact_cdg_discs(p)
         for k in range(1, 2 * math.ceil(math.log2(p)) + 1):
             walk.step()
             d = walk.distances()
@@ -180,12 +236,44 @@ class TestCdgWalk:
             tv = tv_kernel(walk.dist, np.full(p, 1.0 / p))
             assert abs(d["tv"] - tv) <= 1e-14, (p, k)
             if p <= 4099:
-                g = np.empty_like(counts)
-                g[0::2], g[1::2] = counts[:half], counts[half:]
-                counts = g + np.roll(g, 1) + np.roll(g, -1)
-                z = np.cumsum(p * counts[:-1] - 3 ** k)
-                exact = Fraction(int(max(z.max(), 0) - min(z.min(), 0)), p * 3 ** k)
-                assert abs(Fraction(d["disc"]) - exact) <= 4e-15, (p, k)
+                assert abs(Fraction(d["disc"]) - next(exact_discs)) <= 4e-15, (p, k)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("p", [5, 101, 1025, 4099])
+    def test_distances_are_the_same_at_every_block_size(self, monkeypatch, p, block):
+        walk = CdgWalk(p)
+        exact_discs = exact_cdg_discs(p)
+        for k in range(1, 2 * math.ceil(math.log2(p)) + 1):
+            walk.step()
+            monkeypatch.setattr(walks, "_BLOCK", p)  # one block
+            whole = walk.distances()
+            monkeypatch.setattr(walks, "_BLOCK", block)
+            d = walk.distances()
+            assert d["disc"].hex() == whole["disc"].hex(), (p, block, k)
+            assert abs(Fraction(d["disc"]) - next(exact_discs)) <= 4e-15, (p, block, k)
+            assert abs(d["tv"] - whole["tv"]) <= 1e-15 * whole["tv"], (p, block, k)
+
+    @pytest.mark.parametrize("p", [2 ** 17 - 1, 2 ** 17 + 1],
+                             ids=["two-full-blocks", "last-block-of-one"])
+    def test_distances_across_real_block_boundaries(self, p):
+        assert (p + 1) // 2 - 2 * walks._BLOCK in (0, 1)
+        walk = CdgWalk(p)
+        for k in range(1, 2 * math.ceil(math.log2(p)) + 1):
+            walk.step()
+            d = walk.distances()
+            assert abs(d["disc"] - cdg_discrepancy(walk.dist)) <= 1e-13, (p, k)
+            tv = tv_kernel(walk.dist, np.full(p, 1.0 / p))
+            assert abs(d["tv"] - tv) <= 1e-14, (p, k)
+
+    @pytest.mark.parametrize("t", [16, 20])
+    def test_blocked_read_pins_the_full_vector_disc(self, t):
+        walk = CdgWalk.mersenne(t)
+        for k in range(1, 41):
+            walk.step()
+            d = walk.distances()
+            tv, disc = full_vector_read(walk)
+            assert d["disc"].hex() == disc.hex(), (t, k)
+            assert abs(d["tv"] - tv) <= 1e-15 * tv, (t, k)
 
     def test_first_step_disc_is_exact_at_t20(self):
         # The law is 1/3 on each of p - 1, 0, 1, the ball of radius 1 about 0:
@@ -194,18 +282,20 @@ class TestCdgWalk:
         disc = CdgWalk(p).step().distances()["disc"]
         assert abs(disc - (1 - 3 / p)) <= 2 * np.spacing(1 - 3 / p)
 
-    def test_step_and_distances_allocate_about_two_vectors(self):
-        p = 2 ** 16 - 1
-        walk = CdgWalk(p)
-        walk.step()
-        for call in (walk.step, walk.distances):
+    def test_step_allocates_a_half_and_distances_a_few_blocks(self):
+        # The step's new half law is 0.5 * 8p bytes; the read holds a few
+        # blocks of _BLOCK float64, 0.75 MB measured at p = 2^20 - 1.
+        for call, p, cap in (("step", 2 ** 16 - 1, lambda p: 0.51 * 8 * p),
+                             ("distances", 2 ** 20 - 1, lambda p: 4 * 8 * walks._BLOCK)):
+            walk = CdgWalk(p)
+            walk.step()
             tracemalloc.start()
             try:
-                call()
+                getattr(walk, call)()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.25 * 8 * p, (call.__name__, peak / (8 * p))
+            assert peak <= cap(p), (call, peak / (8 * p))
 
     @pytest.mark.parametrize("p", [2 ** 16 - 1, 65539, 2 ** 20 - 1])
     def test_law_matches_fourier_oracle(self, p):
