@@ -352,14 +352,12 @@ def random_instance(seed: int, index: int, size_range: tuple[int, int] = (4, 10)
     """Deterministic per (seed, index): a space of the requested kind and a
     Dirichlet(1) distribution pair, optionally with zeroed coordinates to
     exercise domination edge cases."""
-    for field, value in (("seed", seed), ("index", index)):
-        if _integer(field, value) < 0:  # numpy seeds with non-negative integers only
-            raise ValueError(f"{field}: must be non-negative, got {value!r}")
+    _integer("seed", seed, 0)  # numpy seeds with non-negative integers only
+    _integer("index", index, 0)
     if np.shape(size_range) != (2,):
         raise ValueError(f"size_range: need a (low, high) pair, got {size_range!r}")
-    lo, hi = (_integer("size_range", v) for v in size_range)
-    if not 1 <= lo <= hi <= 64:
-        raise ValueError(f"size_range: need 1 <= low <= high <= 64, got {(lo, hi)!r}")
+    lo = _integer("size_range", size_range[0], 1, 64)
+    hi = _integer("size_range", size_range[1], lo, 64)
     if not 0.0 <= sparsity <= 1.0:  # also NaN
         raise ValueError(f"sparsity: need 0 <= sparsity <= 1, got {sparsity!r}")
     rng = np.random.default_rng([seed, index])
@@ -376,8 +374,7 @@ def certification_campaign(trials: int, seed: int = 0,
                            ) -> list[CertificationReport]:
     """Seeded campaign cycling through INSTANCE_KINDS, then through
     CAMPAIGN_SPARSITIES."""
-    if _integer("trials", trials) < 1:
-        raise ValueError(f"trials: must be >= 1, got {trials}")
+    trials = _integer("trials", trials, 1)
     mix = [(kind, sparsity) for sparsity in CAMPAIGN_SPARSITIES for kind in INSTANCE_KINDS]
     reports = []
     for i in range(trials):

@@ -22,7 +22,7 @@ import sys
 
 from . import bounds, transport, walks
 from .divergences import relative_entropy, total_variation
-from .spaces import DiscreteDistribution, distribution_from_json
+from .spaces import DiscreteDistribution, _integer, distribution_from_json
 
 METRIC_NAMES = sorted(set(bounds.FINITE_METRICS) | set(bounds.LINE_METRICS) | {"kl"})
 
@@ -123,8 +123,7 @@ def _cmd_walk_product(args) -> int:
     if args.times is not None:
         times = [_parse_time(x) for x in args.times.split(",")]
     else:
-        if args.steps < 2:
-            raise ValueError("steps: need at least 2 grid points")
+        _integer("steps", args.steps, 2)  # grid points
         horizon = args.horizon if args.horizon is not None else 2.0 * args.n ** 2
         if not 0.0 <= horizon < math.inf:  # also NaN; 0 * inf would be NaN
             raise ValueError(f"horizon: must be finite and non-negative, got {horizon}")

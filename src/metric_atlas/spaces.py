@@ -36,15 +36,20 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _integer(field: str, value) -> int:
-    """value as an int (numpy integers pass), or a ValueError naming the
-    field; a bool is not taken for 0 or 1."""
+def _integer(field: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """value as an int (numpy integers pass) in lo..hi, either end open when
+    None, or a ValueError naming the field; a bool is not taken for 0 or 1."""
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        if isinstance(value, bool):
+            raise TypeError
+        i = operator.index(value)
     except TypeError:
-        pass
-    raise ValueError(f"{field}: must be an integer, got {value!r}")
+        raise ValueError(f"{field}: must be an integer, got {value!r}") from None
+    if (lo is not None and i < lo) or (hi is not None and i > hi):
+        span = (f">= {lo}" if hi is None else f"<= {hi}" if lo is None
+                else f"in {lo}..{hi}")
+        raise ValueError(f"{field}: must be {span}, got {_int_text(i)}")
+    return i
 
 
 def _int_text(i: int) -> str:
@@ -56,26 +61,23 @@ def _int_text(i: int) -> str:
     return f"{'a negative' if i < 0 else 'an'} integer of {i.bit_length()} bits"
 
 
-def _index(field: str, value, n: int) -> int:
-    """value as a point index in 0..n-1, or a ValueError naming the field."""
-    i = _integer(field, value)
-    if not 0 <= i < n:
-        raise ValueError(f"{field}: point index {i} is outside 0..{n - 1}")
-    return i
-
-
 def _non_negative(field: str, value: float) -> None:
-    """A ValueError naming the field when value is NaN or negative; 0 and
-    +inf pass."""
-    if not value >= 0.0:
+    """A ValueError naming the field when value is not a real number (see
+    `_real`), or is NaN or negative; 0 and +inf pass."""
+    if not _real(field, value) >= 0.0:
         raise ValueError(f"{field}: must be non-negative, got {value!r}")
 
 
 def _real(field: str, value) -> float:
     """value as a float (numpy numbers pass), or a ValueError naming the
-    field; a bool is not taken for 0 or 1."""
+    field, also for a number past the float range; a bool is not taken for 0
+    or 1."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int, or a fraction, past the float range
+            raise ValueError(f"{field}: must be within the float range, "
+                             f"got {_int_text(int(value))}") from None
     raise ValueError(f"{field}: must be a real number, got {value!r}")
 
 
@@ -164,21 +166,20 @@ class FiniteMetricSpace:
     def ball(self, center: int, radius: float) -> frozenset[int]:
         """Closed ball {y : d(center, y) <= radius}."""
         _non_negative("radius", radius)
-        row = self.d[_index("center", center, self.n)]
+        row = self.d[_integer("center", center, 0, self.n - 1)]
         return frozenset(np.nonzero(row <= radius)[0].tolist())
 
     def fatten(self, points, eps: float) -> frozenset[int]:
         """eps-fattening {x : min_{y in points} d(x, y) <= eps}."""
         _non_negative("eps", eps)
-        idx = sorted(_index("points", x, self.n) for x in points)
+        idx = sorted(_integer("points", x, 0, self.n - 1) for x in points)
         near = (self.d[idx, :] <= eps).any(axis=0)
         return frozenset(np.nonzero(near)[0].tolist())
 
     @classmethod
     def cycle(cls, n: int) -> "FiniteMetricSpace":
         """n-cycle with the graph metric min(|i-j|, n-|i-j|)."""
-        if _integer("space.n", n) < 3:
-            raise ValueError(f"space.n: cycle length must be >= 3, got {n}")
+        n = _integer("space.n", n, 3)
         i = np.arange(n)
         gap = np.abs(i[:, None] - i[None, :])
         return cls(np.minimum(gap, n - gap).astype(float))
@@ -221,7 +222,7 @@ class DiscreteDistribution:
 
     def mass(self, points) -> float:
         """The mass of a set of point indices, each counted once."""
-        idx = sorted({_index("points", x, self.space.n) for x in points})
+        idx = sorted({_integer("points", x, 0, self.space.n - 1) for x in points})
         return float(math.fsum(self.p[idx].tolist()))
 
     @classmethod
@@ -231,7 +232,7 @@ class DiscreteDistribution:
     @classmethod
     def point_mass(cls, space: FiniteMetricSpace, i: int) -> "DiscreteDistribution":
         p = np.zeros(space.n)
-        p[_index("i", i, space.n)] = 1.0
+        p[_integer("i", i, 0, space.n - 1)] = 1.0
         return cls(space, p)
 
 

@@ -6,7 +6,6 @@ forms, and the standardized Binomial against the normal limit.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 
 import numpy as np
@@ -16,7 +15,7 @@ from . import transport as tp
 # patches; CdgWalk.distances no longer calls it.
 from .divergences import tv_kernel  # noqa: F401
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, _int_text, _integer, _real,
+                     RealAtomicDistribution, _integer, _real,
                      fsum_largest_first, gaussian_cdf)
 
 
@@ -49,12 +48,9 @@ class CdgWalk:
     """
 
     def __init__(self, p: int):
-        p = _integer("p", p)
-        if p < 3 or p % 2 == 0:
-            raise ValueError(f"p: modulus must be odd and >= 3, got {_int_text(p)}")
-        if p > MAX_MODULUS:
-            raise ValueError(f"p: modulus must be <= 2^26 - 1 = {MAX_MODULUS} (a step "
-                             f"holds the old and the new half law), got {_int_text(p)}")
+        p = _integer("p", p, 3, MAX_MODULUS)
+        if p % 2 == 0:
+            raise ValueError(f"p: modulus must be odd, got {p}")
         self.p = p
         self.step_count = 0
         self.half = np.zeros((p + 1) // 2)
@@ -131,11 +127,7 @@ class CdgWalk:
 def _mersenne_modulus(t: int) -> int:
     """2^t - 1 for an integer t in 2..26, t checked by name before 2^t is
     formed."""
-    t, t_max = _integer("t", t), MAX_MODULUS.bit_length()
-    if not 2 <= t <= t_max:
-        raise ValueError(f"t: must be in 2..{t_max} (p = 2^t - 1 <= 2^26 - 1), "
-                         f"got {_int_text(t)}")
-    return 2 ** t - 1
+    return 2 ** _integer("t", t, 2, MAX_MODULUS.bit_length()) - 1
 
 
 def cdg_discrepancy(dist: np.ndarray) -> float:
@@ -162,8 +154,7 @@ def _cycle_range(dev: np.ndarray) -> float:
 
 def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
     """Rows (step, tv, disc) for steps 1..steps from the point mass at 0."""
-    if _integer("steps", steps) < 1:  # checked before the walk allocates
-        raise ValueError(f"steps: must be >= 1, got {_int_text(steps)}")
+    steps = _integer("steps", steps, 1)  # checked before the walk allocates
     walk = CdgWalk(p)
     rows = []
     for _ in range(steps):
@@ -181,14 +172,8 @@ def _check_sizes(n: int, g: int) -> None:
     """Refuse, by name, a coordinate count n or a group size g that the
     product walk's closed forms cannot take, or an n past 10^6, whose TV sum
     of up to n terms, read at every time, would take about a second a read."""
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError(f"n: need at least 1 coordinate, got {_int_text(n)}")
-    if n > 10 ** 6:
-        raise ValueError(f"n: at most 10^6 coordinates, got {_int_text(n)}")
-    g = _integer("g", g)
-    if g < 2:
-        raise ValueError(f"g: group size must be >= 2, got {_int_text(g)}")
+    _integer("n", n, 1, 10 ** 6)
+    g = _integer("g", g, 2)
     # psi(g - 1) / g is the entropy per coordinate at t = 0; a g of more
     # than 1023 bits would overflow on its way to a float
     if g.bit_length() > 1023 or math.isinf(_psi(g - 1.0)):
@@ -320,15 +305,17 @@ def product_walk_crossing_times(n: int, g: int,
     the threshold by t_chi2(4 threshold^2) and t_chi2(threshold); each is
     searched below that bound by `crossing_time`, reading only its own
     distance at each probe."""
-    if not 0.0 < threshold < math.inf:
+    if not 0.0 < _real("threshold", threshold) < math.inf:
         raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
     if 4.0 * threshold * threshold < sys.float_info.min:
         raise ValueError(f"threshold: 4 * threshold^2 underflows, got {threshold!r}")
     curves = _curves(n, g)  # checks n and g before t_chi2 divides by them
 
     def t_chi2(level: float) -> float:
-        ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
-        return max(0.0, -0.5 * n * math.log(ratio))
+        # the ratio expm1(log1p(level) / n) / (g - 1) in logs: it underflows
+        # for a small level and a large g
+        log_ratio = math.log(math.expm1(math.log1p(level) / n)) - math.log(g - 1.0)
+        return max(0.0, -0.5 * n * log_ratio)
 
     return {"tv": crossing_time(curves["tv"], threshold,
                                 t_chi2(4.0 * threshold * threshold)),
@@ -358,11 +345,7 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
     isqrt(373 n) + 2 of n/2 are computed: about 2 sqrt(373 n) atoms, 1.2
     million at n = 10^9, the most taken.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise ValueError(f"n: need at least one trial, got {_int_text(n)}")
-    if n > 10 ** 9:
-        raise ValueError(f"n: at most 10^9 trials, got {_int_text(n)}")
+    n = _integer("n", n, 1, 10 ** 9)
     k_lo = max(0, n // 2 - math.isqrt(373 * n) - 2)
     k = np.arange(k_lo, n - k_lo + 1)
     lgamma_k1 = np.array([math.lgamma(i + 1) for i in k.tolist()])
@@ -399,9 +382,10 @@ def binomial_normal_demo(n: int) -> dict[str, float]:
 def dudley_instance(n: float):
     """Distributions ((n-1) delta_0 + delta_n)/n and delta_0 on the two-point
     space {0, n}: Prokhorov-close yet at Wasserstein distance one."""
-    if not isinstance(n, numbers.Real) or not 2 <= n < math.inf:  # also NaN
-        raise ValueError(f"n: must be a finite real number >= 2, got {n!r}")
-    space = FiniteMetricSpace([[0.0, float(n)], [float(n), 0.0]])
+    n = _real("n", n)
+    if not 2 <= n < math.inf:  # also NaN
+        raise ValueError(f"n: must be finite and >= 2, got {n!r}")
+    space = FiniteMetricSpace([[0.0, n], [n, 0.0]])
     p_n = DiscreteDistribution(space, np.array([(n - 1.0) / n, 1.0 / n]))
     target = DiscreteDistribution(space, np.array([1.0, 0.0]))
     return space, p_n, target

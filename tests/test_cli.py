@@ -237,9 +237,10 @@ class TestWalks:
         (["--n", "1015"], "error: n: "),
         (["--g", str(2 ** 1100)], "error: g: "),
         (["--times", ""], "error: times: "),
+        (["--steps", "1"], "error: steps: must be >= 2, got 1\n"),
     ], ids=["times-nan", "times-not-a-number", "horizon-nan", "horizon-inf",
             "horizon-negative", "g-overflows", "default-g-log-g-overflows",
-            "given-g-overflows", "times-empty"])
+            "given-g-overflows", "times-empty", "steps-one"])
     def test_product_rejects_bad_time(self, tmp_path, capsys, args, message):
         out = tmp_path / "prod.csv"
         assert main(["walk-product", "--n", "3", *args, "--out", str(out)]) == 1

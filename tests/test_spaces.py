@@ -1,17 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metric_atlas import spaces
+from metric_atlas import spaces, walks
+from metric_atlas.bounds import certification_campaign, random_instance
 from metric_atlas.spaces import (MASS_TOL, Coupling, DiscreteDistribution,
                                  FiniteMetricSpace, RealAtomicDistribution,
                                  SmoothRealCdf, distribution_from_json,
                                  fsum_largest_first, gaussian_cdf,
                                  space_from_json)
-from metric_atlas.transport import discrepancy_real_mixed
-from metric_atlas.walks import standardized_binomial
+from metric_atlas.transport import ball_growth_at, discrepancy_real_mixed
+from metric_atlas.walks import (MAX_MODULUS, CdgWalk, cdg_trace, dudley_instance,
+                                product_walk_crossing_times, product_walk_distances,
+                                product_walk_trace, standardized_binomial)
 
 
 def _triangle_error_by_loop(d):
@@ -490,3 +494,73 @@ class TestJson:
             distribution_from_json({"p": [1.0]})
         with pytest.raises(ValueError, match="atoms"):
             distribution_from_json({"atoms": [{"x": 0.0}]})
+
+
+HUGE = 10 ** 5000  # past str()'s 4,300-digit limit
+BIG = 10 ** 400    # past the float range
+
+
+def cycle4():
+    return FiniteMetricSpace.cycle(4)
+
+
+# Every bounded integer the library takes: (a call on the value, its field,
+# the least and the greatest value accepted, with None for an open end, and
+# whether the greatest is cheap to build).
+BOUNDED_INTEGERS = {
+    "ball-center": (lambda v: cycle4().ball(v, 1.0), "center", 0, 3, True),
+    "fatten-points": (lambda v: cycle4().fatten({v}, 1.0), "points", 0, 3, True),
+    "mass-points": (lambda v: DiscreteDistribution.uniform(cycle4()).mass({v}),
+                    "points", 0, 3, True),
+    "point_mass-i": (lambda v: DiscreteDistribution.point_mass(cycle4(), v), "i", 0, 3, True),
+    "cycle-n": (FiniteMetricSpace.cycle, "space.n", 3, None, False),
+    "walk-p": (CdgWalk, "p", 3, MAX_MODULUS, False),  # 256 MB at MAX_MODULUS
+    "mersenne-t": (walks._mersenne_modulus, "t", 2, 26, True),
+    "trace-steps": (lambda v: cdg_trace(3, v), "steps", 1, None, False),
+    "product-n": (lambda v: walks._check_sizes(v, 2), "n", 1, 10 ** 6, True),
+    "product-g": (lambda v: walks._check_sizes(1, v), "g", 2, None, False),
+    "binomial-n": (standardized_binomial, "n", 1, 10 ** 9, False),
+    "instance-seed": (lambda v: random_instance(v, 0), "seed", 0, None, False),
+    "instance-index": (lambda v: random_instance(0, v), "index", 0, None, False),
+    "size_range-low": (lambda v: random_instance(0, 0, (v, 64)), "size_range", 1, 64, True),
+    "size_range-high": (lambda v: random_instance(0, 0, (4, v)), "size_range", 4, 64, True),
+    "campaign-trials": (certification_campaign, "trials", 1, None, False),
+}
+
+
+@pytest.mark.parametrize("call, field, lo, hi, hi_cheap", BOUNDED_INTEGERS.values(),
+                         ids=BOUNDED_INTEGERS.keys())
+def test_bounded_integers_at_their_ends(call, field, lo, hi, hi_cheap):
+    call(lo)
+    if hi_cheap:
+        call(hi)
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    refused = [(lo - 1, str(lo - 1)), (-HUGE, "a negative integer of 16610 bits")]
+    if hi is not None:
+        refused += [(hi + 1, str(hi + 1)), (HUGE, "an integer of 16610 bits")]
+    for value, got in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field}: must be {span}, got {got}')}$"):
+            call(value)
+    for value in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field}: must be an integer, got {value!r}')}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: product_walk_distances(3, 2, BIG), "t"),
+    (lambda: product_walk_trace(3, 2, [BIG]), "times"),
+    (lambda: gaussian_cdf(sigma=BIG), "sigma"),
+    (lambda: gaussian_cdf(mean=-BIG), "mean"),
+    (lambda: gaussian_cdf(halfwidth=BIG), "halfwidth"),
+    (lambda: SmoothRealCdf(gaussian_cdf().cdf, BIG, (-9.0, 9.0)), "density_bound"),
+    (lambda: dudley_instance(HUGE), "n"),
+    (lambda: product_walk_crossing_times(3, 2, BIG), "threshold"),
+    (lambda: cycle4().ball(0, -HUGE), "radius"),
+    (lambda: cycle4().fatten({0}, BIG), "eps"),
+    (lambda: ball_growth_at(DiscreteDistribution.uniform(cycle4()), BIG), "eps"),
+], ids=["walk-t", "walk-times", "sigma", "mean", "halfwidth", "density_bound",
+        "dudley-n", "threshold", "ball-radius", "fatten-eps", "ball-growth-eps"])
+def test_reals_past_the_float_range_name_the_field(call, field):
+    with pytest.raises(ValueError, match=f"^{field}: must be within the float range, "
+                                         "got (a negative|an) integer of [0-9]+ bits$"):
+        call()

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from metric_atlas import walks
-from metric_atlas.bounds import evaluate_edges, real_mixed_context, MetricContext
+from metric_atlas.bounds import (evaluate_edges, real_mixed_context, MetricContext,
+                                 certification_campaign, random_instance)
 from metric_atlas.divergences import tv_kernel
 from metric_atlas.oracles import (cdg_disc_window_oracle, cdg_fourier_transform,
                                   product_walk_direct)
-from metric_atlas.spaces import MASS_TOL, gaussian_cdf
+from metric_atlas.spaces import (MASS_TOL, DiscreteDistribution, FiniteMetricSpace,
+                                 gaussian_cdf)
 from metric_atlas.transport import discrepancy_finite, prokhorov, wasserstein_finite
 from metric_atlas.walks import (MAX_MODULUS, CdgWalk, binomial_normal_demo,
                                 cdg_discrepancy, cdg_trace, crossing_time,
@@ -46,8 +48,8 @@ GRID_NS = [1, 2, 5, 10, 20, 40, 64]
 
 def t_chi2(n, g, level):
     """The time at which the product walk's chi-squared falls to `level`."""
-    ratio = math.expm1(math.log1p(level) / n) / (g - 1.0)
-    return max(0.0, -0.5 * n * math.log(ratio))
+    log_ratio = math.log(math.expm1(math.log1p(level) / n)) - math.log(g - 1.0)
+    return max(0.0, -0.5 * n * log_ratio)
 
 
 def crossing_grid(n):
@@ -107,8 +109,15 @@ class TestCdgWalk:
         (lambda: product_walk_distances(HUGE, 2, 1.0), "n"),
         (lambda: product_walk_distances(3, -HUGE, 1.0), "g"),
         (lambda: product_walk_crossing_times(HUGE, 2), "n"),
+        (lambda: certification_campaign(-HUGE), "trials"),
+        (lambda: random_instance(-HUGE, 0), "seed"),
+        (lambda: random_instance(1, 0, (1, HUGE)), "size_range"),
+        (lambda: FiniteMetricSpace.cycle(-HUGE), "space.n"),
+        (lambda: FiniteMetricSpace.cycle(4).ball(HUGE, 1.0), "center"),
+        (lambda: DiscreteDistribution.point_mass(FiniteMetricSpace.cycle(4), -HUGE), "i"),
     ], ids=["walk-p", "walk-negative-p", "mersenne-t", "trace-steps", "binomial-n",
-            "params-n", "params-g", "crossing-n"])
+            "params-n", "params-g", "crossing-n", "campaign-trials", "instance-seed",
+            "instance-size_range", "cycle-n", "ball-center", "point_mass-i"])
     def test_huge_integer_refusals_name_the_field(self, call, field):
         with pytest.raises(ValueError, match=f"^{field}: .* integer of 16610 bits$"):
             call()
@@ -116,9 +125,9 @@ class TestCdgWalk:
     @pytest.mark.parametrize("t, got", [(True, "must be an integer, got True"),
                                         (2.5, "must be an integer, got 2.5"),
                                         ("5", "must be an integer, got '5'"),
-                                        (1, "must be in 2..26 .*, got 1"),
-                                        (27, "must be in 2..26 .*, got 27"),
-                                        (20000, "must be in 2..26 .*, got 20000")])
+                                        (1, "must be in 2..26, got 1"),
+                                        (27, "must be in 2..26, got 27"),
+                                        (20000, "must be in 2..26, got 20000")])
     def test_mersenne_checks_t_by_name(self, t, got):
         with pytest.raises(ValueError, match=f"^t: {got}$"):
             CdgWalk.mersenne(t)
@@ -697,6 +706,17 @@ class TestProductWalk:
     def test_crossing_times_reject_bad_threshold(self, bad):
         with pytest.raises(ValueError, match="threshold"):
             product_walk_crossing_times(5, 2, bad)
+
+    @pytest.mark.parametrize("n, g, threshold", [(2, 10 ** 200, 1e-100),
+                                                 (1, 2 ** 1000, 1e-154)],
+                             ids=["n2-g10^200", "n1-g2^1000"])
+    def test_chi2_time_where_its_ratio_underflows(self, n, g, threshold):
+        # expm1(log1p(level) / n) / (g - 1) underflows to 0 at these levels,
+        # so t_chi2 takes the ratio in logs
+        got = product_walk_crossing_times(n, g, threshold)
+        assert all(math.isfinite(t) for t in got.values())
+        chi2 = walks._curves(n, g)["chi2"](got["chi2"])
+        assert chi2 == pytest.approx(threshold, rel=1e-12, abs=0.0)
 
     def test_crossing_time_refuses_a_nan_threshold(self):
         # every probe would compare False with NaN, read as above, giving t_hi
