@@ -25,7 +25,7 @@ import numpy as np
 from . import divergences as dv
 from . import transport as tp
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, SmoothRealCdf, _integer)
+                     RealAtomicDistribution, SmoothRealCdf, _integer, _real)
 
 REL_SLACK = 1e-9
 # Evaluating the ball-growth modulus just above the computed Prokhorov value
@@ -358,6 +358,7 @@ def random_instance(seed: int, index: int, size_range: tuple[int, int] = (4, 10)
         raise ValueError(f"size_range: need a (low, high) pair, got {size_range!r}")
     lo = _integer("size_range", size_range[0], 1, 64)
     hi = _integer("size_range", size_range[1], lo, 64)
+    sparsity = _real("sparsity", sparsity)
     if not 0.0 <= sparsity <= 1.0:  # also NaN
         raise ValueError(f"sparsity: need 0 <= sparsity <= 1, got {sparsity!r}")
     rng = np.random.default_rng([seed, index])

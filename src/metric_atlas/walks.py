@@ -165,6 +165,36 @@ def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
 
 
 # ---------------------------------------------------------------------------
+# Binomial masses, for the product walk and the Binomial against the normal
+# ---------------------------------------------------------------------------
+
+def _binomial_pmf(n: int, odds: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """The Binomial(n, p) masses at k = k_lo..k_hi, for odds = p / (1 - p) > 0
+    and a window that holds all but an underflowing share of the mass.
+
+    The mass at the mode m (clipped into the window) is taken as 1.0 and its
+    neighbours' ratios, pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * odds, are
+    multiplied outward by one cumulative product per side; the whole is then
+    divided by its exactly rounded sum. Each mass so carries a rounding error
+    of at most a few ulps per step from the mode, and an odds that is no
+    float exactly, as 1/3, tilts mass k by |k - m| times its rounding error.
+    With odds 1 the two sides multiply the same ratios, so the masses are
+    exactly symmetric, pmf(k) == pmf(n - k).
+
+    Every mass below the smallest normal float is set to 0: once a product
+    is subnormal, a ratio above 1/2 rounds it back to itself, and the tail
+    would hold such stuck atoms rather than underflow."""
+    m = min(max(int((n + 1) * (odds / (1.0 + odds))), k_lo), k_hi)
+    up = np.arange(m, k_hi, dtype=float)  # pmf(k + 1) / pmf(k) at these k
+    down = np.arange(m - 1, k_lo - 1, -1, dtype=float)  # pmf(k) / pmf(k + 1)
+    w = np.concatenate((np.cumprod((down + 1.0) / (n - down) / odds)[::-1], [1.0],
+                        np.cumprod((n - up) / (up + 1.0) * odds)))
+    w /= fsum_largest_first(w)
+    w[w < sys.float_info.min] = 0.0
+    return w
+
+
+# ---------------------------------------------------------------------------
 # Continuous-time coordinate-refresh walk on G^n
 # ---------------------------------------------------------------------------
 
@@ -211,7 +241,7 @@ def _curves(n: int, g: int) -> dict:
     states lie below the uniform density (`_tv`).
     """
     _check_sizes(n, g)
-    log_counts = _tv_log_counts(n, g)
+    masses = _binomial_pmf(n, 1.0 / (g - 1.0), 0, n).tolist()
 
     def chi2(u: float) -> float:
         log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
@@ -222,7 +252,7 @@ def _curves(n: int, g: int) -> dict:
         affinity = (math.sqrt(q0) + (g - 1.0) * math.sqrt((1.0 - u) / g)) / math.sqrt(g)
         return math.sqrt(max(0.0, -2.0 * math.expm1(n * math.log(affinity))))
 
-    in_u = {"tv": lambda u: _tv(log_counts, *_log_gq(g, u)),
+    in_u = {"tv": lambda u: _tv(masses, *_log_gq(g, u)),
             "entropy": lambda u: _entropy(n, g, u),
             "chi2": chi2,
             "hellinger": hellinger,
@@ -252,30 +282,22 @@ def _entropy(n: int, g: int, u: float) -> float:
     return n * ((_psi((g - 1.0) * u) + (g - 1.0) * _psi(-u)) / g)
 
 
-def _tv_log_counts(n: int, g: int) -> list[float]:
-    """log of the uniform mass of the states with k coordinates at their
-    start, C(n, k) (g-1)^(n-k) / g^n, for k = 0..n; they depend on n and g
-    alone."""
-    log_base = math.log(g - 1.0)
-    return [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-            + (n - k) * log_base - n * math.log(g) for k in range(n + 1)]
-
-
-def _tv(log_counts: list[float], log_gq0: float, log_gq1: float) -> float:
-    """Total variation to uniform. With u_k the uniform mass of the states
-    with k still-at-start coordinates and R_k their density ratio, of log
+def _tv(masses: list[float], log_gq0: float, log_gq1: float) -> float:
+    """Total variation to uniform. With u_k = masses[k] the uniform mass of
+    the states with k still-at-start coordinates, C(n, k) (g-1)^(n-k) / g^n,
+    the Binomial(n, 1/g) pmf, and R_k their density ratio, of log
     lr_k = k log(g q0) + (n-k) log(g q1), sum_k u_k R_k = sum_k u_k = 1, so
     TV is the sum of u_k (1 - R_k) over the k with R_k < 1 alone. lr_k
     increases with k, as log(g q0) >= 0 >= log(g q1), so the sum stops at
     the first lr_k >= 0; k = n, where R_n >= 1, never enters. Each term is
     at most u_k, so the sum cannot overflow."""
-    n = len(log_counts) - 1
+    n = len(masses) - 1
     terms = []
     for k in range(n):
         log_ratio = k * log_gq0 + (n - k) * log_gq1
         if log_ratio >= 0.0:
             break
-        terms.append(-math.exp(log_counts[k]) * math.expm1(log_ratio))
+        terms.append(-masses[k] * math.expm1(log_ratio))
     return math.fsum(terms)
 
 
@@ -289,8 +311,10 @@ def crossing_time(params_at, threshold: float, t_hi: float) -> float:
     The search is `transport._bisect` on the predicate params_at(t) <=
     threshold (a NaN reads as above), halving [0, t_hi] down to adjacent
     floats."""
+    t_hi = _real("t_hi", t_hi)
     if not 0.0 <= t_hi < math.inf:  # also NaN
         raise ValueError(f"t_hi: must be finite and non-negative, got {t_hi!r}")
+    threshold = _real("threshold", threshold)
     if math.isnan(threshold):  # every probe would read as above it
         raise ValueError(f"threshold: must be a number, got {threshold!r}")
     return tp._bisect(lambda t: params_at(t) <= threshold, 0.0, t_hi)
@@ -335,27 +359,24 @@ def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
 # ---------------------------------------------------------------------------
 
 def standardized_binomial(n: int) -> RealAtomicDistribution:
-    """Binomial(n, 1/2) standardized to mean 0 and variance 1; weights via
-    log-gamma, renormalized by their exact float sum.
+    """Binomial(n, 1/2) standardized to mean 0 and variance 1; weights from
+    neighbour ratios multiplied out from the mode and divided by their exact
+    float sum (`_binomial_pmf`), exactly symmetric about 0.
 
-    Tail weights that underflow to 0 (from n = 1075 on) are dropped with
-    their atoms; for smaller n every atom is kept. By Hoeffding the weight
-    of k is at most exp(-2 (k - n/2)^2 / n), below exp(-746), which rounds
-    to 0, once |k - n/2| > sqrt(373 n), so only the atoms within
-    isqrt(373 n) + 2 of n/2 are computed: about 2 sqrt(373 n) atoms, 1.2
-    million at n = 10^9, the most taken.
+    Weights below the smallest normal float, 2^-1022, are dropped with their
+    atoms: the two end atoms from n = 1022 on, as 2^-n falls below it; for
+    smaller n every atom is kept. By Hoeffding the weight of k is at most
+    exp(-2 (k - n/2)^2 / n), below 2^-1022 = exp(-708.4) once
+    |k - n/2| > sqrt(355 n), so only the atoms within isqrt(355 n) + 2 of
+    n/2 are computed: about 2 sqrt(355 n) atoms, 1.2 million at n = 10^9,
+    the most taken.
     """
     n = _integer("n", n, 1, 10 ** 9)
-    k_lo = max(0, n // 2 - math.isqrt(373 * n) - 2)
-    k = np.arange(k_lo, n - k_lo + 1)
-    lgamma_k1 = np.array([math.lgamma(i + 1) for i in k.tolist()])
-    # lgamma(n - k + 1) is the same list reversed, as the window is symmetric
-    logw = math.lgamma(n + 1) - lgamma_k1 - lgamma_k1[::-1] - n * math.log(2.0)
-    w = np.exp(logw)
+    k_lo = max(0, n // 2 - math.isqrt(355 * n) - 2)
+    w = _binomial_pmf(n, 1.0, k_lo, n - k_lo)
     keep = w > 0.0
-    w = w[keep] / fsum_largest_first(w[keep])
-    x = (2.0 * k[keep] - n) / math.sqrt(n)
-    return RealAtomicDistribution(x, w)
+    x = (2.0 * np.arange(k_lo, n - k_lo + 1)[keep] - n) / math.sqrt(n)
+    return RealAtomicDistribution(x, w[keep])
 
 
 def binomial_normal_demo(n: int) -> dict[str, float]:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -454,11 +455,14 @@ class TestRandomInstances:
         ({"sparsity": math.nan}, "sparsity"),
         ({"sparsity": -1.0}, "sparsity"),
         ({"sparsity": 2.0}, "sparsity"),
+        # past 4,300 digits the message's repr raised; a str a bare TypeError
+        ({"sparsity": 10 ** 5000}, "sparsity"),
+        ({"sparsity": "0.5"}, "sparsity"),
         ({"kind": "bogus"}, "kind"),
         ({"size_range": (3,)}, "size_range"),
         ({"size_range": 5}, "size_range"),
-    ], ids=["sparsity-nan", "sparsity-negative", "sparsity-above-one", "kind",
-            "size_range-one-entry", "size_range-scalar"])
+    ], ids=["sparsity-nan", "sparsity-negative", "sparsity-above-one", "sparsity-huge",
+            "sparsity-str", "kind", "size_range-one-entry", "size_range-scalar"])
     def test_bad_fields_name_the_field(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             random_instance(0, 0, **kwargs)
@@ -471,6 +475,13 @@ class TestRandomInstances:
     def test_bad_seed_or_index_names_the_field(self, seed, index, field):
         with pytest.raises(ValueError, match=f"^{field}: "):
             random_instance(seed, index)
+
+    @pytest.mark.parametrize("sparsity, same_as", [
+        (0, 0.0), (1, 1.0), (np.float64(0.25), 0.25), (Fraction(1, 4), 0.25)])
+    def test_real_sparsity_read_as_its_float(self, sparsity, same_as):
+        a, b = random_instance(3, 1, sparsity=sparsity), random_instance(3, 1, sparsity=same_as)
+        assert a.instance_id == b.instance_id
+        assert np.array_equal(a.mu.p, b.mu.p) and np.array_equal(a.nu.p, b.nu.p)
 
     def test_numpy_integer_seed_and_index_accepted(self):
         a = random_instance(np.int64(5), np.int32(3))

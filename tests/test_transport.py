@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -426,20 +427,22 @@ class TestSmoothGrid:
 
 
 # smooth_pair's (value, error) hex pairs for Binomial(n, 1/2) against the
-# normal, and for two normals, as the reading one oracle call per point gave
+# normal, and for two normals, as the reading one oracle call per point gave;
+# the binomial K and D are each within 1e-16 of its 50-digit value
+# (`test_binomial_k_and_d_against_50_digits`).
 SMOOTH_PAIR_HEX = {
-    16: {"kolmogorov": ("0x1.9230000000010p-4", "0x0.0p+0"),
+    16: {"kolmogorov": ("0x1.9230000000000p-4", "0x0.0p+0"),
          "levy": ("0x1.1f8fb1c150000p-4", "0x1.19799812dea11p-40"),
-         "disc": ("0x1.923000000000ap-3", "0x0.0p+0")},
-    100: {"kolmogorov": ("0x1.45ff5d3b10640p-5", "0x0.0p+0"),
+         "disc": ("0x1.9230000000000p-3", "0x0.0p+0")},
+    100: {"kolmogorov": ("0x1.45ff5d3b10700p-5", "0x0.0p+0"),
           "levy": ("0x1.d214adf340000p-6", "0x1.19799812dea11p-40"),
-          "disc": ("0x1.45ff5d3b10624p-4", "0x0.0p+0")},
-    1000: {"kolmogorov": ("0x1.9d4965077e700p-7", "0x0.0p+0"),
+          "disc": ("0x1.45ff5d3b10700p-4", "0x0.0p+0")},
+    1000: {"kolmogorov": ("0x1.9d4965077e000p-7", "0x0.0p+0"),
            "levy": ("0x1.276ddb2b00000p-7", "0x1.19799812dea11p-40"),
-           "disc": ("0x1.9d4965077e700p-6", "0x0.0p+0")},
-    10**4: {"kolmogorov": ("0x1.0571bc1e10440p-8", "0x0.0p+0"),
+           "disc": ("0x1.9d4965077dfe0p-6", "0x0.0p+0")},
+    10**4: {"kolmogorov": ("0x1.0571bc1e14980p-8", "0x0.0p+0"),
             "levy": ("0x1.75c63c7600000p-9", "0x1.19799812dea11p-40"),
-            "disc": ("0x1.0571bc1e10420p-7", "0x0.0p+0")},
+            "disc": ("0x1.0571bc1e14960p-7", "0x0.0p+0")},
     "smooth": {"kolmogorov": ("0x1.9fce2203b13c0p-5", "0x1.8f4e83a1e6410p-11"),
                "levy": ("0x1.4000000000000p-5", "0x1.0930791cb9c87p-10"),
                "disc": ("0x1.d3c59ffe1be68p-5", "0x1.8f4e83a1e6410p-10")},
@@ -448,6 +451,60 @@ SMOOTH_PAIR_HEX = {
 
 def _phi(x):
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+PI_100 = Decimal("3.1415926535897932384626433832795028841971693993751"
+                 "058209749445923078164062862089986280348253421170679")
+
+
+def normal_cdf_50(x: float) -> Decimal:
+    """The normal CDF at the float x, |x| <= 9, to 50 digits: erf's Taylor
+    series at 100 digits, of which its largest terms, below e^(x^2/2) <
+    1e18, cancel fewer than 20."""
+    assert abs(x) <= 9.0
+    with localcontext() as ctx:
+        ctx.prec = 100
+        z = Decimal(x) / Decimal(2).sqrt()
+        term, total, k = z, z, 0
+        while abs(term) > Decimal(10) ** -90:
+            k += 1
+            term = -term * z * z / k
+            total += term / (2 * k + 1)
+        return (1 + 2 * total / PI_100.sqrt()) / 2
+
+
+def binomial_k_and_d_50(n: int, positions: np.ndarray) -> tuple[Decimal, Decimal]:
+    """K and D of the exact Binomial(n, 1/2) against the normal, both read at
+    the float atoms `positions` of `standardized_binomial(n)`, to 50 digits.
+
+    Only the atoms within |x| <= 9 are read: beyond them |F - G| < 3e-18 on
+    both sides (Hoeffding, and the normal tail), far below either sup, so
+    the zeros that pad r and l stand for them. r and l are as in
+    `transport._interval_discrepancy`, with exact F = sum of C(n, j) / 2^n."""
+    xs = positions[np.abs(positions) <= 9.0].tolist()
+    ks = [round(x * math.sqrt(n) / 2 + n / 2) for x in xs]
+    with localcontext() as ctx:
+        ctx.prec = 100
+        below, count = 0, 1  # the sum of C(n, j) over j < k, and C(n, k)
+        for k in range(ks[0]):
+            below, count = below + count, count * (n - k) // (k + 1)
+        r, l, scale = [Decimal(0)], [Decimal(0)], Decimal(2) ** -n
+        for k, x in zip(ks, xs):
+            g = normal_cdf_50(x)
+            l.append(below * scale - g)
+            below, count = below + count, count * (n - k) // (k + 1)
+            r.append(below * scale - g)
+        r.append(Decimal(0))
+        l.append(Decimal(0))
+        kolmogorov = max(abs(v) for v in r + l)
+        disc, most_neg_l, most_r = Decimal(0), Decimal(0), Decimal(0)
+        for i in range(len(r)):
+            # closed intervals end at i (r_i - l_j, j <= i), open ones
+            # start left of i (r_j - l_i, j < i)
+            most_neg_l = max(most_neg_l, -l[i])
+            disc = max(disc, r[i] + most_neg_l, most_r - l[i])
+            most_r = max(most_r, r[i])
+        return kolmogorov, disc
 
 
 class TestArrayReads:
@@ -460,6 +517,15 @@ class TestArrayReads:
             G = gaussian_cdf(0.0, 1.0, max(9.0, math.sqrt(case) + 2.0))
         got = smooth_pair(F, G)
         assert {k: (v.hex(), e.hex()) for k, (v, e) in got.items()} == SMOOTH_PAIR_HEX[case]
+
+    @pytest.mark.parametrize("n", [16, 100, 1000, 10**4])
+    def test_binomial_k_and_d_against_50_digits(self, n):
+        # the log-gamma weights read K and D 2.2e-16 to 3.1e-14 off
+        F = standardized_binomial(n)
+        got = smooth_pair(F, gaussian_cdf(0.0, 1.0, max(9.0, math.sqrt(n) + 2.0)))
+        want = binomial_k_and_d_50(n, F.positions)
+        for key, exact in zip(("kolmogorov", "disc"), want):
+            assert abs(Decimal(got[key][0]) - exact) <= Decimal(1e-16), (key, exact)
 
     def test_binomial_reads_g_by_one_array_call(self, monkeypatch):
         F = standardized_binomial(1000)

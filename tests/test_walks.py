@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -489,14 +490,14 @@ class TestProductWalk:
         # sum's weights built once per call: per trace rather than per row,
         # and per crossing search rather than per probe
         times = [0.0] + np.geomspace(1.0, 2e4, 19).tolist()
-        builds, build = [], walks._tv_log_counts
-        monkeypatch.setattr(walks, "_tv_log_counts",
-                            lambda n, g: builds.append((n, g)) or build(n, g))
+        builds, build = [], walks._binomial_pmf
+        monkeypatch.setattr(walks, "_binomial_pmf",
+                            lambda *args: builds.append(args) or build(*args))
         want = [{"time": t, **product_walk_distances(1000, 3, t)} for t in times]
-        assert builds == [(1000, 3)] * len(times)
+        assert builds == [(1000, 0.5, 0, 1000)] * len(times)
         assert product_walk_trace(1000, 3, times) == want
         assert product_walk_crossing_times(1000, 3)
-        assert builds == [(1000, 3)] * (len(times) + 2)
+        assert builds == [(1000, 0.5, 0, 1000)] * (len(times) + 2)
 
     def test_trace_reads_each_time_as_a_real_number(self):
         for times in ([0.0, "a"], [True], [None]):
@@ -514,8 +515,8 @@ class TestProductWalk:
     def test_n_past_a_million_refused_before_the_tv_weights(self, monkeypatch, call):
         # the TV sum's n + 1 weights would be built and read at every time
         walks._check_sizes(10 ** 6, 4)
-        monkeypatch.setattr(walks, "_tv_log_counts",
-                            lambda n, g: pytest.fail("TV weights built"))
+        monkeypatch.setattr(walks, "_binomial_pmf",
+                            lambda *args: pytest.fail("TV weights built"))
         with pytest.raises(ValueError, match="^n: "):
             call(10 ** 6 + 1)
 
@@ -577,7 +578,18 @@ class TestProductWalk:
                         continue
                     got = product_walk_distances(n, g, t)["tv"]
                     want = tv_ref(n, g, t)
-                    assert abs(Decimal(got) - want) <= Decimal(1e-12) * want, (n, g, t)
+                    assert abs(Decimal(got) - want) <= Decimal(1e-14) * want, (n, g, t)
+        # 1 - 4^-3 exactly, where log-gamma counts read 0.9843750000000009
+        assert product_walk_distances(3, 4, 0.0)["tv"] == 1.0 - 4.0 ** -3
+
+    def test_tv_masses_against_exact_fractions(self):
+        # u_k = C(n, k) (g - 1)^(n - k) / g^n, the Binomial(n, 1/g) pmf; the
+        # log-gamma counts were up to 2.8e-13 off at n = 200, g = 3
+        n, g = 200, 3
+        u = walks._binomial_pmf(n, 1.0 / (g - 1.0), 0, n)
+        exact = np.array([float(Fraction(math.comb(n, k) * (g - 1) ** (n - k), g ** n))
+                          for k in range(n + 1)])
+        assert np.all(np.abs(u - exact) <= 2e-15 * exact)
 
     def test_entropy_crossing_at_1e_100_lies_just_below_chi2s(self):
         # entropy ~ chi2/2 this far out, so it crosses 1e-100 where chi2 = 2e-100,
@@ -665,9 +677,12 @@ class TestProductWalk:
         else:
             assert r == t_hi
 
-    @pytest.mark.parametrize("t_hi", [-1.0, -5e-324, math.nan, math.inf])
+    @pytest.mark.parametrize("t_hi", [-1.0, -5e-324, math.nan, math.inf,
+                                      pytest.param(HUGE, id="huge"),
+                                      pytest.param("1.0", id="str")])
     def test_crossing_time_refuses_a_bad_t_hi(self, t_hi):
-        # a t_hi of -1 was returned as the crossing, and NaN as NaN
+        # a t_hi of -1 was returned as the crossing, NaN as NaN, and a huge
+        # int was bisected
         with pytest.raises(ValueError, match="^t_hi: "):
             crossing_time(lambda t: math.exp(-t), 0.5, t_hi)
 
@@ -723,6 +738,12 @@ class TestProductWalk:
         with pytest.raises(ValueError, match="^threshold: "):
             crossing_time(lambda t: 1.0 - t, math.nan, 2.0)
 
+    @pytest.mark.parametrize("threshold", [HUGE, "0.5"], ids=["huge", "str"])
+    def test_crossing_time_reads_the_threshold_as_a_real_number(self, threshold):
+        # a huge int raised a bare OverflowError from math.isnan
+        with pytest.raises(ValueError, match="^threshold: "):
+            crossing_time(lambda t: 1.0 - t, threshold, 2.0)
+
 
 class TestBinomialNormal:
     def test_atoms_sum_to_one(self):
@@ -731,16 +752,21 @@ class TestBinomialNormal:
             assert abs(math.fsum(b.weights.tolist()) - 1.0) < 1e-12
             assert b.m == n + 1
 
-    def test_every_atom_kept_bit_for_bit_up_to_1074(self):
-        # reference: the weights before underflowed tails were dropped
-        for n in (1, 16, 1000, 1074):
-            k = np.arange(n + 1)
-            logw = (math.lgamma(n + 1) - np.array([math.lgamma(i + 1) for i in k])
-                    - np.array([math.lgamma(n - i + 1) for i in k]) - n * math.log(2.0))
-            w = np.exp(logw)
-            b = standardized_binomial(n)
-            assert np.array_equal(b.weights, w / math.fsum(w.tolist()))
-            assert np.array_equal(b.positions, (2.0 * k - n) / math.sqrt(n))
+    @pytest.mark.parametrize("n", [16, 1000, 10**4])
+    def test_every_kept_atom_against_its_exact_mass(self, n):
+        # reference: C(n, k) / 2^n correctly rounded; the log-gamma weights
+        # were up to 1.4e-12 / 2.1e-11 off at n = 10^3 / 10^4
+        b = standardized_binomial(n)
+        k_lo = (n + 1 - b.m) // 2
+        k = np.arange(k_lo, n - k_lo + 1)
+        assert np.array_equal(b.positions, (2.0 * k - n) / math.sqrt(n))
+        count, exact = math.comb(n, k_lo), []
+        for i in k.tolist():
+            exact.append(float(Fraction(count, 2 ** n)))
+            count = count * (n - i) // (i + 1)
+        exact = np.array(exact)
+        assert np.all(np.abs(b.weights - exact) <= 1e-14 * exact)
+        assert np.array_equal(b.weights, b.weights[::-1])  # w[k] == w[n - k]
 
     def test_n_past_a_billion_refused_before_the_atoms(self, monkeypatch):
         # n = 10^18 would ask np.arange for about 3.9e10 integers
@@ -751,26 +777,35 @@ class TestBinomialNormal:
         with pytest.raises(ValueError, match="^n: "):
             standardized_binomial(10 ** 9 + 1)
 
-    def test_underflowed_tails_dropped_from_1075(self):
-        for n in (1075, 2000, 5000):
+    def test_end_atoms_dropped_from_1022(self):
+        # 2^-n, the end atoms' mass, falls below the smallest normal float
+        for n in (1, 16, 1000, 1021):
+            assert standardized_binomial(n).m == n + 1
+        b = standardized_binomial(1022)
+        assert b.m == 1021
+        assert b.positions[0] == (2.0 - 1022) / math.sqrt(1022)
+        for n in (1075, 2000, 5000, 10**5):
             b = standardized_binomial(n)
             assert b.m < n + 1
             assert abs(math.fsum(b.weights.tolist()) - 1.0) <= MASS_TOL
+            # a subnormal times a ratio above 1/2 rounds back to itself, so
+            # unflushed tails would hold thousands of atoms of 5e-324
+            assert b.weights.min() >= sys.float_info.min
+        assert b.m == 11839
         assert binomial_normal_demo(2000)["disc"] < binomial_normal_demo(1000)["disc"]
 
     @pytest.mark.parametrize("n", [1075, 2000, 10**4, 10**5])
     def test_window_build_equals_the_full_range_build(self, n):
-        # reference: lgamma at every k, then the w > 0 trim
+        # reference: the same recurrence over every k, then the w > 0 trim
         k = np.arange(n + 1)
-        lgamma_k1 = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-        w = np.exp(lgamma_k1[-1] - lgamma_k1 - lgamma_k1[::-1] - n * math.log(2.0))
+        w = walks._binomial_pmf(n, 1.0, 0, n)
         keep = w > 0.0
         b = standardized_binomial(n)
-        assert np.array_equal(b.weights, w[keep] / math.fsum(w[keep].tolist()))
+        assert np.array_equal(b.weights, w[keep])
         assert np.array_equal(b.positions, (2.0 * k[keep] - n) / math.sqrt(n))
-        # every atom outside |k - n/2| <= isqrt(373 n) + 2 underflows,
-        # the ones just outside included
-        k_lo = max(0, n // 2 - math.isqrt(373 * n) - 2)
+        # every atom outside |k - n/2| <= isqrt(355 n) + 2 is dropped, the
+        # ones just outside included
+        k_lo = max(0, n // 2 - math.isqrt(355 * n) - 2)
         assert not w[:k_lo].any() and not w[n - k_lo + 1:].any()
         assert (k_lo > 0) == (n >= 2000)
 
