@@ -358,9 +358,7 @@ def random_instance(seed: int, index: int, size_range: tuple[int, int] = (4, 10)
         raise ValueError(f"size_range: need a (low, high) pair, got {size_range!r}")
     lo = _integer("size_range", size_range[0], 1, 64)
     hi = _integer("size_range", size_range[1], lo, 64)
-    sparsity = _real("sparsity", sparsity)
-    if not 0.0 <= sparsity <= 1.0:  # also NaN
-        raise ValueError(f"sparsity: need 0 <= sparsity <= 1, got {sparsity!r}")
+    sparsity = _real("sparsity", sparsity, 0, 1)
     rng = np.random.default_rng([seed, index])
     n = int(rng.integers(lo, hi + 1))
     space = _random_space(rng, n, kind)

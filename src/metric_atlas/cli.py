@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import bounds, transport, walks
 from .divergences import relative_entropy, total_variation
-from .spaces import DiscreteDistribution, _integer, distribution_from_json
+from .spaces import DiscreteDistribution, _integer, _real, distribution_from_json
 
 METRIC_NAMES = sorted(set(bounds.FINITE_METRICS) | set(bounds.LINE_METRICS) | {"kl"})
 
@@ -120,22 +119,22 @@ def _cmd_walk_cdg(args) -> int:
 
 
 def _cmd_walk_product(args) -> int:
+    n = _integer("n", args.n, 1, 10 ** 6)  # as walks._check_sizes takes it
     if args.times is not None:
         times = [_parse_time(x) for x in args.times.split(",")]
     else:
-        _integer("steps", args.steps, 2)  # grid points
-        horizon = args.horizon if args.horizon is not None else 2.0 * args.n ** 2
-        if not 0.0 <= horizon < math.inf:  # also NaN; 0 * inf would be NaN
-            raise ValueError(f"horizon: must be finite and non-negative, got {horizon}")
-        times = [horizon * k / (args.steps - 1) for k in range(args.steps)]
+        steps = _integer("steps", args.steps, 2, 10 ** 6)  # grid points
+        horizon = (2.0 * n ** 2 if args.horizon is None
+                   else _real("horizon", args.horizon, 0))  # finite: 0 * inf is NaN
+        times = [horizon * k / (steps - 1) for k in range(steps)]
     if args.g is not None:
         g = args.g
-    elif args.n < 1015:  # checked before 2^n is formed
-        g = 2 ** args.n
+    elif n < 1015:  # checked before 2^n is formed
+        g = 2 ** n
     else:
         raise ValueError("n: with the default g = 2^n, g log g overflows a float "
-                         f"from n = 1015 on, got {args.n}")
-    rows = walks.product_walk_trace(args.n, g, times)
+                         f"from n = 1015 on, got {n}")
+    rows = walks.product_walk_trace(n, g, times)
     _write(args.out, _csv_rows(rows))
     return 0
 

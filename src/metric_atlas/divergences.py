@@ -30,7 +30,7 @@ def _fsum(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Array kernels (also used by the walk lab on raw probability vectors)
+# Array kernels (also read by bounds.LINE_METRICS on merged atom weights)
 # ---------------------------------------------------------------------------
 
 def tv_kernel(p: np.ndarray, q: np.ndarray) -> float:

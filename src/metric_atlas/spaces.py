@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -45,11 +46,16 @@ def _integer(field: str, value, lo: int | None = None, hi: int | None = None) ->
         i = operator.index(value)
     except TypeError:
         raise ValueError(f"{field}: must be an integer, got {value!r}") from None
-    if (lo is not None and i < lo) or (hi is not None and i > hi):
-        span = (f">= {lo}" if hi is None else f"<= {hi}" if lo is None
-                else f"in {lo}..{hi}")
-        raise ValueError(f"{field}: must be {span}, got {_int_text(i)}")
-    return i
+    return _in_range(field, i, lo, hi, _int_text)
+
+
+def _in_range(field: str, x, lo, hi, text):
+    """x in lo..hi, either end open when None, or a ValueError naming the
+    field that writes x by text."""
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
+        span = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+        raise ValueError(f"{field}: must be {span}, got {text(x)}")
+    return x
 
 
 def _int_text(i: int) -> str:
@@ -61,17 +67,10 @@ def _int_text(i: int) -> str:
     return f"{'a negative' if i < 0 else 'an'} integer of {i.bit_length()} bits"
 
 
-def _non_negative(field: str, value: float) -> None:
-    """A ValueError naming the field when value is not a real number (see
-    `_real`), or is NaN or negative; 0 and +inf pass."""
-    if not _real(field, value) >= 0.0:
-        raise ValueError(f"{field}: must be non-negative, got {value!r}")
-
-
-def _real(field: str, value) -> float:
-    """value as a float (numpy numbers pass), or a ValueError naming the
-    field, also for a number past the float range; a bool is not taken for 0
-    or 1."""
+def _float(field: str, value) -> float:
+    """value as a float (numpy numbers pass, NaN and infinities too), or a
+    ValueError naming the field, also for a number past the float range; a
+    bool is not taken for 0 or 1."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -81,16 +80,36 @@ def _real(field: str, value) -> float:
     raise ValueError(f"{field}: must be a real number, got {value!r}")
 
 
+def _real(field: str, value, lo: float | None = None, hi: float | None = None) -> float:
+    """value as a finite float (see `_float`) in lo..hi, either end open
+    when None, or a ValueError naming the field."""
+    x = _float(field, value)
+    if not math.isfinite(x):
+        raise ValueError(f"{field}: must be finite, got {x!r}")
+    return _in_range(field, x, lo, hi, repr)
+
+
+def _non_negative(field: str, value) -> float:
+    """value as a float (see `_float`) in 0..+inf, +inf included, or a
+    ValueError naming the field when it is NaN or negative."""
+    x = _float(field, value)
+    if not x >= 0.0:
+        raise ValueError(f"{field}: must be non-negative, got {value!r}")
+    return x
+
+
 def _reals(field: str, value) -> np.ndarray:
     """value as a float array, or a ValueError naming the field when it
-    holds anything but numbers (null, a string, a bool) or nests lists of
-    unequal lengths."""
+    holds anything but finite numbers (null, a string, a bool, NaN, an
+    infinity) or nests lists of unequal lengths."""
     try:
         a = np.asarray(value)
     except ValueError:
         raise ValueError(f"{field}: must be a rectangular array of numbers") from None
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{field}: must hold numbers only")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{field}: non-finite entry")
     return a.astype(float, copy=False)
 
 
@@ -120,8 +139,6 @@ class FiniteMetricSpace:
         n = d.shape[0]
         if n < 1:
             raise ValueError("space.d: empty matrix")
-        if not np.all(np.isfinite(d)):  # first: NaN fails every other test
-            raise ValueError("space.d: non-finite entry")
         if np.any(np.diag(d) != 0.0):
             raise ValueError("space.d: nonzero diagonal entry")
         if not np.array_equal(d, d.T):
@@ -208,8 +225,6 @@ class DiscreteDistribution:
         p = _reals("distribution.p", self.p)
         if p.ndim != 1 or p.shape[0] != self.space.n:
             raise ValueError("distribution.p: length must match the space")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("distribution.p: non-finite entry")
         if np.any(p < 0.0):
             raise ValueError("distribution.p: negative mass")
         total = math.fsum(p.tolist())
@@ -256,10 +271,6 @@ class RealAtomicDistribution:
         ws = _reals("atoms.weights", self.weights)
         if xs.ndim != 1 or xs.shape != ws.shape or xs.size == 0:
             raise ValueError("atoms: positions and weights must be matching 1-D arrays")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("atoms.positions: non-finite entry")
-        if not np.all(np.isfinite(ws)):
-            raise ValueError("atoms.weights: non-finite entry")
         if np.any(np.diff(xs) <= 0):
             raise ValueError("atoms: positions must be strictly increasing")
         if np.any(ws <= 0):
@@ -298,8 +309,8 @@ class RealAtomicDistribution:
             raise ValueError("distribution.atoms: each x and w must be a number")
         acc: dict[float, float] = {}
         for x, w in zip(pos.tolist(), wts.tolist()):
-            if not w >= 0.0:  # before merging, which could hide it
-                raise ValueError(f"atoms.weights: weight {w!r} is negative or NaN")
+            if w < 0.0:  # before merging, which could hide it
+                raise ValueError(f"atoms.weights: weight {w!r} is negative")
             acc[x] = acc.get(x, 0.0) + w
         xs = sorted(x for x, w in acc.items() if w > 0)
         return cls(np.array(xs), np.array([acc[x] for x in xs]))
@@ -358,15 +369,12 @@ class SmoothRealCdf:
         except (TypeError, ValueError):
             raise ValueError(f"support: must be a pair (a, b), got {self.support!r}") from None
         a, b = _real("support", a), _real("support", b)
-        if not -math.inf < a < b < math.inf:  # also NaN
-            raise ValueError(f"support: must be a finite interval a < b, got {self.support!r}")
+        if not 0.0 < b - a <= sys.float_info.max:  # the check grid's steps take b - a
+            raise ValueError(f"support: need a < b and a finite width, got {self.support!r}")
         density_bound = _real("density_bound", self.density_bound)
-        if density_bound <= 0 or not math.isfinite(density_bound):
-            raise ValueError("density_bound: must be positive and finite")
-        tol = _real("eval_tolerance", self.eval_tolerance)
-        if not 0.0 <= tol < math.inf:  # also NaN
-            raise ValueError("eval_tolerance: must be finite and non-negative, "
-                             f"got {self.eval_tolerance!r}")
+        if not density_bound > 0.0:
+            raise ValueError(f"density_bound: must be > 0, got {density_bound!r}")
+        tol = _real("eval_tolerance", self.eval_tolerance, 0)
         # the grid starts at a and ends at b; each check fails on a NaN
         grid = np.linspace(a, b, 65)
         vals = _read_many(self, grid)
@@ -394,14 +402,13 @@ def gaussian_cdf(mean: float = 0.0, sigma: float = 1.0,
                  halfwidth: float = 9.0) -> SmoothRealCdf:
     """Normal CDF via erf, truncated at mean +- halfwidth*sigma. Its
     `cdf_many` is the same expression over an array, bit for bit."""
-    if not 0.0 < _real("sigma", sigma) < math.inf:  # also NaN
-        raise ValueError(f"sigma: must be positive and finite, got {sigma!r}")
-    if not math.isfinite(_real("mean", mean)):
-        raise ValueError(f"mean: must be finite, got {mean!r}")
-    if not 7.1 <= _real("halfwidth", halfwidth) < math.inf:  # also NaN
-        raise ValueError("halfwidth: must be finite and at least 7.1, to push "
-                         f"tail mass below 1e-12; got {halfwidth!r}")
-    mean, scale = float(mean), float(sigma) * math.sqrt(2.0)
+    sigma = _real("sigma", sigma)
+    if not sigma > 0.0:
+        raise ValueError(f"sigma: must be > 0, got {sigma!r}")
+    mean = _real("mean", mean)
+    # 7.1 standard deviations push each tail's mass below 1e-12
+    halfwidth = _real("halfwidth", halfwidth, 7.1)
+    scale = sigma * math.sqrt(2.0)
 
     def cdf(x: float) -> float:
         return 0.5 * (1.0 + math.erf((x - mean) / scale))
@@ -427,11 +434,9 @@ class Coupling:
     col_marginal: DiscreteDistribution
 
     def __post_init__(self):
-        J = np.asarray(self.J, dtype=float)
+        J = _reals("coupling.J", self.J)
         if J.shape != (self.row_marginal.space.n, self.col_marginal.space.n):
             raise ValueError("coupling.J: shape does not match the marginals")
-        if not np.all(np.isfinite(J)):
-            raise ValueError("coupling.J: non-finite entry")
         if np.any(J < 0.0):
             raise ValueError("coupling.J: negative entry")
         if np.max(np.abs(J.sum(axis=1) - self.row_marginal.p)) > MARGINAL_TOL:

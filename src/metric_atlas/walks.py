@@ -15,7 +15,7 @@ from . import transport as tp
 # patches; CdgWalk.distances no longer calls it.
 from .divergences import tv_kernel  # noqa: F401
 from .spaces import (DiscreteDistribution, FiniteMetricSpace,
-                     RealAtomicDistribution, _integer, _real,
+                     RealAtomicDistribution, _integer, _non_negative, _real,
                      fsum_largest_first, gaussian_cdf)
 
 
@@ -168,27 +168,29 @@ def cdg_trace(p: int, steps: int) -> list[dict[str, float]]:
 # Binomial masses, for the product walk and the Binomial against the normal
 # ---------------------------------------------------------------------------
 
-def _binomial_pmf(n: int, odds: float, k_lo: int, k_hi: int) -> np.ndarray:
-    """The Binomial(n, p) masses at k = k_lo..k_hi, for odds = p / (1 - p) > 0
-    and a window that holds all but an underflowing share of the mass.
+def _binomial_pmf(n: int, a: float, b: float, k_lo: int, k_hi: int) -> np.ndarray:
+    """The Binomial(n, p) masses at k = k_lo..k_hi, for the odds
+    p / (1 - p) = a / b of positive whole numbers a and b, and a window that
+    holds all but an underflowing share of the mass.
 
     The mass at the mode m (clipped into the window) is taken as 1.0 and its
-    neighbours' ratios, pmf(k + 1) / pmf(k) = (n - k) / (k + 1) * odds, are
-    multiplied outward by one cumulative product per side; the whole is then
-    divided by its exactly rounded sum. Each mass so carries a rounding error
-    of at most a few ulps per step from the mode, and an odds that is no
-    float exactly, as 1/3, tilts mass k by |k - m| times its rounding error.
-    With odds 1 the two sides multiply the same ratios, so the masses are
-    exactly symmetric, pmf(k) == pmf(n - k).
+    neighbours' ratios, pmf(k + 1) / pmf(k) = (n - k) a / ((k + 1) b), one
+    rounding each, are multiplied outward by one cumulative product per
+    side; the whole is then divided by its exactly rounded sum. Each mass so
+    carries a rounding error of at most a few ulps per step from the mode,
+    where an odds rounded once to a float, as 1/3, would add |k - m| times
+    its rounding error. With a = b the two sides multiply the same ratios,
+    so the masses are exactly symmetric, pmf(k) == pmf(n - k).
 
     Every mass below the smallest normal float is set to 0: once a product
     is subnormal, a ratio above 1/2 rounds it back to itself, and the tail
     would hold such stuck atoms rather than underflow."""
-    m = min(max(int((n + 1) * (odds / (1.0 + odds))), k_lo), k_hi)
+    m = min(max((n + 1) * a // (a + b), k_lo), k_hi)
     up = np.arange(m, k_hi, dtype=float)  # pmf(k + 1) / pmf(k) at these k
     down = np.arange(m - 1, k_lo - 1, -1, dtype=float)  # pmf(k) / pmf(k + 1)
-    w = np.concatenate((np.cumprod((down + 1.0) / (n - down) / odds)[::-1], [1.0],
-                        np.cumprod((n - up) / (up + 1.0) * odds)))
+    with np.errstate(over="ignore"):  # (k + 1) b past the float range: ratio 0
+        w = np.concatenate((np.cumprod((down + 1.0) * b / ((n - down) * a))[::-1], [1.0],
+                            np.cumprod((n - up) * a / ((up + 1.0) * b))))
     w /= fsum_largest_first(w)
     w[w < sys.float_info.min] = 0.0
     return w
@@ -224,7 +226,7 @@ def product_walk_distances(n: int, g: int, t: float) -> dict[str, float]:
     """Distances to uniform at time t of the walk on n coordinates over a
     g-element group, each refreshing to uniform at rate 1/n, via
     per-coordinate closed forms (see `_curves`)."""
-    return _at(_curves(n, g), _real("t", t))
+    return _at(_curves(n, g), _non_negative("t", t))
 
 
 def _curves(n: int, g: int) -> dict:
@@ -241,7 +243,7 @@ def _curves(n: int, g: int) -> dict:
     states lie below the uniform density (`_tv`).
     """
     _check_sizes(n, g)
-    masses = _binomial_pmf(n, 1.0 / (g - 1.0), 0, n).tolist()
+    masses = _binomial_pmf(n, 1.0, g - 1.0, 0, n).tolist()
 
     def chi2(u: float) -> float:
         log1p_chi2_coord = math.log1p((g - 1.0) * u * u)
@@ -261,9 +263,8 @@ def _curves(n: int, g: int) -> dict:
 
 
 def _at(curves: dict, t: float) -> dict[str, float]:
-    """Every curve of a `_curves` table at the time t."""
-    if not t >= 0:  # also NaN; +inf is the stationary limit
-        raise ValueError(f"t: time must be non-negative, got {t}")
+    """Every curve of a `_curves` table at the time t >= 0; +inf is the
+    stationary limit."""
     return {key: curve(t) for key, curve in curves.items()}
 
 
@@ -311,12 +312,8 @@ def crossing_time(params_at, threshold: float, t_hi: float) -> float:
     The search is `transport._bisect` on the predicate params_at(t) <=
     threshold (a NaN reads as above), halving [0, t_hi] down to adjacent
     floats."""
-    t_hi = _real("t_hi", t_hi)
-    if not 0.0 <= t_hi < math.inf:  # also NaN
-        raise ValueError(f"t_hi: must be finite and non-negative, got {t_hi!r}")
+    t_hi = _real("t_hi", t_hi, 0)
     threshold = _real("threshold", threshold)
-    if math.isnan(threshold):  # every probe would read as above it
-        raise ValueError(f"threshold: must be a number, got {threshold!r}")
     return tp._bisect(lambda t: params_at(t) <= threshold, 0.0, t_hi)
 
 
@@ -329,8 +326,9 @@ def product_walk_crossing_times(n: int, g: int,
     the threshold by t_chi2(4 threshold^2) and t_chi2(threshold); each is
     searched below that bound by `crossing_time`, reading only its own
     distance at each probe."""
-    if not 0.0 < _real("threshold", threshold) < math.inf:
-        raise ValueError(f"threshold: must be finite and > 0, got {threshold!r}")
+    threshold = _real("threshold", threshold)
+    if not threshold > 0.0:
+        raise ValueError(f"threshold: must be > 0, got {threshold!r}")
     if 4.0 * threshold * threshold < sys.float_info.min:
         raise ValueError(f"threshold: 4 * threshold^2 underflows, got {threshold!r}")
     curves = _curves(n, g)  # checks n and g before t_chi2 divides by them
@@ -350,7 +348,7 @@ def product_walk_crossing_times(n: int, g: int,
 def product_walk_trace(n: int, g: int, times) -> list[dict[str, float]]:
     """Rows (time, distances) of `product_walk_distances` at each time."""
     curves = _curves(n, g)
-    times = [_real("times", t) for t in times]
+    times = [_non_negative("times", t) for t in times]
     return [{"time": t, **_at(curves, t)} for t in times]
 
 
@@ -373,7 +371,7 @@ def standardized_binomial(n: int) -> RealAtomicDistribution:
     """
     n = _integer("n", n, 1, 10 ** 9)
     k_lo = max(0, n // 2 - math.isqrt(355 * n) - 2)
-    w = _binomial_pmf(n, 1.0, k_lo, n - k_lo)
+    w = _binomial_pmf(n, 1.0, 1.0, k_lo, n - k_lo)
     keep = w > 0.0
     x = (2.0 * np.arange(k_lo, n - k_lo + 1)[keep] - n) / math.sqrt(n)
     return RealAtomicDistribution(x, w[keep])
@@ -403,9 +401,7 @@ def binomial_normal_demo(n: int) -> dict[str, float]:
 def dudley_instance(n: float):
     """Distributions ((n-1) delta_0 + delta_n)/n and delta_0 on the two-point
     space {0, n}: Prokhorov-close yet at Wasserstein distance one."""
-    n = _real("n", n)
-    if not 2 <= n < math.inf:  # also NaN
-        raise ValueError(f"n: must be finite and >= 2, got {n!r}")
+    n = _real("n", n, 2)
     space = FiniteMetricSpace([[0.0, n], [n, 0.0]])
     p_n = DiscreteDistribution(space, np.array([(n - 1.0) / n, 1.0 / n]))
     target = DiscreteDistribution(space, np.array([1.0, 0.0]))

@@ -228,7 +228,7 @@ class TestWalks:
         assert len(lines) == 4
 
     @pytest.mark.parametrize("args, message", [
-        (["--times", "1,nan"], "error: t: "),
+        (["--times", "1,nan"], "error: times: "),
         (["--times", "0,abc"], "error: times: not a number: 'abc'"),
         (["--horizon", "nan"], "error: horizon: "),
         (["--horizon", "inf"], "error: horizon: "),
@@ -237,7 +237,7 @@ class TestWalks:
         (["--n", "1015"], "error: n: "),
         (["--g", str(2 ** 1100)], "error: g: "),
         (["--times", ""], "error: times: "),
-        (["--steps", "1"], "error: steps: must be >= 2, got 1\n"),
+        (["--steps", "1"], "error: steps: must be in 2..1000000, got 1\n"),
     ], ids=["times-nan", "times-not-a-number", "horizon-nan", "horizon-inf",
             "horizon-negative", "g-overflows", "default-g-log-g-overflows",
             "given-g-overflows", "times-empty", "steps-one"])
@@ -257,6 +257,32 @@ class TestWalks:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: n: ")
         assert peak < 2 ** 20  # 2^(10^7) alone would take 1.25 MB
+
+    @pytest.mark.parametrize("horizon, code", [
+        ("-5e-324", 1), ("-5", 1), ("0", 0), ("1", 0), ("1e308", 0), ("inf", 1),
+        ("-inf", 1), ("nan", 1), ("1e5000", 1)])
+    def test_product_horizon_accepts_what_it_accepted_before(self, capsys, horizon, code):
+        argv = ["walk-product", "--n", "3", "--steps", "3", f"--horizon={horizon}"]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: horizon: " if code else "")
+
+    def test_product_rejects_huge_n_before_the_default_horizon(self, capsys):
+        # 2.0 * n ** 2 raised an OverflowError
+        assert main(["walk-product", "--n", str(10 ** 200)]) == 1
+        assert capsys.readouterr().err == (
+            "error: n: must be in 1..1000000, got an integer of 665 bits\n")
+
+    def test_product_rejects_huge_steps_before_the_time_grid(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["walk-product", "--n", "3", "--steps", str(10 ** 11)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: steps: must be in 2..1000000, got 100000000000\n")
+        assert peak < 2 ** 20  # 10^11 grid times would take terabytes
 
     def test_product_rejects_huge_n_before_the_tv_weights(self, capsys):
         tracemalloc.start()

@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from metric_atlas.spaces import (MASS_TOL, Coupling, DiscreteDistribution,
                                  SmoothRealCdf, distribution_from_json,
                                  fsum_largest_first, gaussian_cdf,
                                  space_from_json)
-from metric_atlas.transport import ball_growth_at, discrepancy_real_mixed
-from metric_atlas.walks import (MAX_MODULUS, CdgWalk, cdg_trace, dudley_instance,
-                                product_walk_crossing_times, product_walk_distances,
-                                product_walk_trace, standardized_binomial)
+from metric_atlas.transport import (ball_growth_at, discrepancy_real_mixed,
+                                    interval_growth_at)
+from metric_atlas.walks import (MAX_MODULUS, CdgWalk, cdg_trace, crossing_time,
+                                dudley_instance, product_walk_crossing_times,
+                                product_walk_distances, product_walk_trace,
+                                standardized_binomial)
 
 
 def _triangle_error_by_loop(d):
@@ -564,3 +568,129 @@ def test_reals_past_the_float_range_name_the_field(call, field):
     with pytest.raises(ValueError, match=f"^{field}: must be within the float range, "
                                          "got (a negative|an) integer of [0-9]+ bits$"):
         call()
+
+
+# Every real number the library takes: (a call on the value, its field, the
+# least and the greatest value accepted, with None for an open end or for a
+# bound that is no plain range, and a value inside).
+REAL_SITES = {
+    "eval_tolerance": (lambda v: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, 9.0), v),
+                       "eval_tolerance", 0.0, None, 1e-12),
+    "density_bound": (lambda v: SmoothRealCdf(_phi_cdf, v, (-9.0, 9.0)),
+                      "density_bound", 5e-324, None, 0.4),
+    "support-a": (lambda v: SmoothRealCdf(_phi_cdf, 0.4, (v, 9.0)), "support", None, None, -9.0),
+    "support-b": (lambda v: SmoothRealCdf(_phi_cdf, 0.4, (-9.0, v)), "support", None, None, 9.0),
+    "gaussian-mean": (lambda v: gaussian_cdf(v), "mean", None, None, 0.5),
+    "gaussian-sigma": (lambda v: gaussian_cdf(0.0, v), "sigma", None, None, 1.5),
+    "gaussian-halfwidth": (lambda v: gaussian_cdf(0.0, 1.0, v), "halfwidth", 7.1, None, 9.0),
+    "sparsity": (lambda v: random_instance(0, 0, sparsity=v), "sparsity", 0.0, 1.0, 0.25),
+    "crossing-t_hi": (lambda v: crossing_time(lambda t: math.exp(-t), 0.5, v),
+                      "t_hi", 0.0, None, 1.0),
+    "crossing-threshold": (lambda v: crossing_time(lambda t: math.exp(-t), v, 1.0),
+                           "threshold", None, None, 0.5),
+    "product-threshold": (lambda v: product_walk_crossing_times(3, 2, v),
+                          "threshold", None, None, 0.25),
+    "dudley-n": (dudley_instance, "n", 2.0, None, 10.0),
+    "walk-t": (lambda v: product_walk_distances(3, 2, v), "t", 0.0, None, 1.5),
+    "walk-times": (lambda v: product_walk_trace(3, 2, [v]), "times", 0.0, None, 1.5),
+    "ball-radius": (lambda v: cycle4().ball(0, v), "radius", 0.0, None, 1.5),
+    "fatten-eps": (lambda v: cycle4().fatten({0}, v), "eps", 0.0, None, 1.5),
+    "ball-growth-eps": (lambda v: ball_growth_at(DiscreteDistribution.uniform(cycle4()), v),
+                        "eps", 0.0, None, 1.5),
+    "interval-growth-eps": (lambda v: interval_growth_at(RealAtomicDistribution.point_mass(0.0), v),
+                            "eps", 0.0, None, 1.5),
+}
+
+# The probes each site accepted when every range test was written out by
+# hand; every other probe was refused with a ValueError.
+ACCEPTED_BEFORE = {
+    "eval_tolerance": "lo 0 float64 fraction",
+    "density_bound": "lo float64 fraction",
+    "support-a": "float64 fraction",
+    "support-b": "float64 fraction",
+    "gaussian-mean": "0 float64 fraction",
+    "gaussian-sigma": "float64 fraction",
+    "gaussian-halfwidth": "lo float64 fraction",
+    "sparsity": "lo hi 0 float64 fraction",
+    "crossing-t_hi": "lo 0 float64 fraction",
+    "crossing-threshold": "0 inf -inf float64 fraction",
+    "product-threshold": "float64 fraction",
+    "dudley-n": "lo float64 fraction",
+    "walk-t": "lo 0 inf float64 fraction",
+    "walk-times": "lo 0 inf float64 fraction",
+    "ball-radius": "lo 0 inf float64 fraction",
+    "fatten-eps": "lo 0 inf float64 fraction",
+    "ball-growth-eps": "lo 0 inf float64 fraction",
+    "interval-growth-eps": "lo 0 inf float64 fraction",
+}
+
+# An infinite threshold never gave a real crossing: every probe read at or
+# below +inf, and none at or below -inf.
+NOW_REFUSED = {("crossing-threshold", "inf"), ("crossing-threshold", "-inf")}
+
+
+def _real_probes(lo, hi, inside):
+    probes = {}
+    if lo is not None:
+        probes["lo-ulp"], probes["lo"] = math.nextafter(lo, -math.inf), lo
+    if hi is not None:
+        probes["hi"], probes["hi+ulp"] = hi, math.nextafter(hi, math.inf)
+    probes.update({"0": 0, "inf": math.inf, "-inf": -math.inf, "nan": math.nan,
+                   "bool": True, "str": "1", "huge": HUGE,
+                   "float64": np.float64(inside), "fraction": Fraction(inside)})
+    return probes
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+def test_real_sites_accept_what_they_accepted_before(site):
+    call, field, lo, hi, inside = REAL_SITES[site]
+    accepted = ACCEPTED_BEFORE[site].split()
+    for name, value in _real_probes(lo, hi, inside).items():
+        if name in accepted and (site, name) not in NOW_REFUSED:
+            call(value)
+        else:
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                call(value)
+
+
+@pytest.mark.parametrize("value, span", [
+    (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+    (-0.5, "in 0..1"), (1.5, "in 0..1")], ids=["nan", "inf", "-inf", "below", "above"])
+def test_real_out_of_range_message(value, span):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sparsity: must be {span}, got {value!r}')}$"):
+        random_instance(0, 0, sparsity=value)
+
+
+@pytest.mark.parametrize("support", [(-1e308, 1e308), (-math.ldexp(1.0, 1023), 1e308)])
+def test_support_wider_than_the_float_range_is_refused_by_name(support):
+    # the check grid's np.linspace would overflow and read as a NaN cdf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^support: need a < b and a finite width"):
+            SmoothRealCdf(_phi_cdf, 0.4, support)
+        with pytest.raises(ValueError, match="^support: need a < b and a finite width"):
+            gaussian_cdf(0.0, 1.0, support[1])
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda J: Coupling(J, *([DiscreteDistribution.point_mass(cycle4(), 0)] * 2)), "coupling.J"),
+    (FiniteMetricSpace, "space.d"),
+    (lambda d: DiscreteDistribution(cycle4(), d[0]), "distribution.p"),
+    (lambda d: RealAtomicDistribution(d[0], np.full(4, 0.25)), "atoms.positions"),
+    (lambda d: RealAtomicDistribution(np.arange(4.0), d[0]), "atoms.weights"),
+], ids=["coupling", "space", "distribution", "positions", "weights"])
+def test_arrays_hold_finite_numbers_only(build, field):
+    bools = np.zeros((4, 4), dtype=bool)
+    bools[0, 0] = True
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: must hold numbers only$"):
+        build(bools)
+    for bad in (math.nan, math.inf, -math.inf):
+        d = np.zeros((4, 4))
+        d[0, 1] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(field)}: non-finite entry$"):
+            build(d)
+
+
+def test_euclidean_point_at_infinity_names_the_points():
+    with pytest.raises(ValueError, match=r"^space\.points: non-finite entry$"):
+        FiniteMetricSpace.euclidean([0.0, math.inf])

@@ -494,10 +494,10 @@ class TestProductWalk:
         monkeypatch.setattr(walks, "_binomial_pmf",
                             lambda *args: builds.append(args) or build(*args))
         want = [{"time": t, **product_walk_distances(1000, 3, t)} for t in times]
-        assert builds == [(1000, 0.5, 0, 1000)] * len(times)
+        assert builds == [(1000, 1.0, 2.0, 0, 1000)] * len(times)
         assert product_walk_trace(1000, 3, times) == want
         assert product_walk_crossing_times(1000, 3)
-        assert builds == [(1000, 0.5, 0, 1000)] * (len(times) + 2)
+        assert builds == [(1000, 1.0, 2.0, 0, 1000)] * (len(times) + 2)
 
     def test_trace_reads_each_time_as_a_real_number(self):
         for times in ([0.0, "a"], [True], [None]):
@@ -584,12 +584,14 @@ class TestProductWalk:
 
     def test_tv_masses_against_exact_fractions(self):
         # u_k = C(n, k) (g - 1)^(n - k) / g^n, the Binomial(n, 1/g) pmf; the
-        # log-gamma counts were up to 2.8e-13 off at n = 200, g = 3
-        n, g = 200, 3
-        u = walks._binomial_pmf(n, 1.0 / (g - 1.0), 0, n)
-        exact = np.array([float(Fraction(math.comb(n, k) * (g - 1) ** (n - k), g ** n))
-                          for k in range(n + 1)])
-        assert np.all(np.abs(u - exact) <= 2e-15 * exact)
+        # log-gamma counts were up to 2.8e-13 off at n = 200, g = 3, and the
+        # odds taken as the float 1/(g - 1) up to 2.7e-14 at n = 1000, g = 7
+        for n, g in ((200, 3), (200, 4), (200, 7), (1000, 7)):
+            u = walks._binomial_pmf(n, 1.0, g - 1.0, 0, n)
+            exact = np.array([float(Fraction(math.comb(n, k) * (g - 1) ** (n - k), g ** n))
+                              for k in range(n + 1)])
+            normal = exact >= sys.float_info.min  # 7^-1000 underflows
+            assert np.all(np.abs(u - exact)[normal] <= 2e-15 * exact[normal]), (n, g)
 
     def test_entropy_crossing_at_1e_100_lies_just_below_chi2s(self):
         # entropy ~ chi2/2 this far out, so it crosses 1e-100 where chi2 = 2e-100,
@@ -798,7 +800,7 @@ class TestBinomialNormal:
     def test_window_build_equals_the_full_range_build(self, n):
         # reference: the same recurrence over every k, then the w > 0 trim
         k = np.arange(n + 1)
-        w = walks._binomial_pmf(n, 1.0, 0, n)
+        w = walks._binomial_pmf(n, 1.0, 1.0, 0, n)
         keep = w > 0.0
         b = standardized_binomial(n)
         assert np.array_equal(b.weights, w[keep])
